@@ -1,7 +1,8 @@
 """Command-line front end: classify, solve, jsolve, verify.
 
 Exit codes: 0 all checks passed, 1 a convergence bound was violated,
-2 input or configuration error, 3 numerical breakdown or non-convergence.
+2 input or configuration error, 3 numerical breakdown or non-convergence,
+or (verify) a failed S^2 decrement-identity or monotonicity check.
 Randomized commands require an explicit --seed and reproduce byte-identical
 reports for identical (seed, config).
 """
@@ -9,6 +10,8 @@ reports for identical (seed, config).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -33,6 +36,8 @@ from .classification import (
     verify_catalog,
 )
 from .driver import (
+    IDENTITY_RTOL,
+    MONOTONICITY_RTOL,
     CampaignCell,
     RNG_ALGORITHM,
     campaign_cells_for_ordering,
@@ -245,18 +250,33 @@ def _campaign_worker(task):
     return out
 
 
-def _cell_row(cell: CampaignCell) -> str:
-    return ",".join(
-        [
-            f'"{cell.ordering}"',
-            cell.label,
-            repr(cell.gamma),
-            str(cell.tau),
-            str(cell.t0),
-            repr(cell.worst_ratio),
-            str(cell.violations),
-        ]
-    )
+def worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
+    """Worker processes for ``tasks`` orderings: ``jobs`` clamped to the tasks and CPUs.
+
+    One worker gets one chunk of orderings, so more workers than orderings
+    would idle, and more than ``cpus`` (``os.cpu_count()``, possibly None)
+    would only contend.
+    """
+    return max(1, min(jobs, tasks, cpus or 1))
+
+
+def _cell_rows(cells: Sequence[CampaignCell]) -> str:
+    """CSV rows; labels such as ``Parallel(par, shift=1)`` hold a comma and are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for cell in cells:
+        writer.writerow(
+            [
+                str(cell.ordering),
+                cell.label,
+                repr(cell.gamma),
+                cell.tau,
+                cell.t0,
+                repr(cell.worst_ratio),
+                cell.violations,
+            ]
+        )
+    return buf.getvalue()
 
 
 def cmd_verify(args) -> int:
@@ -266,15 +286,15 @@ def cmd_verify(args) -> int:
     mats = random_symmetric_batch(rng, args.samples, n=4)
     index = {o.pairs: k for k, o in enumerate(enumerate_orderings(4))}
 
-    jobs = args.jobs or int(os.environ.get("JPL_JOBS", "1"))
+    jobs = worker_count(
+        args.jobs or int(os.environ.get("JPL_JOBS", "1")), len(orderings), os.cpu_count()
+    )
     results: dict[tuple, list[CampaignCell]] = {}
     worst_identity = 0.0
     worst_monotone = -float("inf")
-    if jobs > 1 and len(orderings) > 1:
-        chunks = [
-            [o.pairs for o in orderings[k::jobs]] for k in range(jobs)
-        ]
-        tasks = [(chunk, mats, modes) for chunk in chunks if chunk]
+    if jobs > 1:
+        chunks = [[o.pairs for o in orderings[k::jobs]] for k in range(jobs)]
+        tasks = [(chunk, mats, modes) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for batch in pool.map(_campaign_worker, tasks):
                 for pairs, cells, ident, mono in batch:
@@ -291,18 +311,24 @@ def cmd_verify(args) -> int:
     ordered_cells: list[CampaignCell] = []
     for o in sorted(orderings, key=lambda o: index[o.pairs]):
         ordered_cells.extend(results[o.pairs])
-    lines = [
+    header = [
         f"# seed={args.seed} samples={args.samples} rng={RNG_ALGORITHM}({args.seed})"
         f" bound={args.bound} orderings={' '.join(args.orderings)}",
         CSV_HEADER,
     ]
-    lines += [_cell_row(c) for c in ordered_cells]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(header) + "\n" + _cell_rows(ordered_cells))
+    print(
+        f"S^2 checks: decrement identity {worst_identity:.3g} (limit {IDENTITY_RTOL:.0e}),"
+        f" cycle growth {worst_monotone:.3g} (limit {MONOTONICITY_RTOL:.0e})",
+        file=sys.stderr,
+    )
     total = sum(c.violations for c in ordered_cells)
     if total:
         print(f"{total} bound violations beyond fp slack", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    if worst_identity > IDENTITY_RTOL or worst_monotone > MONOTONICITY_RTOL:
+        print("S^2 checks failed: the sweep arithmetic is not trustworthy", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_VIOLATION if total else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -174,7 +174,10 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     Solves tan(2*phi) = 2*aij / (aii - ajj) via t = tan(phi),
     t = sign(tau) / (|tau| + sqrt(1 + tau^2)) with tau = (aii - ajj) / (2*aij).
     A zero pivot gives the identity; an exact diagonal tie gives
-    phi = sign(aij) * pi/4.
+    phi = sign(aij) * pi/4.  Where tau overflows (a subnormal pivot, or
+    |tau| near the top of the range) the formula rounds t to 0 and would
+    leave the pivot in place; t = aij / (aii - ajj), its limit, is used
+    instead.
     """
     if aij == 0.0:
         return 1.0, 0.0, 0.0
@@ -184,6 +187,8 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     else:
         tau = diff / (2.0 * aij)
         t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+        if t == 0.0:
+            t = aij / diff
     h = math.hypot(1.0, t)
     return 1.0 / h, t / h, math.atan(t)
 

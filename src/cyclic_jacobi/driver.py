@@ -40,6 +40,8 @@ __all__ = [
     "CampaignReport",
     "NotParallelOrderingError",
     "FP_SLACK",
+    "IDENTITY_RTOL",
+    "MONOTONICITY_RTOL",
     "UNIVERSAL_BOUND",
     "RNG_ALGORITHM",
     "run_cycles",
@@ -56,6 +58,8 @@ __all__ = [
 ]
 
 FP_SLACK = 1e-12          # absolute slack on bound ratios
+IDENTITY_RTOL = 1e-13     # S^2 decrement identity, relative to S^2 before the step
+MONOTONICITY_RTOL = 1e-14  # growth of S across a cycle, relative
 OFF_NORM_FLOOR = 1e-300   # stop sweeping below this off-norm (denormal churn)
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -92,7 +96,7 @@ class SweepReport:
     final: SymMatrix
 
 
-def verify_step_identities(report: SweepReport, rtol: float = 1e-13) -> float:
+def verify_step_identities(report: SweepReport, rtol: float = IDENTITY_RTOL) -> float:
     """Largest relative violation of S^2 drop == sum of squared pivots."""
     worst = 0.0
     for rec in report.steps:
@@ -104,7 +108,7 @@ def verify_step_identities(report: SweepReport, rtol: float = 1e-13) -> float:
     return worst
 
 
-def verify_cycle_monotonicity(report: SweepReport, rtol: float = 1e-14) -> None:
+def verify_cycle_monotonicity(report: SweepReport, rtol: float = MONOTONICITY_RTOL) -> None:
     norms = report.cycle_off_norms
     for t in range(len(norms) - 1):
         if norms[t + 1] > norms[t] * (1.0 + rtol):
@@ -227,54 +231,153 @@ class BatchSweep:
     finals: np.ndarray
 
 
+def _packed_layout(n: int) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Rows and columns of the packed entries, and the packed position of every (r, c).
+
+    The strictly upper entries come first, row by row (the order S^2 sums
+    them in), then the diagonal.  ``pos`` is symmetric.
+    """
+    entries = [(r, c) for r in range(n) for c in range(r + 1, n)] + [(r, r) for r in range(n)]
+    pos = [[0] * n for _ in range(n)]
+    for k, (r, c) in enumerate(entries):
+        pos[r][c] = pos[c][r] = k
+    rows, cols = np.array(entries).T
+    return rows, cols, pos
+
+
+def _step_plan(pos: list[list[int]], ordering: PivotOrdering) -> list[tuple[np.ndarray, int]]:
+    """Per pivot (i, j): the 2n packed positions a step gathers, and the pivot's own.
+
+    The first n are column i as (a_ki for k != i, j; a_ii, a_ij), the last n
+    column j in mirror order (a_jj, a_ij; a_kj for k != i, j reversed), so
+    every entry sits opposite the entry it is rotated with.
+    """
+    n = len(pos)
+    plan = []
+    for (i, j) in ordering.pairs:
+        i0, j0 = i - 1, j - 1
+        rest = [k for k in range(n) if k not in (i0, j0)]
+        col_i = [pos[k][i0] for k in rest] + [pos[i0][i0], pos[i0][j0]]
+        col_j = [pos[k][j0] for k in rest] + [pos[i0][j0], pos[j0][j0]]
+        plan.append((np.array(col_i + col_j[::-1]), pos[i0][j0]))
+    return plan
+
+
 def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> BatchSweep:
-    """Run ``cycles`` sweeps of ``ordering`` on a stack of symmetric matrices."""
-    a = np.array(mats, dtype=float)
+    """Run ``cycles`` sweeps of ``ordering`` on a stack of symmetric matrices.
+
+    ``mats`` has shape (m, n, n); only its upper triangle is read.  The
+    kernel keeps the n(n+1)/2 upper entries packed entry-major, as a (p, m)
+    array with the strictly upper entries first and the diagonal last, so
+    one array operation updates one entry of all m matrices.  A step
+    gathers column i with (a_ii, a_ij) as U and column j with (a_ij, a_jj)
+    as V, rotates them to c*U + s*V and c*V - s*U, and finishes a_ii and
+    a_jj from those with the same second rotation that the dense two-sided
+    update R^T A R (rows first, then columns) applies; the pivot is stored
+    as an exact zero.  S^2 is summed afresh from the entries after every
+    step, never derived from the decrement identity, which is checked
+    against those sums, with the cycle-to-cycle growth of S, once a cycle.
+
+    Raises ``ValueError`` for non-finite entries, and when S^2 after some
+    step is not finite (entries beyond about 1e154 overflow it).
+    """
+    a = np.asarray(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (m, n, n) stack, got shape {a.shape}")
     n = a.shape[1]
     if n != ordering.n:
         raise ValueError(f"matrix dimension {n} does not match ordering n={ordering.n}")
-    iu = np.triu_indices(n, k=1)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     m = a.shape[0]
+    if m == 0:
+        raise ValueError("need at least one matrix")
+    rows, cols, pos = _packed_layout(n)
+    plan = _step_plan(pos, ordering)
+    n_off = n * (n - 1) // 2
+    steps = len(plan)
+
+    e = np.ascontiguousarray(a[:, rows, cols].T)  # the packed entries, (p, m)
+    pivots = np.empty((steps, m))
+    s2 = np.empty((steps + 1, m))  # S^2 before the cycle and after each step
+    sq = np.empty((n_off, m))
+    # 1, t and -t over h = hypot(1, t) give c, s and -s in one division.
+    tangents = np.ones((3, m))
+    cs = np.empty((3, m))
+    c = cs[0]
+    sgn_s = cs[1:, None, :]  # s for column i, -s for column j
+    mixed = np.empty((2, n, m))
+    diag = np.empty((2, m))
     off = np.empty((cycles + 1, m))
-    s2 = np.sum(a[:, iu[0], iu[1]] ** 2, axis=1)
-    off[0] = np.sqrt(s2)
     identity_violation = 0.0
-    monotonicity_excess = -np.inf
-    for t in range(cycles):
-        for (i, j) in ordering.pairs:
-            i0, j0 = i - 1, j - 1
-            aij = a[:, i0, j0].copy()
-            diff = a[:, i0, i0] - a[:, j0, j0]
-            zero = aij == 0.0
-            tie = (diff == 0.0) & ~zero
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = diff / (2.0 * aij)
-                tt = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            tt = np.where(tie, np.sign(aij), tt)
-            tt = np.where(zero, 0.0, tt)
-            h = np.hypot(1.0, tt)
-            c = (1.0 / h)[:, None]
-            sn = (tt / h)[:, None]
-            ri = a[:, i0, :].copy()
-            rj = a[:, j0, :].copy()
-            a[:, i0, :] = c * ri + sn * rj
-            a[:, j0, :] = c * rj - sn * ri
-            ci = a[:, :, i0].copy()
-            cj = a[:, :, j0].copy()
-            a[:, :, i0] = c * ci + sn * cj
-            a[:, :, j0] = c * cj - sn * ci
-            a[:, i0, j0] = 0.0
-            a[:, j0, i0] = 0.0
-            s2_new = np.sum(a[:, iu[0], iu[1]] ** 2, axis=1)
-            dev = np.abs(s2_new - (s2 - aij**2)) / np.maximum(s2, OFF_NORM_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.add.reduce(np.square(e[:n_off]), axis=0, out=s2[0])
+        _check_finite_s2(s2[:1], 0)
+        off[0] = np.sqrt(s2[0])
+        for t in range(cycles):
+            for k, (gather, pij) in enumerate(plan):
+                w = e[gather]
+                aij = w[n - 1]
+                pivots[k] = aij
+                diff = w[n - 2] - w[n]
+                tau = diff / (aij + aij)  # aij + aij is 2*aij exactly
+                tt = np.divide(
+                    np.sign(tau), np.abs(tau) + np.hypot(1.0, tau), out=tangents[1]
+                )
+                # a zero pivot, a diagonal tie, or tau out of range
+                if np.count_nonzero(tt) < m or np.count_nonzero(aij) < m:
+                    _fix_tangents(tt, tau, aij, diff)
+                np.negative(tt, out=tangents[2])
+                np.divide(tangents, np.hypot(1.0, tt), out=cs)
+                # c*U + s*V and c*V - s*U at once: row r of w meets row 2n-1-r.
+                w2 = w.reshape(2, n, m)
+                r = c * w2
+                r += np.multiply(w2[::-1, ::-1], sgn_s, out=mixed)
+                r = r.reshape(2 * n, m)
+                # a_ii = c*U'_ii + s*U'_ij from rows n-2, n-1;
+                # a_jj = c*V'_jj - s*V'_ij from rows n, n+1
+                np.multiply(r[n - 2:n + 1:2], c, out=diag)
+                np.add(diag, np.multiply(r[n - 1:n + 2:2], cs[1:]), out=r[n - 2:n + 1:2])
+                e[gather] = r
+                e[pij] = 0.0
+                np.add.reduce(np.square(e[:n_off], out=sq), axis=0, out=s2[k + 1])
+            _check_finite_s2(s2, t + 1)
+            dev = np.abs(s2[1:] - (s2[:-1] - np.square(pivots))) / np.maximum(
+                s2[:-1], OFF_NORM_FLOOR
+            )
             identity_violation = max(identity_violation, float(dev.max()))
-            s2 = s2_new
-        off[t + 1] = np.sqrt(s2)
-        growth = (off[t + 1] - off[t]) / np.maximum(off[t], OFF_NORM_FLOOR)
-        monotonicity_excess = max(monotonicity_excess, float(growth.max()))
-    return BatchSweep(off, identity_violation, monotonicity_excess, a)
+            off[t + 1] = np.sqrt(s2[steps])
+            s2[0] = s2[steps]
+    growth = (off[1:] - off[:-1]) / np.maximum(off[:-1], OFF_NORM_FLOOR)
+    monotonicity_excess = float(growth.max()) if cycles else -np.inf
+    finals = np.empty((m, n, n))
+    finals[:, rows, cols] = e.T
+    finals[:, cols, rows] = e.T
+    return BatchSweep(off, identity_violation, monotonicity_excess, finals)
+
+
+def _check_finite_s2(s2: np.ndarray, cycle: int) -> None:
+    if not np.isfinite(s2).all():
+        raise ValueError(
+            f"S^2 is not finite by cycle {cycle}: entries too large for float64 squares"
+        )
+
+
+def _fix_tangents(tt: np.ndarray, tau: np.ndarray, aij: np.ndarray, diff: np.ndarray) -> None:
+    """Set tan(phi) in place where the closed form gave 0 or NaN, as ``_rotation_params`` does.
+
+    A zero pivot gives 0 and a diagonal tie sign(a_ij).  Where tau
+    underflowed to 0, t is sign(tau), a quarter turn.  Where it overflowed
+    (a subnormal pivot, or |tau| near the top of the range), t is
+    a_ij / (a_ii - a_jj).  Runs under the caller's ``np.errstate``.
+    """
+    zero = aij == 0.0
+    tt[zero] = 0.0
+    if np.count_nonzero(tt) + np.count_nonzero(zero) < tt.size:  # a tie, or tau out of range
+        limit = np.where(np.abs(tau) > 1.0, aij / diff, np.copysign(1.0, tau))
+        fixed = np.where(tt == 0.0, limit, tt)
+        fixed = np.where(diff == 0.0, np.sign(aij), fixed)
+        tt[:] = np.where(zero, 0.0, fixed)
 
 
 # --- bound checks -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from cyclic_jacobi.cli import CSV_HEADER, main
+import cyclic_jacobi.cli as climod
+from cyclic_jacobi.cli import CSV_HEADER, main, worker_count
 from cyclic_jacobi.core import SymMatrix, format_matrix
 
 
@@ -205,6 +207,38 @@ class TestVerifyCommand:
     def test_missing_seed_is_usage_error(self):
         assert main(["verify", "--samples", "5"]) == 2
 
+    def test_parallel_labels_are_quoted(self, tmp_path):
+        out = tmp_path / "report.csv"
+        args = ["verify", "--seed", "4", "--samples", "3", "--orderings", "parallel"]
+        assert main(args + ["--bound", "both", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows = list(csv.reader(lines[1:]))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert len(rows) == 1 + 2 * 96
+        assert all(len(row) == 7 for row in rows)
+        assert lines[2].startswith('"1 2, 1 3, 2 4, 1 4, 2 3, 3 4","Parallel(par, shift=1)",')
+
+    @pytest.mark.parametrize("ident, mono", [(2e-13, -0.5), (0.0, 2e-14)])
+    def test_failed_s2_checks_exit_numeric(self, tmp_path, monkeypatch, capsys, ident, mono):
+        base = [
+            "verify", "--seed", "6", "--samples", "4",
+            "--orderings", "serial", "--bound", "classified", "--jobs", "1",
+        ]
+        clean = tmp_path / "clean.csv"
+        assert main(base + ["--out", str(clean)]) == 0
+        assert "S^2 checks failed" not in capsys.readouterr().err
+        campaign = climod.campaign_cells_for_ordering
+
+        def broken(ordering, mats, modes):
+            cells, _, _ = campaign(ordering, mats, modes)
+            return cells, ident, mono
+
+        monkeypatch.setattr(climod, "campaign_cells_for_ordering", broken)
+        bad = tmp_path / "bad.csv"
+        assert main(base + ["--out", str(bad)]) == 3
+        assert "S^2 checks failed" in capsys.readouterr().err
+        assert bad.read_bytes() == clean.read_bytes()
+
     def test_jpl_jobs_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JPL_JOBS", "2")
         out = tmp_path / "env.csv"
@@ -217,6 +251,21 @@ class TestVerifyCommand:
         ref = tmp_path / "ref.csv"
         assert main(base + ["--out", str(ref), "--jobs", "1"]) == 0
         assert out.read_bytes() == ref.read_bytes()
+
+
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_tasks(self):
+        assert worker_count(5000, 720, 2) == 2
+        assert worker_count(5000, 3, 64) == 3
+        assert worker_count(4, 720, 64) == 4
+
+    def test_at_least_one(self):
+        assert worker_count(0, 720, 8) == 1
+        assert worker_count(-3, 720, 8) == 1
+        assert worker_count(4, 0, 8) == 1
+
+    def test_unknown_cpu_count_means_one(self):
+        assert worker_count(8, 720, None) == 1
 
 
 def test_solve_reports_are_byte_identical(tmp_path):

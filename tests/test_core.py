@@ -18,6 +18,28 @@ from cyclic_jacobi.core import (
 )
 
 
+EPS = np.finfo(float).eps
+SUBNORMAL = 2.0**-1074
+
+
+def signed(lo, hi):
+    return st.builds(lambda x, neg: -x if neg else x, st.floats(lo, hi), st.booleans())
+
+
+# subnormal, moderate and huge magnitudes, each in either sign
+EXTREMES = st.one_of(signed(SUBNORMAL, 2.0**-1022), signed(1e-3, 1e3), signed(1e200, 1e300))
+
+
+def rotated_pivot_bound(aii, ajj, aij, rot):
+    """Rounding bound on c*(c*aij + s*ajj) - s*(c*aii + s*aij), the rotated pivot.
+
+    Relative error in the products, plus the absolute subnormal spacing
+    carried through the diagonal when the sine itself is subnormal.
+    """
+    diag = abs(aii) + abs(ajj)
+    return 8 * EPS * (abs(aij) + abs(rot.c * rot.s) * diag) + 8 * SUBNORMAL * (1.0 + diag)
+
+
 def symmetric_matrices(n=4, magnitude=10.0):
     return arrays(
         np.float64,
@@ -121,6 +143,37 @@ class TestRotationForPivot:
         # target tangent is moderate; annihilation itself is checked elsewhere
         if aij != 0.0 and diff != 0.0 and abs(2 * aij / diff) < 1e6:
             assert math.tan(2 * rot.phi) == pytest.approx(2 * aij / diff, rel=1e-9)
+
+
+class TestExtremePivots:
+    def test_subnormal_pivot_is_rotated_away(self):
+        # tau = 1 / 2e-310 overflows; the rotation must not collapse to the identity
+        m = SymMatrix.from_dense([[1.0, 1e-310], [1e-310, 0.0]])
+        rot = rotation_for_pivot(m, 1, 2)
+        assert rot.s == 1e-310
+        assert apply_two_sided(m, rot).entry(1, 2) == 0.0
+
+    def test_underflowing_tau_is_a_quarter_turn(self):
+        # tau = 5e-324 / 2 rounds to 0: the diagonals tie to working precision
+        m = SymMatrix.from_dense([[5e-324, 1.0], [1.0, 0.0]])
+        rot = rotation_for_pivot(m, 1, 2)
+        assert rot.phi == pytest.approx(math.pi / 4, abs=0)
+        assert apply_two_sided(m, rot).diagonal() == pytest.approx([1.0, -1.0], rel=1e-15)
+
+    @given(pivot=EXTREMES, aii=EXTREMES, ajj=EXTREMES)
+    @settings(max_examples=300)
+    def test_pivot_annihilated_at_any_magnitude(self, pivot, aii, ajj):
+        dense = np.array(
+            [[0.5, 0.25, -0.75, 0.125],
+             [0.25, aii, 0.625, pivot],
+             [-0.75, 0.625, -0.5, 0.375],
+             [0.125, pivot, 0.375, ajj]]
+        )
+        m = SymMatrix.from_dense(dense)
+        rot = rotation_for_pivot(m, 2, 4)
+        out = apply_two_sided(m, rot)
+        assert abs(out.entry(2, 4)) <= rotated_pivot_bound(aii, ajj, pivot, rot)
+        assert np.all(np.isfinite(out.to_dense()))
 
 
 class TestApplyTwoSided:

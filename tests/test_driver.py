@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclic_jacobi.core import SymMatrix, off_norm
+from cyclic_jacobi.core import SymMatrix, annihilate, off_norm
 from cyclic_jacobi.classification import (
     PAR_ANCHOR,
     PAR_ANCHOR_MIRROR,
@@ -13,9 +16,11 @@ from cyclic_jacobi.classification import (
 )
 from cyclic_jacobi.driver import (
     FP_SLACK,
+    IDENTITY_RTOL,
     NotParallelOrderingError,
     UNIVERSAL_BOUND,
     batch_sweep,
+    campaign_cells_for_ordering,
     check_bound,
     default_rng,
     random_spd_factor,
@@ -27,7 +32,7 @@ from cyclic_jacobi.driver import (
     verify_cycle_monotonicity,
     verify_step_identities,
 )
-from cyclic_jacobi.orderings import make_ordering
+from cyclic_jacobi.orderings import enumerate_orderings, make_ordering
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -50,6 +55,55 @@ ORACLE_STEP_NORMS = [
     0.21322915610427262,
     0.15713569089298624,
 ]
+
+
+# sha256 of every output of batch_sweep on the inputs of batch_sweep_digest(),
+# recorded with the dense (m, n, n) kernel that the packed kernel replaced.
+BATCH_SWEEP_DIGEST = "f62cc6124214ffd381e1e90441af5d4442245c8409bc3b99e7fb404af1f87e30"
+
+EPS = np.finfo(float).eps
+SUBNORMAL = 2.0**-1074
+
+
+def signed(lo, hi):
+    return st.builds(lambda x, neg: -x if neg else x, st.floats(lo, hi), st.booleans())
+
+
+SUBNORMALS = signed(SUBNORMAL, 2.0**-1022)
+MODERATE = signed(1e-3, 1e3)
+
+
+def batch_sweep_digest():
+    """sha256 over off_norms, finals, identity_violation and monotonicity_excess.
+
+    Covers all 720 n=4 orderings on a seeded batch and on one with pinned
+    zeros, diagonal ties and diagonal matrices on a spread of orderings,
+    and one ordering each for n=3 and n=5 run deep into underflow.
+    """
+    digest = hashlib.sha256()
+
+    def feed(mats, ordering, cycles):
+        sweep = batch_sweep(mats, ordering, cycles)
+        stats = np.array([sweep.identity_violation, sweep.monotonicity_excess])
+        for arr in (sweep.off_norms, sweep.finals, stats):
+            digest.update(np.asarray(arr, dtype=float).tobytes())
+
+    rng = default_rng(2718)
+    plain = random_symmetric_batch(rng, 200)
+    pinned = random_symmetric_batch(rng, 200, zero_pairs=((1, 2), (3, 4)))
+    orderings = list(enumerate_orderings(4))
+    for mats in (plain, pinned):
+        for ordering in orderings:
+            feed(mats, ordering, 4)
+    tied = plain.copy()
+    tied[:, range(4), range(4)] = 0.5
+    tied[:20] = np.eye(4) * np.arange(1.0, 5.0)
+    for ordering in orderings[::45]:
+        feed(tied, ordering, 12)
+    feed(random_symmetric_batch(rng, 200, n=3), make_ordering([(1, 3), (2, 3), (1, 2)]), 12)
+    row5 = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    feed(random_symmetric_batch(rng, 200, n=5), make_ordering(row5), 12)
+    return digest.hexdigest()
 
 
 def independent_sweep_oracle(dense, ordering):
@@ -154,6 +208,89 @@ class TestBatchSweep:
         sweep = batch_sweep(mats, COLUMN, 3)
         assert sweep.identity_violation <= 1e-13
         assert sweep.monotonicity_excess <= 1e-14
+
+    def test_outputs_match_recorded_digest(self):
+        assert batch_sweep_digest() == BATCH_SWEEP_DIGEST
+
+    def test_underflowing_tau_is_a_quarter_turn(self):
+        # (a_11 - a_22) / (2 a_12) = 5e-324 / 2 rounds to 0: the step must
+        # rotate by pi/4, as the scalar path does, not just zero the pivot
+        sweep = batch_sweep(np.array([[[5e-324, 1.0], [1.0, 0.0]]]), make_ordering([(1, 2)]), 1)
+        assert sweep.finals[0].diagonal() == pytest.approx([1.0, -1.0], rel=1e-15)
+        assert sweep.finals[0, 0, 1] == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        mats = random_symmetric_batch(default_rng(33), 5)
+        mats[3, 1, 2] = mats[3, 2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            batch_sweep(mats, COLUMN, 2)
+        with pytest.raises(ValueError, match="finite"):
+            campaign_cells_for_ordering(COLUMN, mats, ("classified", "universal"))
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="at least one matrix"):
+            batch_sweep(np.zeros((0, 4, 4)), COLUMN, 1)
+
+    def test_rejects_entries_whose_squares_overflow(self):
+        mats = random_symmetric_batch(default_rng(34), 5) * 1e200
+        with pytest.raises(ValueError, match="S\\^2 is not finite"):
+            batch_sweep(mats, COLUMN, 2)
+        with pytest.raises(ValueError, match="S\\^2 is not finite"):
+            campaign_cells_for_ordering(COLUMN, mats, ("classified", "universal"))
+
+    @given(
+        pivot=st.one_of(SUBNORMALS, MODERATE, signed(1e200, 1e300)),
+        aii=st.one_of(SUBNORMALS, MODERATE, signed(1e200, 1e300)),
+        ajj=st.one_of(SUBNORMALS, MODERATE, signed(1e200, 1e300)),
+    )
+    @settings(max_examples=200)
+    def test_one_step_matches_core_and_annihilates(self, pivot, aii, ajj):
+        # n = 2: one cycle is one step, so both kernels apply the same rotation
+        dense = [[aii, pivot], [pivot, ajj]]
+        if not math.isfinite(pivot * pivot):
+            with pytest.raises(ValueError):
+                batch_sweep(np.array([dense]), make_ordering([(1, 2)]), 1)
+            return
+        final = batch_sweep(np.array([dense]), make_ordering([(1, 2)]), 1).finals[0]
+        stepped, rot = annihilate(SymMatrix.from_dense(dense), 1, 2)
+        assert final[0, 1] == final[1, 0] == 0.0
+        scale = max(abs(aii), abs(ajj), abs(pivot))
+        assert np.allclose(
+            final.diagonal(), stepped.diagonal(), rtol=0.0,
+            atol=8 * EPS * scale + 8 * SUBNORMAL * (1 + scale),
+        )
+        # the rotation is not skipped: the pivot is zeroed unless it sits
+        # below the absolute spacing of the diagonal it is rotated against
+        if rot.is_identity:
+            assert abs(pivot) <= 2 * SUBNORMAL * (1 + abs(aii) + abs(ajj))
+        else:
+            assert stepped.entry(1, 2) == 0.0
+
+    @given(
+        off=st.lists(
+            st.one_of(SUBNORMALS, MODERATE, signed(1e100, 1e150), st.just(0.0)),
+            min_size=6, max_size=6,
+        ),
+        diag=st.lists(
+            st.one_of(SUBNORMALS, MODERATE, signed(1e200, 1e300)), min_size=4, max_size=4
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_entries_sweep_cleanly(self, off, diag):
+        dense = np.diag(diag)
+        dense[np.triu_indices(4, k=1)] = off
+        dense = np.triu(dense) + np.triu(dense, k=1).T
+        sweep = batch_sweep(dense[None], ENTRY[44], 1)
+        final = sweep.finals[0]
+        assert np.all(np.isfinite(final))
+        last_i, last_j = ENTRY[44].pairs[-1]
+        assert final[last_i - 1, last_j - 1] == 0.0
+        assert sweep.identity_violation <= IDENTITY_RTOL
+        scale = np.max(np.abs(dense))
+        before = np.linalg.eigvalsh(dense)
+        after = np.linalg.eigvalsh(final)
+        assert np.allclose(before, after, rtol=0.0, atol=1e-12 * scale + 1e-300)
 
 
 class TestParallelCycle:

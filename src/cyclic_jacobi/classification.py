@@ -37,12 +37,12 @@ from .orderings import (
     PivotOrdering,
     Shift,
     Transpose,
+    _relabel,
     _steps_to,
     _weak_search,
     invert,
     make_certificate,
     make_ordering,
-    permute,
     replay,
     reverse,
 )
@@ -244,8 +244,7 @@ def _relabeled_serial_index() -> dict[tuple[Pair, ...], tuple[int, tuple[int, ..
     for k, q in enumerate(perms):
         q_inv = invert(q)
         for target in serial_perm_orderings():
-            pre = permute(target, q_inv)
-            index.setdefault(pre.pairs, (k, q, target))
+            index.setdefault(_relabel(target.pairs, q_inv), (k, q, target))
     return index
 
 

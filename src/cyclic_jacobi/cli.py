@@ -86,13 +86,11 @@ def _label_fields(label) -> tuple[str, str]:
     raise TypeError(f"unknown label {label!r}")
 
 
-def _classification_row(ordering: PivotOrdering) -> str:
+def _classification_row(ordering: PivotOrdering) -> list[str]:
     record = classify(ordering)
     text, dval = _label_fields(record.label)
     b = record.bound
-    return ",".join(
-        [f'"{ordering}"', text, dval, repr(b.gamma), str(b.tau), str(b.t0)]
-    )
+    return [str(ordering), text, dval, repr(b.gamma), str(b.tau), str(b.t0)]
 
 
 def _classification_json(ordering: PivotOrdering) -> dict:
@@ -129,9 +127,12 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         _write_json(args.out, [_classification_json(o) for o in orderings])
     else:
-        header = "ordering,label,d_or_shift,gamma,tau,t0"
-        rows = [_classification_row(o) for o in orderings]
-        _write_text(args.out, "\n".join([header] + rows) + "\n")
+        # csv.writer quotes the orderings and the Parallel labels, which hold commas
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["ordering", "label", "d_or_shift", "gamma", "tau", "t0"])
+        writer.writerows(_classification_row(o) for o in orderings)
+        _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
 
@@ -164,7 +165,6 @@ def cmd_solve(args) -> int:
 def _load_factor(text: str, n: int) -> np.ndarray:
     if text == "identity":
         return np.eye(n)
-    dense = []
     with open(text, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     values = [float(t) for t in tokens]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,15 @@ SYMMETRY_RTOL = 1e-12
 
 def _packed_size(n: int) -> int:
     return n * (n + 1) // 2
+
+
+@lru_cache(maxsize=32)
+def _triu_indices(n: int, k: int, /) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)``, built once per (n, k) and read-only."""
+    rows, cols = np.triu_indices(n, k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _packed_index(n: int, r: int, s: int) -> int:
@@ -78,8 +88,7 @@ class SymMatrix:
                 f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "
                 f"exceeds {rtol:.0e} relative"
             )
-        iu = np.triu_indices(n)
-        return cls(n, a[iu])
+        return cls(n, a[_triu_indices(n, 0)])
 
     @classmethod
     def diag(cls, values) -> "SymMatrix":
@@ -100,7 +109,7 @@ class SymMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n)
+        iu = _triu_indices(self.n, 0)
         out[iu] = self._packed
         out.T[iu] = self._packed
         return out
@@ -177,8 +186,10 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     phi = sign(aij) * pi/4.  Where tau overflows (a subnormal pivot, or
     |tau| near the top of the range) the formula rounds t to 0 and would
     leave the pivot in place; t = aij / (aii - ajj), its limit, is used
-    instead.
+    instead.  The inputs are taken as Python floats, so these overflows
+    raise no numpy warnings.
     """
+    aii, ajj, aij = float(aii), float(ajj), float(aij)
     if aij == 0.0:
         return 1.0, 0.0, 0.0
     diff = aii - ajj
@@ -211,12 +222,16 @@ def _check_pivot(n: int, i: int, j: int) -> None:
 
 
 def off_norm(m) -> float:
-    """Square root of the sum of squares of the strictly upper entries."""
+    """Square root of the sum of squares of the strictly upper entries.
+
+    Takes a ``SymMatrix`` or a dense square array; the sweep drivers call it
+    on their working arrays after every step.
+    """
     if isinstance(m, SymMatrix):
         dense = m.to_dense()
     else:
         dense = np.asarray(m, dtype=float)
-    iu = np.triu_indices(dense.shape[0], k=1)
+    iu = _triu_indices(dense.shape[0], 1)
     return float(np.sqrt(np.sum(dense[iu] ** 2)))
 
 
@@ -232,8 +247,7 @@ def apply_two_sided(m: SymMatrix, rot: PlaneRotation) -> SymMatrix:
     _check_pivot(m.n, rot.i, rot.j)
     dense = m.to_dense()
     _apply_rotation(dense, rot.i - 1, rot.j - 1, rot.c, rot.s)
-    iu = np.triu_indices(m.n)
-    return SymMatrix(m.n, dense[iu])
+    return SymMatrix(m.n, dense[_triu_indices(m.n, 0)])
 
 
 def annihilate(m: SymMatrix, i: int, j: int) -> tuple[SymMatrix, PlaneRotation]:
@@ -250,8 +264,7 @@ def annihilate(m: SymMatrix, i: int, j: int) -> tuple[SymMatrix, PlaneRotation]:
         _apply_rotation(dense, i - 1, j - 1, rot.c, rot.s)
         dense[i - 1, j - 1] = 0.0
         dense[j - 1, i - 1] = 0.0
-    iu = np.triu_indices(m.n)
-    return SymMatrix(m.n, dense[iu]), rot
+    return SymMatrix(m.n, dense[_triu_indices(m.n, 0)]), rot
 
 
 def parse_matrix(text: str, rtol: float = SYMMETRY_RTOL) -> SymMatrix:

@@ -14,19 +14,25 @@ independent and may execute concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _apply_rotation, _rotation_params
-from .orderings import TRANSPOSE, PivotOrdering, relate
+from .core import SymMatrix, _apply_rotation, _rotation_params, off_norm
+from .orderings import Pair, PivotOrdering
+# Unused here, but kept bound: perfbench/tracing.py wraps ``driver.relate`` by
+# name, and its traced runs fail without it.
+from .orderings import relate  # noqa: F401
 from .classification import (
     Bound,
     ClassificationRecord,
     PAR_ANCHOR,
     PAR_ANCHOR_MIRROR,
     Parallel,
+    anchor_variants,
     classify,
     label_text,
 )
@@ -117,12 +123,6 @@ def verify_cycle_monotonicity(report: SweepReport, rtol: float = MONOTONICITY_RT
             )
 
 
-def _off_norm_dense(a: np.ndarray) -> float:
-    n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return float(np.sqrt(np.sum(a[iu] ** 2)))
-
-
 def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymMatrix, SweepReport]:
     """Apply ``cycles`` full sweeps of ``ordering`` to ``a``.
 
@@ -134,7 +134,7 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
     dense = a.to_dense()
-    s = _off_norm_dense(dense)
+    s = off_norm(dense)
     steps: list[StepRecord] = []
     cycle_norms = [s]
     executed = 0
@@ -149,7 +149,7 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
                 _apply_rotation(dense, i0, j0, c, sn)
                 dense[i0, j0] = 0.0
                 dense[j0, i0] = 0.0
-            s_new = _off_norm_dense(dense)
+            s_new = off_norm(dense)
             steps.append(StepRecord(((i, j),), (piv,), (phi,), s, s_new))
             s = s_new
         executed += 1
@@ -169,6 +169,18 @@ def _commuting_groups(ordering: PivotOrdering) -> list[tuple[tuple[int, int], tu
     return groups
 
 
+@lru_cache(maxsize=1)
+def _parallel_variant_pairs() -> frozenset[tuple[Pair, ...]]:
+    """Pair tuples of the 16 transposition-variants of the two parallel anchors.
+
+    Transpositions are self-inverse, so an ordering reaches an anchor by
+    transpositions exactly when it is one of the anchor's variants.
+    """
+    return frozenset(
+        o.pairs for anchor in (PAR_ANCHOR, PAR_ANCHOR_MIRROR) for o in anchor_variants(anchor)
+    )
+
+
 def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix, SweepReport]:
     """One sweep executed as three simultaneous-rotation steps.
 
@@ -178,13 +190,10 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     """
     if a.n != ordering.n or ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
-    if (
-        relate(ordering, PAR_ANCHOR, {TRANSPOSE}) is None
-        and relate(ordering, PAR_ANCHOR_MIRROR, {TRANSPOSE}) is None
-    ):
+    if ordering.pairs not in _parallel_variant_pairs():
         raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
     dense = a.to_dense()
-    s = _off_norm_dense(dense)
+    s = off_norm(dense)
     steps: list[StepRecord] = []
     cycle_norms = [s]
     for group in _commuting_groups(ordering):
@@ -204,7 +213,7 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
             angles.append(phi)
         dense = q.T @ dense @ q
         dense = (dense + dense.T) / 2.0
-        s_new = _off_norm_dense(dense)
+        s_new = off_norm(dense)
         steps.append(StepRecord(tuple(pivots), tuple(values), tuple(angles), s, s_new))
         s = s_new
     cycle_norms.append(s)
@@ -460,8 +469,13 @@ def random_spd_factor(
     """Random nonsingular factor L with cond(L) <= max_cond (redrawn until so).
 
     The conditioning cap keeps A = L^T L comfortably definite, so hyperbolic
-    angles at convergence sit far below the reporting thresholds.
+    angles at convergence sit far below the reporting thresholds.  Raises
+    ``ValueError`` unless 1 < max_cond < inf: cond(L) >= 1 always, with
+    equality only for scaled orthogonal L, which a uniform draw never gives,
+    so a smaller cap would redraw forever.
     """
+    if not (math.isfinite(max_cond) and max_cond > 1.0):
+        raise ValueError(f"max_cond must be finite and above 1, got {max_cond!r}")
     while True:
         cand = rng.uniform(-1.0, 1.0, size=(n, n))
         if np.linalg.cond(cand) <= max_cond:

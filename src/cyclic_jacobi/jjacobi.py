@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _apply_rotation, _rotation_params
+from .core import SymMatrix, _apply_rotation, _rotation_params, off_norm
 from .orderings import PivotOrdering
 
 __all__ = [
@@ -121,7 +121,12 @@ def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float
 
     Solves tanh(2*theta) = -2*aij / (aii + ajj) through the stable form
     th = sign(tau) / (|tau| + sqrt(tau^2 - 1)), tau = -(aii + ajj) / (2*aij).
+    Where tau^2 overflows (a tiny or subnormal pivot) the form rounds th to
+    0 and would leave the pivot in place; its limit th = -aij / (aii + ajj)
+    is used instead.  The inputs are taken as Python floats, so the
+    overflows handled here raise no numpy warnings.
     """
+    aii, ajj, aij = float(aii), float(ajj), float(aij)
     if aij == 0.0:
         return 1.0, 0.0, 0.0
     total = aii + ajj
@@ -131,7 +136,11 @@ def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float
             f"|a_ii + a_jj| = {abs(total):.6g}; the pair (A, J) is not definite"
         )
     tau = -total / (2.0 * aij)
-    th = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(tau * tau - 1.0))
+    tau_sq = tau * tau
+    if math.isinf(tau_sq):
+        th = -aij / total
+    else:
+        th = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(tau_sq - 1.0))
     ch = 1.0 / math.sqrt((1.0 - th) * (1.0 + th))
     return ch, th * ch, math.atanh(th)
 
@@ -218,16 +227,11 @@ def run_j_jacobi(
         raise ValueError("matrix, signs, and ordering dimensions must agree")
     dense = a.to_dense()
     n = a.n
-    iu = np.triu_indices(n, k=1)
-
-    def off() -> float:
-        return float(np.sqrt(np.sum(dense[iu] ** 2)))
-
     initial_norm = float(np.linalg.norm(dense))
     threshold = tol * initial_norm
     transform = np.eye(n)
     steps: list[JJacobiStep] = []
-    cycle_norms = [off()]
+    cycle_norms = [off_norm(dense)]
     envelope: list[float] = []
     converged = cycle_norms[0] <= threshold
     certified = converged
@@ -262,7 +266,7 @@ def run_j_jacobi(
                 kind, angle = "hyperbolic", theta
                 th = abs(math.tanh(theta))
                 max_tanh = max(max_tanh, th)
-            s_new = off()
+            s_new = off_norm(dense)
             steps.append(JJacobiStep((i, j), kind, piv, angle, th, s, s_new))
             s = s_new
         cycles += 1

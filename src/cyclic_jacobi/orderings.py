@@ -185,10 +185,19 @@ def invert(q: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _relabel(pairs: tuple[Pair, ...], q: Sequence[int]) -> tuple[Pair, ...]:
+    """Raw relabeled pair tuple; ``q`` must already be a permutation of 1..n."""
+    out = []
+    for r, s in pairs:
+        x, y = q[r - 1], q[s - 1]
+        out.append((x, y) if x < y else (y, x))
+    return tuple(out)
+
+
 def permute(o: PivotOrdering, images: Sequence[int]) -> PivotOrdering:
     """Relabel indices: each pair (r, s) becomes (min, max) of (q(r), q(s))."""
     q = _check_permutation(images, o.n)
-    return PivotOrdering(o.n, tuple(pivot_pair(q[r - 1], q[s - 1]) for r, s in o.pairs))
+    return PivotOrdering(o.n, _relabel(o.pairs, q))
 
 
 @dataclass(frozen=True)
@@ -286,32 +295,42 @@ def _weak_search(start: PivotOrdering, moves: frozenset[str]):
     """0/1-weight BFS over orderings: transposes are free, shifts cost one.
 
     Returns (dist, parent) maps keyed by pair tuples; parent entries hold
-    (previous pair tuple, step).
+    (previous pair tuple, step).  Nodes are expanded as raw pair tuples: a
+    transpose swaps two adjacent elements when the pairs are disjoint, a
+    shift rotates the tuple.  Both moves permute the elements of a valid
+    ordering, so every node is a valid ordering of the same pairs as
+    ``start`` (validated once, when it was built) and none is re-validated.
+    Transposes at positions 0..N-2 are expanded first and pushed at the
+    front, then shifts 1..N-1 at the back; this order fixes the contents
+    and the insertion order of both maps, and so every certificate.
     """
-    n = start.n
     nn = len(start.pairs)
+    transposes = [Transpose(pos) for pos in range(nn - 1)] if TRANSPOSE in moves else []
+    shifts = [Shift(length) for length in range(1, nn)] if SHIFT in moves else []
     dist: dict[tuple[Pair, ...], int] = {start.pairs: 0}
     parent: dict[tuple[Pair, ...], tuple[tuple[Pair, ...], Step]] = {}
     queue: deque[tuple[Pair, ...]] = deque([start.pairs])
     while queue:
         pairs = queue.popleft()
         d = dist[pairs]
-        node = PivotOrdering(n, pairs)
-        if TRANSPOSE in moves:
-            for pos in range(nn - 1):
-                if _disjoint(pairs[pos], pairs[pos + 1]):
-                    nxt = admissible_transpose(node, pos).pairs
-                    if nxt not in dist or d < dist[nxt]:
-                        dist[nxt] = d
-                        parent[nxt] = (pairs, Transpose(pos))
-                        queue.appendleft(nxt)
-        if SHIFT in moves:
-            for length in range(1, nn):
-                nxt = cyclic_shift(node, length).pairs
-                if nxt not in dist or d + 1 < dist[nxt]:
-                    dist[nxt] = d + 1
-                    parent[nxt] = (pairs, Shift(length))
-                    queue.append(nxt)
+        for step in transposes:
+            pos = step.pos
+            a, b = pairs[pos], pairs[pos + 1]
+            if a[0] not in b and a[1] not in b:
+                nxt = pairs[:pos] + (b, a) + pairs[pos + 2:]
+                old = dist.get(nxt)
+                if old is None or d < old:
+                    dist[nxt] = d
+                    parent[nxt] = (pairs, step)
+                    queue.appendleft(nxt)
+        for step in shifts:
+            length = step.length
+            nxt = pairs[length:] + pairs[:length]
+            old = dist.get(nxt)
+            if old is None or d + 1 < old:
+                dist[nxt] = d + 1
+                parent[nxt] = (pairs, step)
+                queue.append(nxt)
     return dist, parent
 
 
@@ -345,7 +364,7 @@ def relate(a: PivotOrdering, b: PivotOrdering, moves) -> Optional[Certificate]:
     if PERMUTE in move_set:
         perms = sorted(itertools.permutations(range(1, a.n + 1)))
         for k, q in enumerate(perms):
-            pre = permute(b, invert(q)).pairs
+            pre = _relabel(b.pairs, invert(q))
             if pre in dist:
                 candidates.append((dist[pre], k, q, pre))
     else:

@@ -47,6 +47,7 @@ SEED_GENERALIZED = 303
 SEED_PARALLEL_CONSTRAINED = 404
 SEED_PARALLEL_SHIFT2 = 405
 SEED_AGREEMENT = 606
+SEED_IDENTITY = 707
 SEED_JJACOBI = 808
 SEED_MONITOR = 909
 
@@ -218,7 +219,20 @@ def test_criterion_6_parallel_sequential_agreement():
 
 
 def test_criterion_7_step_identity_and_monotonicity():
-    ok = RUN_STATS["identity"] <= 1e-13 and RUN_STATS["monotonicity"] <= 1e-14
+    # sweeps of its own, so the criterion is not vacuous when run alone
+    mats = random_symmetric_batch(default_rng(SEED_IDENTITY), 200)
+    for ordering in c0_orderings():
+        sweep = batch_sweep(mats, ordering, 6)
+        _track(sweep.identity_violation, sweep.monotonicity_excess, 200 * 6)
+    for k in range(10):
+        _, report = run_cycles(SymMatrix.from_dense(mats[k]), ENTRY[1 + 12 * k].ordering, 6)
+        verify_cycle_monotonicity(report)
+        _track(verify_step_identities(report), -np.inf, 6)
+    ok = (
+        RUN_STATS["sweeps"] > 0
+        and RUN_STATS["identity"] <= 1e-13
+        and RUN_STATS["monotonicity"] <= 1e-14
+    )
     _verdict(
         7,
         ok,

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,11 @@ from cyclic_jacobi.classification import (
     serial_perm_orderings,
     verify_catalog,
 )
+from cyclic_jacobi.classification import _relabeled_serial_index
 from cyclic_jacobi.orderings import (
+    SHIFT,
+    TRANSPOSE,
+    _weak_search,
     cyclic_shift,
     enumerate_orderings,
     make_ordering,
@@ -30,6 +35,11 @@ from cyclic_jacobi.orderings import (
 )
 
 ENTRY = {e.index: e for e in catalog()}
+
+# sha256 of the (dist, parent) maps of _weak_search, in insertion order, for
+# all 720 orderings under each move set, followed by the relabeling index;
+# recorded with the search that built and validated an ordering per node.
+SEARCH_DIGEST = "082d414515f49cfe2121abe5ed8660f9bf72e27fb46e028f79c2e19eb74a9e0c"
 
 
 class TestEta:
@@ -153,6 +163,18 @@ class TestClassify:
         o3 = make_ordering([(1, 2), (1, 3), (2, 3)])
         with pytest.raises(ValueError):
             classify(o3)
+
+
+class TestSearchTables:
+    def test_search_maps_and_relabel_index_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for moves in ((TRANSPOSE, SHIFT), (TRANSPOSE,), (SHIFT,)):
+            for o in enumerate_orderings(4):
+                dist, parent = _weak_search(o, frozenset(moves))
+                digest.update(repr(list(dist.items())).encode())
+                digest.update(repr(list(parent.items())).encode())
+        digest.update(repr(list(_relabeled_serial_index().items())).encode())
+        assert digest.hexdigest() == SEARCH_DIGEST
 
 
 class TestHelpers:

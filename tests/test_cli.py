@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import cyclic_jacobi.cli as climod
 from cyclic_jacobi.cli import CSV_HEADER, main, worker_count
 from cyclic_jacobi.core import SymMatrix, format_matrix
+from cyclic_jacobi.orderings import enumerate_orderings
 
 
 @pytest.fixture
@@ -27,7 +29,17 @@ def spd_matrix_file(tmp_path):
     return str(path)
 
 
+# sha256 of `cjacobi classify --all --format json`: every label, bound and
+# certificate of the 720 orderings.
+CLASSIFY_ALL_JSON_SHA256 = "dede1bd13359a123ffa406b4a1c2c5697b0a7831b18a88f4eec435e8a98761d6"
+
+
 class TestClassifyCommand:
+    def test_all_json_matches_recorded_digest(self, tmp_path):
+        out = tmp_path / "all.json"
+        assert main(["classify", "--all", "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASSIFY_ALL_JSON_SHA256
+
     def test_single_ordering_csv(self, capsys):
         code = main(["classify", "--ordering", "1 2, 1 3, 2 3, 1 4, 2 4, 3 4"])
         out = capsys.readouterr().out
@@ -42,6 +54,28 @@ class TestClassifyCommand:
         assert code == 0
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 721  # header + 720
+
+    def test_csv_reads_back_with_csv_reader(self, tmp_path):
+        out = tmp_path / "all.csv"
+        assert main(["classify", "--all", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["ordering", "label", "d_or_shift", "gamma", "tau", "t0"]
+        assert len(rows) == 721
+        assert all(len(row) == 6 for row in rows)
+        orderings = [str(o) for o in enumerate_orderings(4)]
+        assert [row[0] for row in rows[1:]] == orderings
+        parallel = [row for row in rows[1:] if row[1].startswith("Parallel(")]
+        assert len(parallel) == 96
+        for row in parallel:
+            assert row[1] in (f"Parallel(par, shift={row[2]})", f"Parallel(par2, shift={row[2]})")
+
+    def test_single_parallel_row_has_six_fields(self, capsys):
+        ordering = "1 2, 3 4, 1 3, 2 4, 1 4, 2 3"
+        assert main(["classify", "--ordering", ordering]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[1][:3] == [ordering, "Parallel(par, shift=2)", "2"]
+        assert len(rows[1]) == 6
 
     def test_catalog_exits_zero(self, capsys):
         code = main(["classify", "--catalog"])

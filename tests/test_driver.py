@@ -32,7 +32,7 @@ from cyclic_jacobi.driver import (
     verify_cycle_monotonicity,
     verify_step_identities,
 )
-from cyclic_jacobi.orderings import enumerate_orderings, make_ordering
+from cyclic_jacobi.orderings import TRANSPOSE, enumerate_orderings, make_ordering, relate
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -317,6 +317,26 @@ class TestParallelCycle:
         with pytest.raises(NotParallelOrderingError):
             run_parallel_cycle(m, COLUMN)
 
+    def test_accepts_exactly_the_anchor_variants(self):
+        m = random_symmetric(default_rng(607))
+        accepted = []
+        for o in enumerate_orderings(4):
+            expected = any(
+                relate(o, anchor, {TRANSPOSE}) is not None
+                for anchor in (PAR_ANCHOR, PAR_ANCHOR_MIRROR)
+            )
+            try:
+                run_parallel_cycle(m, o)
+            except NotParallelOrderingError:
+                assert not expected, o
+            else:
+                assert expected, o
+                accepted.append(o)
+        assert len(accepted) == 16
+        assert set(accepted) == set(
+            anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR)
+        )
+
 
 class TestCheckBound:
     def test_serial_one_sweep_bound(self):
@@ -365,6 +385,15 @@ class TestGenerators:
         for _ in range(5):
             factor = random_spd_factor(rng, max_cond=100.0)
             assert np.linalg.cond(factor) <= 100.0
+
+    @pytest.mark.parametrize("max_cond", [0.5, 1.0, -3.0, math.nan, math.inf])
+    def test_spd_factor_rejects_unreachable_caps(self, max_cond):
+        class NoDraws:
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("drew a candidate before checking max_cond")
+
+        with pytest.raises(ValueError, match="max_cond"):
+            random_spd_factor(NoDraws(), max_cond=max_cond)
 
     def test_batch_is_reproducible(self):
         a = random_symmetric_batch(default_rng(5), 3)

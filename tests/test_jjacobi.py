@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclic_jacobi.core import SymMatrix, rotation_for_pivot
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, catalog
-from cyclic_jacobi.driver import default_rng, random_spd_factor
+from cyclic_jacobi.driver import default_rng, random_spd_factor, random_symmetric, run_cycles
 from cyclic_jacobi.jjacobi import (
     ConvergenceError,
     HyperbolicBreakdownError,
@@ -24,6 +27,12 @@ from cyclic_jacobi.jjacobi import (
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
 J4 = np.diag([1.0, 1.0, -1.0, -1.0])
+SUBNORMAL = 2.0**-1074
+TINY_PIVOTS = st.builds(
+    lambda x, neg: -x if neg else x,
+    st.one_of(st.floats(SUBNORMAL, 2.0**-1022), st.floats(2.0**-1022, 1e-150)),
+    st.booleans(),
+)
 
 
 def spd_matrix(rng, max_cond=100.0):
@@ -87,6 +96,65 @@ class TestJRotation:
         a = SymMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])  # indefinite pair
         with pytest.raises(HyperbolicBreakdownError):
             j_rotation_for_pivot(a, (1, -1), 1, 2)
+
+
+class TestTinyHyperbolicPivots:
+    @given(
+        pivot=TINY_PIVOTS,
+        aii=st.floats(1e-3, 1e3),
+        ajj=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=200)
+    def test_step_annihilates_tiny_and_subnormal_pivots(self, pivot, aii, ajj):
+        # |tau| = (aii + ajj) / |2 pivot| is beyond 1e150, so tau^2 overflows.
+        # The (2, 4) entry keeps S(A) away from underflow; PAR_ANCHOR pivots
+        # (1, 3) first, and every later pivot of the sweep stays exactly 0.
+        dense = np.diag([aii, 1.0, ajj, 1.0])
+        dense[0, 2] = dense[2, 0] = pivot
+        dense[1, 3] = dense[3, 1] = 0.5
+        a = SymMatrix.from_dense(dense)
+        rot = j_rotation_for_pivot(a, STANDARD_SIGNS, 1, 3)
+        assert rot.kind == "hyperbolic"
+        assert rot.s == pytest.approx(-pivot / (aii + ajj), rel=1e-15, abs=SUBNORMAL)
+        result = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0, max_cycles=1)
+        step = result.report.steps[0]
+        assert step.pivot == (1, 3) and step.value == pivot
+        final = result.diagonalized
+        if rot.s == 0.0:
+            # tanh rounds to 0 only for a pivot below the spacing of the diagonal
+            assert abs(pivot) <= SUBNORMAL * (aii + ajj)
+        else:
+            assert step.tanh > 0.0
+            assert final.entry(1, 3) == 0.0
+            assert final.to_dense()[np.triu_indices(4, k=1)].tolist() == [0.0] * 6
+        assert np.allclose(
+            [final.entry(1, 1), final.entry(3, 3)], [aii, ajj],
+            rtol=4 * np.finfo(float).eps, atol=0.0,
+        )
+
+    def test_tiny_hyperbolic_pivot_converges_without_warnings(self):
+        dense = np.eye(4)
+        dense[0, 2] = dense[2, 0] = 1e-160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_j_jacobi(SymMatrix.from_dense(dense), STANDARD_SIGNS, COLUMN, tol=0.0)
+        report = result.report
+        assert report.converged
+        assert report.cycle_off_norms[1] == 0.0
+        assert report.cycles_executed == 2
+
+    def test_converged_runs_raise_no_warnings(self):
+        # seed 5 drives both kernels into overflowing tau; the hyperbolic run
+        # must still reach S = 0, and neither may raise a numpy warning
+        factor = random_spd_factor(default_rng(5))
+        a = SymMatrix.from_dense(factor.T @ factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, tol=0.0)
+            _, sweeps = run_cycles(random_symmetric(default_rng(5)), COLUMN, 10)
+        assert result.report.converged
+        assert result.report.cycle_off_norms[-1] == 0.0
+        assert sweeps.cycles_executed < 10  # stopped at the off-norm floor
 
 
 class TestRunJJacobi:

@@ -8,6 +8,15 @@ S(A^[t+tau]) / S(A^[t]) promised by a classification record, and
 ``verification_campaign`` sweeps that check across orderings and random
 matrices.
 
+Both kernels keep the n(n+1)/2 upper-triangle entries packed in one layout
+(``_packed_layout``): the strictly upper entries row by row, then the
+diagonal.  ``batch_sweep`` holds them entry-major as numpy arrays, one row
+per entry; the single-matrix paths (``run_cycles``, ``run_parallel_cycle``
+and ``jjacobi.run_j_jacobi``) hold them as a list of Python floats and
+update them with ``_plane_step``, so a step makes no numpy call.  Every
+step performs the IEEE operations of the dense row-then-column update, in
+its order, so both give the bits the dense update gave.
+
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
 """
@@ -21,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _apply_rotation, _rotation_params, off_norm
+from .core import SymMatrix, _rotation_params
 from .orderings import Pair, PivotOrdering
 # Unused here, but kept bound: perfbench/tracing.py wraps ``driver.relate`` by
 # name, and its traced runs fail without it.
@@ -123,38 +132,148 @@ def verify_cycle_monotonicity(report: SweepReport, rtol: float = MONOTONICITY_RT
             )
 
 
+# --- scalar kernel ------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _packed_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The (r, c) of every packed entry, and the packed position of every (r, c).
+
+    The strictly upper entries come first, row by row (the order S^2 sums
+    them in), then the diagonal.  Positions are symmetric: pos[r][c] ==
+    pos[c][r].
+    """
+    entries = [(r, c) for r in range(n) for c in range(r + 1, n)] + [(r, r) for r in range(n)]
+    pos = [[0] * n for _ in range(n)]
+    for k, (r, c) in enumerate(entries):
+        pos[r][c] = pos[c][r] = k
+    return tuple(entries), tuple(map(tuple, pos))
+
+
+@lru_cache(maxsize=None)
+def _triu_positions(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Packed positions in ``SymMatrix`` order (row-major upper triangle), and back."""
+    _, pos = _packed_layout(n)
+    to_sym = tuple(pos[r][c] for r in range(n) for c in range(r, n))
+    from_sym = [0] * len(to_sym)
+    for k, q in enumerate(to_sym):
+        from_sym[q] = k
+    return to_sym, tuple(from_sym)
+
+
+@lru_cache(maxsize=None)
+def _pivot_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """Packed positions of a_ii, a_jj and a_ij for the 1-based pivot (i, j),
+    and the (a_ki, a_kj) position pairs for every other k, in order of k."""
+    _, pos = _packed_layout(n)
+    i0, j0 = i - 1, j - 1
+    others = tuple((pos[k][i0], pos[k][j0]) for k in range(n) if k not in (i0, j0))
+    return pos[i0][i0], pos[j0][j0], pos[i0][j0], others
+
+
+def _packed_entries(a: SymMatrix) -> list[float]:
+    """The entries of ``a`` as Python floats in the packed layout."""
+    stored = a._packed.tolist()
+    return [stored[k] for k in _triu_positions(a.n)[1]]
+
+
+def _sym_from_packed(n: int, e: list[float]) -> SymMatrix:
+    """The ``SymMatrix`` whose packed-layout entries are ``e``."""
+    return SymMatrix(n, [e[k] for k in _triu_positions(n)[0]])
+
+
+def _off_norm_packed(e: list[float], n_off: int) -> float:
+    """S of the packed entries, with the bits of ``core.off_norm``.
+
+    ``np.sum`` adds fewer than eight terms one by one, and up to 128 (n <= 16
+    gives at most 120) in eight interleaved partial sums that it combines
+    pairwise before it adds the tail; this follows the same order.  Squares
+    are ``x * x``: float ``**`` raises where numpy gave inf.  Raises
+    ``ValueError`` when S^2 is not finite.
+    """
+    if n_off < 8:
+        total = 0.0
+        for x in e[:n_off]:
+            total += x * x
+    else:
+        sq = [x * x for x in e[:n_off]]
+        r = sq[:8]
+        whole = n_off - n_off % 8
+        for k in range(8, whole, 8):
+            for m in range(8):
+                r[m] += sq[k + m]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in sq[whole:]:
+            total += x
+    if not math.isfinite(total):
+        raise ValueError("S^2 is not finite: entries too large for float64 squares")
+    return math.sqrt(total)
+
+
+def _plane_step(
+    e: list[float], plan: tuple[int, int, int, tuple[tuple[int, int], ...]],
+    c: float, s: float, t: float,
+) -> None:
+    """e <- F^T e F in place for the plane transformation F = [[c, t], [s, c]] at ``plan``.
+
+    A rotation has t = -s, a hyperbolic transformation s = t = sinh.  Each
+    pair (a_ki, a_kj) becomes (c*a_ki + s*a_kj, c*a_kj + t*a_ki); a_ii and
+    a_jj are the second (column) stage of the dense row-then-column update,
+    taken from the row-updated a_ii, a_ij, a_ji and a_jj; the pivot is
+    stored as an exact zero.  With t = -s, t*u is -(s*u) exactly, and IEEE
+    addition commutes, so these are the dense update's bits.
+    """
+    ii, jj, ij, others = plan
+    for p, q in others:
+        u = e[p]
+        v = e[q]
+        e[p] = c * u + s * v
+        e[q] = c * v + t * u
+    aii = e[ii]
+    ajj = e[jj]
+    aij = e[ij]
+    row_ii = c * aii + s * aij
+    row_ij = c * aij + s * ajj
+    row_ji = c * aij + t * aii
+    row_jj = c * ajj + t * aij
+    e[ii] = c * row_ii + s * row_ij
+    e[jj] = c * row_jj + t * row_ji
+    e[ij] = 0.0
+
+
 def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymMatrix, SweepReport]:
     """Apply ``cycles`` full sweeps of ``ordering`` to ``a``.
 
     Stops early (reporting the executed count) once the off-norm falls below
-    ``OFF_NORM_FLOOR``.
+    ``OFF_NORM_FLOOR``.  Raises ``ValueError`` when S^2 is not finite, before
+    or after any step (entries beyond about 1e154 overflow it).
     """
     if a.n != ordering.n:
         raise ValueError(f"matrix dimension {a.n} does not match ordering n={ordering.n}")
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
-    dense = a.to_dense()
-    s = off_norm(dense)
+    n = a.n
+    n_off = n * (n - 1) // 2
+    e = _packed_entries(a)
+    plan = [(pair, _pivot_plan(n, *pair)) for pair in ordering.pairs]
+    s = _off_norm_packed(e, n_off)
     steps: list[StepRecord] = []
     cycle_norms = [s]
     executed = 0
     for _ in range(cycles):
         if s < OFF_NORM_FLOOR:
             break
-        for (i, j) in ordering.pairs:
-            i0, j0 = i - 1, j - 1
-            piv = dense[i0, j0]
-            c, sn, phi = _rotation_params(dense[i0, i0], dense[j0, j0], piv)
+        for pair, pivot in plan:
+            ii, jj, ij, _ = pivot
+            piv = e[ij]
+            c, sn, phi = _rotation_params(e[ii], e[jj], piv)
             if sn != 0.0:
-                _apply_rotation(dense, i0, j0, c, sn)
-                dense[i0, j0] = 0.0
-                dense[j0, i0] = 0.0
-            s_new = off_norm(dense)
-            steps.append(StepRecord(((i, j),), (piv,), (phi,), s, s_new))
+                _plane_step(e, pivot, c, sn, -sn)
+            s_new = _off_norm_packed(e, n_off)
+            steps.append(StepRecord((pair,), (piv,), (phi,), s, s_new))
             s = s_new
         executed += 1
         cycle_norms.append(s)
-    final = SymMatrix.from_dense(dense)
+    final = _sym_from_packed(n, e)
     return final, SweepReport(ordering, cycles, executed, steps, cycle_norms, final)
 
 
@@ -185,39 +304,32 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     """One sweep executed as three simultaneous-rotation steps.
 
     The ordering must be a transposition-variant of one of the two parallel
-    anchors.  Both rotations of a group are computed from the same iterate
-    and applied jointly as one orthogonal transformation.
+    anchors.  Both rotations of a group are computed from the same iterate,
+    then applied one after the other; their pivots are disjoint, so neither
+    touches an entry the other reads, and the final matrix is bitwise the
+    one sweep of ``run_cycles``.  S is measured once per group; ``ValueError``
+    when S^2 is not finite.
     """
     if a.n != ordering.n or ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
     if ordering.pairs not in _parallel_variant_pairs():
         raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
-    dense = a.to_dense()
-    s = off_norm(dense)
+    e = _packed_entries(a)
+    s = _off_norm_packed(e, 6)
     steps: list[StepRecord] = []
     cycle_norms = [s]
     for group in _commuting_groups(ordering):
-        q = np.eye(4)
-        pivots, values, angles = [], [], []
-        for (i, j) in group:
-            i0, j0 = i - 1, j - 1
-            piv = dense[i0, j0]
-            c, sn, phi = _rotation_params(dense[i0, i0], dense[j0, j0], piv)
-            rot = np.eye(4)
-            rot[i0, i0] = rot[j0, j0] = c
-            rot[i0, j0] = -sn
-            rot[j0, i0] = sn
-            q = q @ rot
-            pivots.append((i, j))
-            values.append(piv)
-            angles.append(phi)
-        dense = q.T @ dense @ q
-        dense = (dense + dense.T) / 2.0
-        s_new = off_norm(dense)
-        steps.append(StepRecord(tuple(pivots), tuple(values), tuple(angles), s, s_new))
+        pivots = [_pivot_plan(4, *pair) for pair in group]
+        values = tuple(e[ij] for _, _, ij, _ in pivots)
+        params = [_rotation_params(e[ii], e[jj], e[ij]) for ii, jj, ij, _ in pivots]
+        for pivot, (c, sn, _) in zip(pivots, params):
+            if sn != 0.0:
+                _plane_step(e, pivot, c, sn, -sn)
+        s_new = _off_norm_packed(e, 6)
+        steps.append(StepRecord(group, values, tuple(phi for _, _, phi in params), s, s_new))
         s = s_new
     cycle_norms.append(s)
-    final = SymMatrix.from_dense(dense)
+    final = _sym_from_packed(4, e)
     return final, SweepReport(ordering, 1, 1, steps, cycle_norms, final)
 
 
@@ -240,21 +352,9 @@ class BatchSweep:
     finals: np.ndarray
 
 
-def _packed_layout(n: int) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Rows and columns of the packed entries, and the packed position of every (r, c).
-
-    The strictly upper entries come first, row by row (the order S^2 sums
-    them in), then the diagonal.  ``pos`` is symmetric.
-    """
-    entries = [(r, c) for r in range(n) for c in range(r + 1, n)] + [(r, r) for r in range(n)]
-    pos = [[0] * n for _ in range(n)]
-    for k, (r, c) in enumerate(entries):
-        pos[r][c] = pos[c][r] = k
-    rows, cols = np.array(entries).T
-    return rows, cols, pos
-
-
-def _step_plan(pos: list[list[int]], ordering: PivotOrdering) -> list[tuple[np.ndarray, int]]:
+def _step_plan(
+    pos: tuple[tuple[int, ...], ...], ordering: PivotOrdering
+) -> list[tuple[np.ndarray, int]]:
     """Per pivot (i, j): the 2n packed positions a step gathers, and the pivot's own.
 
     The first n are column i as (a_ki for k != i, j; a_ii, a_ij), the last n
@@ -301,7 +401,8 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     m = a.shape[0]
     if m == 0:
         raise ValueError("need at least one matrix")
-    rows, cols, pos = _packed_layout(n)
+    entries, pos = _packed_layout(n)
+    rows, cols = np.array(entries).T
     plan = _step_plan(pos, ordering)
     n_off = n * (n - 1) // 2
     steps = len(plan)

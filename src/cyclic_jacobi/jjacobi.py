@@ -7,6 +7,13 @@ tanh(2*theta) = -2 a_ij / (a_ii + a_jj) annihilating the pivot.  For
 symmetric positive definite A the hyperbolic parameter magnitude stays
 below one automatically.
 
+``run_j_jacobi`` keeps A in the packed layout of ``driver`` (strictly upper
+entries row by row, then the diagonal) as a list of Python floats, and
+applies both kinds of step with ``driver._plane_step``: a rotation as
+F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
+The accumulated transform is kept column by column, also as Python floats,
+so a step makes no numpy call.
+
 ``eigen_from_factored`` solves H = L J L^T given its factor: it runs the
 solver on A = L^T L and maps the diagonalization back to eigenpairs of H.
 ``monitor_proof_bounds`` watches a converged run of a parallel-pattern
@@ -21,7 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _apply_rotation, _rotation_params, off_norm
+from .core import SymMatrix, _rotation_params
+from .driver import _off_norm_packed, _packed_entries, _pivot_plan, _plane_step, _sym_from_packed
 from .orderings import PivotOrdering
 
 __all__ = [
@@ -160,17 +168,6 @@ def j_rotation_for_pivot(a: SymMatrix, signs: Sequence[int], i: int, j: int) -> 
     return JRotation(i, j, "hyperbolic", ch, sh, theta)
 
 
-def _apply_hyperbolic(a: np.ndarray, i0: int, j0: int, ch: float, sh: float) -> None:
-    ri = a[i0, :].copy()
-    rj = a[j0, :].copy()
-    a[i0, :] = ch * ri + sh * rj
-    a[j0, :] = sh * ri + ch * rj
-    ci = a[:, i0].copy()
-    cj = a[:, j0].copy()
-    a[:, i0] = ch * ci + sh * cj
-    a[:, j0] = sh * ci + ch * cj
-
-
 @dataclass(frozen=True)
 class JJacobiStep:
     pivot: tuple[int, int]
@@ -220,18 +217,24 @@ def run_j_jacobi(
     norm, then performs one extra certifying sweep from the converged state
     (so the final cycle's angle envelope measures the converged matrix), or
     stops at ``max_cycles``.  Hyperbolic steps may raise
-    ``HyperbolicBreakdownError`` when the pair is not definite.
+    ``HyperbolicBreakdownError`` when the pair is not definite.  Raises
+    ``ValueError`` when S^2 is not finite, before or after any step.
     """
     signs = sign_diagonal(signs)
     if len(signs) != a.n or a.n != ordering.n:
         raise ValueError("matrix, signs, and ordering dimensions must agree")
-    dense = a.to_dense()
     n = a.n
-    initial_norm = float(np.linalg.norm(dense))
+    n_off = n * (n - 1) // 2
+    e = _packed_entries(a)
+    cycle_norms = [_off_norm_packed(e, n_off)]  # raises before the norm below can overflow
+    initial_norm = a.frobenius()
     threshold = tol * initial_norm
-    transform = np.eye(n)
+    transform = [[float(r == k) for r in range(n)] for k in range(n)]  # F, column by column
+    plan = [
+        (pair, _pivot_plan(n, *pair), signs[pair[0] - 1] != signs[pair[1] - 1])
+        for pair in ordering.pairs
+    ]
     steps: list[JJacobiStep] = []
-    cycle_norms = [off_norm(dense)]
     envelope: list[float] = []
     converged = cycle_norms[0] <= threshold
     certified = converged
@@ -239,35 +242,24 @@ def run_j_jacobi(
     while cycles < max_cycles and not certified:
         max_tanh = 0.0
         s = cycle_norms[-1]
-        for (i, j) in ordering.pairs:
-            i0, j0 = i - 1, j - 1
-            piv = dense[i0, j0]
-            if signs[i0] == signs[j0]:
-                c, sn, phi = _rotation_params(dense[i0, i0], dense[j0, j0], piv)
-                if sn != 0.0:
-                    _apply_rotation(dense, i0, j0, c, sn)
-                    dense[i0, j0] = 0.0
-                    dense[j0, i0] = 0.0
-                    ti = transform[:, i0].copy()
-                    tj = transform[:, j0].copy()
-                    transform[:, i0] = c * ti + sn * tj
-                    transform[:, j0] = c * tj - sn * ti
-                kind, angle, th = "trigonometric", phi, 0.0
-            else:
-                ch, sh, theta = _hyperbolic_params(dense[i0, i0], dense[j0, j0], piv)
-                if sh != 0.0:
-                    _apply_hyperbolic(dense, i0, j0, ch, sh)
-                    dense[i0, j0] = 0.0
-                    dense[j0, i0] = 0.0
-                    ti = transform[:, i0].copy()
-                    tj = transform[:, j0].copy()
-                    transform[:, i0] = ch * ti + sh * tj
-                    transform[:, j0] = sh * ti + ch * tj
-                kind, angle = "hyperbolic", theta
-                th = abs(math.tanh(theta))
+        for pair, pivot, hyperbolic in plan:
+            ii, jj, ij, _ = pivot
+            piv = e[ij]
+            if hyperbolic:
+                c, sn, angle = _hyperbolic_params(e[ii], e[jj], piv)
+                t, kind, th = sn, "hyperbolic", abs(math.tanh(angle))
                 max_tanh = max(max_tanh, th)
-            s_new = off_norm(dense)
-            steps.append(JJacobiStep((i, j), kind, piv, angle, th, s, s_new))
+            else:
+                c, sn, angle = _rotation_params(e[ii], e[jj], piv)
+                t, kind, th = -sn, "trigonometric", 0.0
+            if sn != 0.0:
+                _plane_step(e, pivot, c, sn, t)
+                i0, j0 = pair[0] - 1, pair[1] - 1
+                ti, tj = transform[i0], transform[j0]
+                transform[i0] = [c * x + sn * y for x, y in zip(ti, tj)]
+                transform[j0] = [c * y + t * x for x, y in zip(ti, tj)]
+            s_new = _off_norm_packed(e, n_off)
+            steps.append(JJacobiStep(pair, kind, piv, angle, th, s, s_new))
             s = s_new
         cycles += 1
         cycle_norms.append(s)
@@ -282,7 +274,8 @@ def run_j_jacobi(
         ordering, signs, steps, cycle_norms, envelope,
         converged, cycles, initial_norm, _covered(signs),
     )
-    return JJacobiResult(SymMatrix.from_dense(dense, rtol=1e-6), transform, report)
+    f = np.ascontiguousarray(np.array(transform).T)
+    return JJacobiResult(_sym_from_packed(n, e), f, report)
 
 
 def solve_factored(

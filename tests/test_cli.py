@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import cyclic_jacobi.cli as climod
-from cyclic_jacobi.cli import CSV_HEADER, main, worker_count
+from cyclic_jacobi.classification import c0_orderings
+from cyclic_jacobi.cli import CSV_HEADER, _cell_rows, main, worker_count
 from cyclic_jacobi.core import SymMatrix, format_matrix
+from cyclic_jacobi.driver import verification_campaign
 from cyclic_jacobi.orderings import enumerate_orderings
 
 
@@ -32,6 +34,21 @@ def spd_matrix_file(tmp_path):
 # sha256 of `cjacobi classify --all --format json`: every label, bound and
 # certificate of the 720 orderings.
 CLASSIFY_ALL_JSON_SHA256 = "dede1bd13359a123ffa406b4a1c2c5697b0a7831b18a88f4eec435e8a98761d6"
+
+VERIFY_C0 = [
+    "verify", "--seed", "201", "--samples", "20", "--orderings", "c0", "--bound", "both",
+]
+# sha256 of the stdout of VERIFY_C0: header and 240 rows.
+VERIFY_C0_SHA256 = "49d27842efcf3d818934bbd74c9e5244418204fc5b4a777b313d282a4b6cd7f2"
+
+# An unsorted ordering list with a blank line and a duplicate.
+PAR = "1 2, 3 4, 1 3, 2 4, 1 4, 2 3"
+COLUMN = "1 2, 1 3, 2 3, 1 4, 2 4, 3 4"
+PAR2 = "1 4, 2 3, 1 3, 2 4, 1 2, 3 4"
+VERIFY_LISTING = f"{PAR}\n{COLUMN}\n\n{PAR}\n{PAR2}\n"
+# sha256 of the lines after the header comment (which names the list file) of
+# `verify --seed 201 --samples 20 --orderings list FILE --bound both`.
+VERIFY_LIST_ROWS_SHA256 = "0a63f3205178ce2d51925b63bb7c4d1dc6b66fa40da7f71ed685c2a9453223b9"
 
 
 class TestClassifyCommand:
@@ -237,6 +254,33 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_c0_report_matches_recorded_digest(self, capsys, jobs):
+        assert main(VERIFY_C0 + ["--jobs", jobs]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_C0_SHA256
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_list_rows_in_enumeration_order_with_duplicates(self, tmp_path, capsys, jobs):
+        listing = tmp_path / "orderings.txt"
+        listing.write_text(VERIFY_LISTING)
+        args = [
+            "verify", "--seed", "201", "--samples", "20",
+            "--orderings", "list", str(listing), "--bound", "both", "--jobs", jobs,
+        ]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        rows = "".join(lines[1:])
+        assert hashlib.sha256(rows.encode()).hexdigest() == VERIFY_LIST_ROWS_SHA256
+        orderings = [row[0] for row in csv.reader(lines[2:])]
+        assert orderings == [COLUMN] * 2 + [PAR] * 4 + [PAR2] * 2
+
+    def test_rows_are_the_library_campaign(self, capsys):
+        assert main(VERIFY_C0 + ["--jobs", "1"]) == 0
+        rows = capsys.readouterr().out.split("\n", 2)[2]
+        report = verification_campaign(201, 20, sorted(c0_orderings(), key=lambda o: o.pairs))
+        assert rows == _cell_rows(report.cells)
 
     def test_missing_seed_is_usage_error(self):
         assert main(["verify", "--samples", "5"]) == 2

@@ -13,9 +13,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # perfbench/tracing.py wraps cli's binding
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,11 +41,9 @@ from .driver import (
     IDENTITY_RTOL,
     MONOTONICITY_RTOL,
     CampaignCell,
-    RNG_ALGORITHM,
-    campaign_cells_for_ordering,
-    default_rng,
-    random_symmetric_batch,
+    campaign_cells_for_ordering,  # noqa: F401  unused, but perfbench/tracing.py wraps it by name
     run_cycles,
+    verification_campaign,
 )
 from .jjacobi import (
     ConvergenceError,
@@ -240,14 +240,16 @@ def _select_orderings(selection: list[str]) -> list[PivotOrdering]:
     raise ValueError(f"unknown ordering selection {selection!r}")
 
 
-def _campaign_worker(task):
-    pairs_list, mats, modes = task
-    out = []
-    for pairs in pairs_list:
-        ordering = PivotOrdering(4, tuple(tuple(p) for p in pairs))
-        cells, ident, mono = campaign_cells_for_ordering(ordering, mats, modes)
-        out.append((pairs, cells, ident, mono))
-    return out
+def _requested_jobs(flag: Optional[int]) -> int:
+    """``--jobs``, else ``JPL_JOBS``, else 1; whichever is used must be an integer >= 1."""
+    if flag is None:
+        text = os.environ.get("JPL_JOBS", "1")
+        if not text.strip().isdecimal() or int(text) < 1:
+            raise ValueError(f"JPL_JOBS must be an integer >= 1, got {text!r}")
+        return int(text)
+    if flag < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, got {flag}")
+    return flag
 
 
 def worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
@@ -280,49 +282,31 @@ def _cell_rows(cells: Sequence[CampaignCell]) -> str:
 
 
 def cmd_verify(args) -> int:
-    orderings = _select_orderings(args.orderings)
+    # enumeration order: itertools.permutations of the sorted pairs is lexicographic
+    orderings = sorted(_select_orderings(args.orderings), key=lambda o: o.pairs)
     modes = ("classified", "universal") if args.bound == "both" else (args.bound,)
-    rng = default_rng(args.seed)
-    mats = random_symmetric_batch(rng, args.samples, n=4)
-    index = {o.pairs: k for k, o in enumerate(enumerate_orderings(4))}
-
-    jobs = worker_count(
-        args.jobs or int(os.environ.get("JPL_JOBS", "1")), len(orderings), os.cpu_count()
-    )
-    results: dict[tuple, list[CampaignCell]] = {}
-    worst_identity = 0.0
-    worst_monotone = -float("inf")
+    jobs = worker_count(_requested_jobs(args.jobs), len(orderings), os.cpu_count())
+    campaign = partial(verification_campaign, args.seed, args.samples, orderings, modes)
     if jobs > 1:
-        chunks = [[o.pairs for o in orderings[k::jobs]] for k in range(jobs)]
-        tasks = [(chunk, mats, modes) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_campaign_worker, tasks):
-                for pairs, cells, ident, mono in batch:
-                    results[pairs] = cells
-                    worst_identity = max(worst_identity, ident)
-                    worst_monotone = max(worst_monotone, mono)
+            # one chunk per worker: each chunk pickles the matrix batch once
+            chunk = math.ceil(len(orderings) / jobs)
+            report = campaign(map_fn=partial(pool.map, chunksize=chunk))
     else:
-        for o in orderings:
-            cells, ident, mono = campaign_cells_for_ordering(o, mats, modes)
-            results[o.pairs] = cells
-            worst_identity = max(worst_identity, ident)
-            worst_monotone = max(worst_monotone, mono)
-
-    ordered_cells: list[CampaignCell] = []
-    for o in sorted(orderings, key=lambda o: index[o.pairs]):
-        ordered_cells.extend(results[o.pairs])
+        report = campaign()
     header = [
-        f"# seed={args.seed} samples={args.samples} rng={RNG_ALGORITHM}({args.seed})"
+        f"# seed={args.seed} samples={args.samples} rng={report.rng_algorithm}"
         f" bound={args.bound} orderings={' '.join(args.orderings)}",
         CSV_HEADER,
     ]
-    _write_text(args.out, "\n".join(header) + "\n" + _cell_rows(ordered_cells))
+    _write_text(args.out, "\n".join(header) + "\n" + _cell_rows(report.cells))
+    worst_identity, worst_monotone = report.identity_violation, report.monotonicity_excess
     print(
         f"S^2 checks: decrement identity {worst_identity:.3g} (limit {IDENTITY_RTOL:.0e}),"
         f" cycle growth {worst_monotone:.3g} (limit {MONOTONICITY_RTOL:.0e})",
         file=sys.stderr,
     )
-    total = sum(c.violations for c in ordered_cells)
+    total = report.total_violations
     if total:
         print(f"{total} bound violations beyond fp slack", file=sys.stderr)
     if worst_identity > IDENTITY_RTOL or worst_monotone > MONOTONICITY_RTOL:
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bound", choices=("classified", "universal", "both"), default="both")
     p.add_argument("--out", help="CSV report path (default stdout)")
-    p.add_argument("--jobs", type=int, help="worker processes (default: JPL_JOBS or 1)")
+    p.add_argument("--jobs", type=int, help="worker processes, >= 1 (default: JPL_JOBS or 1)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -118,7 +118,14 @@ class SymMatrix:
         return np.array([self.entry(i, i) for i in range(1, self.n + 1)])
 
     def frobenius(self) -> float:
-        return float(np.linalg.norm(self.to_dense()))
+        """Frobenius norm, rescaled by the largest |a_ij| when the squares overflow."""
+        dense = self.to_dense()
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(dense))
+        if math.isinf(norm):  # the entries are finite, so only the squares overflowed
+            scale = float(np.abs(dense).max())
+            norm = scale * float(np.linalg.norm(dense / scale))
+        return norm
 
     def allclose(self, other: "SymMatrix", rtol: float = 1e-13, atol: float = 0.0) -> bool:
         return self.n == other.n and np.allclose(

@@ -6,7 +6,8 @@ vectorized across a batch of matrices and is what the seeded verification
 campaigns use.  ``check_bound`` evaluates the contraction ratio
 S(A^[t+tau]) / S(A^[t]) promised by a classification record, and
 ``verification_campaign`` sweeps that check across orderings and random
-matrices.
+matrices.  ``cjacobi verify`` is that function plus an executor: its
+``--jobs`` must be at least 1, and above 1 it passes a process pool's ``map``.
 
 Both kernels keep the n(n+1)/2 upper-triangle entries packed in one layout
 (``_packed_layout``): the strictly upper entries row by row, then the
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -668,11 +669,14 @@ def verification_campaign(
     orderings: Sequence[PivotOrdering],
     modes: tuple[str, ...] = ("classified", "universal"),
     zero_pairs: Iterable[tuple[int, int]] = (),
+    map_fn: Callable = map,
 ) -> CampaignReport:
     """Check contraction bounds for every ordering over a seeded matrix batch.
 
-    Any ratio beyond gamma + FP_SLACK is counted as a violation and flagged
-    as a falsification event in the report.
+    ``map_fn`` applies one ordering's campaign to each ordering and must
+    yield the results in input order, as the builtin ``map`` and an
+    executor's ``map`` do.  Any ratio beyond gamma + FP_SLACK is counted as
+    a violation and flagged as a falsification event in the report.
     """
     if samples < 1:
         raise ValueError("need at least one sample matrix")
@@ -681,8 +685,8 @@ def verification_campaign(
     cells: list[CampaignCell] = []
     identity_violation = 0.0
     monotonicity_excess = -np.inf
-    for ordering in orderings:
-        new_cells, ident, mono = campaign_cells_for_ordering(ordering, mats, modes)
+    per_ordering = partial(campaign_cells_for_ordering, mats=mats, modes=modes)
+    for new_cells, ident, mono in map_fn(per_ordering, orderings):
         cells.extend(new_cells)
         identity_violation = max(identity_violation, ident)
         monotonicity_excess = max(monotonicity_excess, mono)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cyclic_jacobi.cli as climod
+import cyclic_jacobi.driver as drivermod
 from cyclic_jacobi.classification import c0_orderings
 from cyclic_jacobi.cli import CSV_HEADER, _cell_rows, main, worker_count
 from cyclic_jacobi.core import SymMatrix, format_matrix
@@ -305,13 +306,13 @@ class TestVerifyCommand:
         clean = tmp_path / "clean.csv"
         assert main(base + ["--out", str(clean)]) == 0
         assert "S^2 checks failed" not in capsys.readouterr().err
-        campaign = climod.campaign_cells_for_ordering
+        campaign = drivermod.campaign_cells_for_ordering
 
         def broken(ordering, mats, modes):
             cells, _, _ = campaign(ordering, mats, modes)
             return cells, ident, mono
 
-        monkeypatch.setattr(climod, "campaign_cells_for_ordering", broken)
+        monkeypatch.setattr(drivermod, "campaign_cells_for_ordering", broken)
         bad = tmp_path / "bad.csv"
         assert main(base + ["--out", str(bad)]) == 3
         assert "S^2 checks failed" in capsys.readouterr().err
@@ -329,6 +330,22 @@ class TestVerifyCommand:
         ref = tmp_path / "ref.csv"
         assert main(base + ["--out", str(ref), "--jobs", "1"]) == 0
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "jobs, env",
+        [("0", None), ("-4", None), (None, "0"), (None, "-2"), (None, "two"), (None, "")],
+    )
+    def test_bad_jobs_is_input_error(self, monkeypatch, capsys, jobs, env):
+        if env is None:
+            monkeypatch.delenv("JPL_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("JPL_JOBS", env)
+        args = ["verify", "--seed", "1", "--samples", "2", "--orderings", "serial"]
+        assert main(args + (["--jobs", jobs] if jobs else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert ("--jobs" if jobs else "JPL_JOBS") in captured.err
+        assert captured.out == ""
 
 
 class TestWorkerCount:

@@ -221,6 +221,20 @@ class TestRunJJacobi:
         assert all(b <= a_ * (1 + 1e-14) for a_, b in zip(norms, norms[1:]))
         assert result.report.covered_by_convergence_theory
 
+    def test_huge_entry_keeps_a_finite_threshold(self):
+        # squaring 1e155 overflows, which once made the stopping threshold inf
+        dense = np.diag([1e155, 1.0, 2.0, 3.0])
+        dense[0, 1] = dense[1, 0] = 1e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_j_jacobi(SymMatrix.from_dense(dense), (1, 1, 1, 1), COLUMN)
+        report = result.report
+        assert report.initial_norm == pytest.approx(np.linalg.norm(dense / 1e155) * 1e155)
+        assert report.converged and report.cycles_executed > 0
+        eigenvalues = np.sort(result.diagonalized.diagonal())
+        error = np.max(np.abs(eigenvalues - np.linalg.eigvalsh(dense)))
+        assert error <= 1e-15 * report.initial_norm
+
 
 class TestEigenFromFactored:
     def test_identity_factor_gives_sign_eigenvalues(self):

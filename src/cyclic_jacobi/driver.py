@@ -353,24 +353,74 @@ class BatchSweep:
     finals: np.ndarray
 
 
-def _step_plan(
-    pos: tuple[tuple[int, ...], ...], ordering: PivotOrdering
-) -> list[tuple[np.ndarray, int]]:
+def _step_plan(n: int, ordering: PivotOrdering) -> list[tuple[np.ndarray, int]]:
     """Per pivot (i, j): the 2n packed positions a step gathers, and the pivot's own.
 
     The first n are column i as (a_ki for k != i, j; a_ii, a_ij), the last n
     column j in mirror order (a_jj, a_ij; a_kj for k != i, j reversed), so
     every entry sits opposite the entry it is rotated with.
     """
-    n = len(pos)
-    plan = []
-    for (i, j) in ordering.pairs:
-        i0, j0 = i - 1, j - 1
-        rest = [k for k in range(n) if k not in (i0, j0)]
-        col_i = [pos[k][i0] for k in rest] + [pos[i0][i0], pos[i0][j0]]
-        col_j = [pos[k][j0] for k in rest] + [pos[i0][j0], pos[j0][j0]]
-        plan.append((np.array(col_i + col_j[::-1]), pos[i0][j0]))
-    return plan
+    return [
+        (np.array([p for p, _ in others] + [ii, ij, jj, ij] + [q for _, q in others[::-1]]), ij)
+        for ii, jj, ij, others in (_pivot_plan(n, *pair) for pair in ordering.pairs)
+    ]
+
+
+def _paired(keep: np.ndarray) -> np.ndarray:
+    # numpy sums a lone column's S^2 terms pairwise, wider arrays' row by row: never step one alone
+    return keep.repeat(2) if keep.size == 1 else keep
+
+
+def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], float], np.ndarray]:
+    """A sweep of ``plan`` over the packed entries ``e`` in place, its work arrays and views made
+    once, returning its worst decrement-identity deviation; and its S^2 rows, before and after
+    each step.  The last row holds S^2 now, first that of ``e``."""
+    n_off = n * (n - 1) // 2
+    width = e.shape[1]
+    s2 = np.empty((len(plan) + 1, width))
+    np.add.reduce(np.square(e[:n_off]), axis=0, out=s2[-1])
+    pivots = np.empty((len(plan), width))
+    sq = np.empty((n_off, width))
+    w = np.empty((2 * n, width))  # column i, then column j mirrored
+    w2 = w.reshape(2, n, width)
+    mirrored = w2[::-1, ::-1]  # row r of w meets row 2n-1-r
+    aii, aij, ajj = w[n - 2:n + 1]
+    corners, pivot_rows = w[n - 2:n + 1:2], w[n - 1:n + 2:2]  # (U'_ii, V'_jj), (U'_ij, V'_ij)
+    diff, two_aij, tau, h, denom, sgn = np.empty((6, width))
+    # 1, t and -t over h = hypot(1, t) give c, s and -s in one division.
+    tangents, cs = np.ones((2, 3, width))
+    _, tt, neg_tt = tangents
+    c, s_pair = cs[0], cs[1:]  # s for column i, -s for column j
+    mixed = np.empty((2, n, width))
+
+    def sweep() -> float:
+        s2[0] = s2[-1]
+        for k, (gather, pij) in enumerate(plan):
+            # the plan's indices are in range, and mode="raise" would buffer ``out``
+            e.take(gather, 0, out=w, mode="clip")
+            pivots[k] = aij
+            np.subtract(aii, ajj, out=diff)
+            np.divide(diff, np.add(aij, aij, out=two_aij), out=tau)  # 2*aij exactly
+            np.add(np.abs(tau, out=denom), np.hypot(1.0, tau, out=h), out=denom)
+            np.divide(np.sign(tau, out=sgn), denom, out=tt)
+            # a zero pivot, a diagonal tie, or tau out of range
+            if np.count_nonzero(tt) < width or np.count_nonzero(aij) < width:
+                _fix_tangents(tt, tau, aij, diff)
+            np.negative(tt, out=neg_tt)
+            np.divide(tangents, np.hypot(1.0, tt, out=h), out=cs)
+            # c*U + s*V and c*V - s*U at once
+            np.multiply(mirrored, s_pair[:, None, :], out=mixed)
+            np.add(np.multiply(w2, c, out=w2), mixed, out=w2)
+            # a_ii = c*U'_ii + s*U'_ij; a_jj = c*V'_jj - s*V'_ij; the pivot rows are spent
+            np.multiply(pivot_rows, s_pair, out=pivot_rows)
+            np.add(np.multiply(corners, c, out=corners), pivot_rows, out=corners)
+            e[gather] = w
+            e[pij] = 0.0
+            np.add.reduce(np.square(e[:n_off], out=sq), axis=0, out=s2[k + 1])
+        dev = np.abs(s2[1:] - (s2[:-1] - np.square(pivots))) / np.maximum(s2[:-1], OFF_NORM_FLOOR)
+        return float(dev.max())
+
+    return sweep, s2
 
 
 def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> BatchSweep:
@@ -388,6 +438,11 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     step, never derived from the decrement identity, which is checked
     against those sums, with the cycle-to-cycle growth of S, once a cycle.
 
+    A matrix retires at a cycle boundary when its off-diagonal entries are
+    all +0.0 (bit pattern 0) and no diagonal entry is -0.0: every later step
+    would leave its bits as they are (a_ij = +0 gives t = 0, c = 1, s = +-0),
+    and its S and both checks stay 0, so the others sweep on without it.
+
     Raises ``ValueError`` for non-finite entries, and when S^2 after some
     step is not finite (entries beyond about 1e154 overflow it).
     """
@@ -402,68 +457,38 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     m = a.shape[0]
     if m == 0:
         raise ValueError("need at least one matrix")
-    entries, pos = _packed_layout(n)
-    rows, cols = np.array(entries).T
-    plan = _step_plan(pos, ordering)
+    rows, cols = np.array(_packed_layout(n)[0]).T  # the (r, c) of every packed entry
+    plan = _step_plan(n, ordering)
     n_off = n * (n - 1) // 2
-    steps = len(plan)
 
-    e = np.ascontiguousarray(a[:, rows, cols].T)  # the packed entries, (p, m)
-    pivots = np.empty((steps, m))
-    s2 = np.empty((steps + 1, m))  # S^2 before the cycle and after each step
-    sq = np.empty((n_off, m))
-    # 1, t and -t over h = hypot(1, t) give c, s and -s in one division.
-    tangents = np.ones((3, m))
-    cs = np.empty((3, m))
-    c = cs[0]
-    sgn_s = cs[1:, None, :]  # s for column i, -s for column j
-    mixed = np.empty((2, n, m))
-    diag = np.empty((2, m))
-    off = np.empty((cycles + 1, m))
+    live = _paired(np.arange(m))  # the input matrix in each column of e
+    e = np.ascontiguousarray(a[live[:, None], rows, cols].T)  # the packed entries
+    packed = np.empty((rows.size, m))  # each matrix's final entries
+    off = np.zeros((cycles + 1, m))
     identity_violation = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.add.reduce(np.square(e[:n_off]), axis=0, out=s2[0])
-        _check_finite_s2(s2[:1], 0)
-        off[0] = np.sqrt(s2[0])
+        sweep, s2 = _batch_sweeper(n, plan, e)
+        _check_finite_s2(s2[-1:], 0)
+        off[0, live] = np.sqrt(s2[-1])
         for t in range(cycles):
-            for k, (gather, pij) in enumerate(plan):
-                w = e[gather]
-                aij = w[n - 1]
-                pivots[k] = aij
-                diff = w[n - 2] - w[n]
-                tau = diff / (aij + aij)  # aij + aij is 2*aij exactly
-                tt = np.divide(
-                    np.sign(tau), np.abs(tau) + np.hypot(1.0, tau), out=tangents[1]
-                )
-                # a zero pivot, a diagonal tie, or tau out of range
-                if np.count_nonzero(tt) < m or np.count_nonzero(aij) < m:
-                    _fix_tangents(tt, tau, aij, diff)
-                np.negative(tt, out=tangents[2])
-                np.divide(tangents, np.hypot(1.0, tt), out=cs)
-                # c*U + s*V and c*V - s*U at once: row r of w meets row 2n-1-r.
-                w2 = w.reshape(2, n, m)
-                r = c * w2
-                r += np.multiply(w2[::-1, ::-1], sgn_s, out=mixed)
-                r = r.reshape(2 * n, m)
-                # a_ii = c*U'_ii + s*U'_ij from rows n-2, n-1;
-                # a_jj = c*V'_jj - s*V'_ij from rows n, n+1
-                np.multiply(r[n - 2:n + 1:2], c, out=diag)
-                np.add(diag, np.multiply(r[n - 1:n + 2:2], cs[1:]), out=r[n - 2:n + 1:2])
-                e[gather] = r
-                e[pij] = 0.0
-                np.add.reduce(np.square(e[:n_off], out=sq), axis=0, out=s2[k + 1])
+            bits = e.view(np.uint64)  # +0.0 is the bit pattern 0, -0.0 is 1 << 63
+            retired = ~bits[:n_off].any(axis=0) & (bits[n_off:] != 1 << 63).all(axis=0)
+            if retired.any():
+                packed[:, live[retired]] = e[:, retired]
+                keep = _paired(np.flatnonzero(~retired))
+                e, live = e[:, keep], live[keep]
+                if not live.size:
+                    break
+                sweep, s2 = _batch_sweeper(n, plan, e)
+            identity_violation = max(identity_violation, sweep())
             _check_finite_s2(s2, t + 1)
-            dev = np.abs(s2[1:] - (s2[:-1] - np.square(pivots))) / np.maximum(
-                s2[:-1], OFF_NORM_FLOOR
-            )
-            identity_violation = max(identity_violation, float(dev.max()))
-            off[t + 1] = np.sqrt(s2[steps])
-            s2[0] = s2[steps]
+            off[t + 1, live] = np.sqrt(s2[-1])
+    packed[:, live] = e
     growth = (off[1:] - off[:-1]) / np.maximum(off[:-1], OFF_NORM_FLOOR)
     monotonicity_excess = float(growth.max()) if cycles else -np.inf
     finals = np.empty((m, n, n))
-    finals[:, rows, cols] = e.T
-    finals[:, cols, rows] = e.T
+    finals[:, rows, cols] = packed.T
+    finals[:, cols, rows] = packed.T
     return BatchSweep(off, identity_violation, monotonicity_excess, finals)
 
 
@@ -511,17 +536,17 @@ class BoundCheck:
     margin: float
 
 
-def _ratios_from_norms(norms: Sequence[float], bound: Bound) -> tuple[float, float]:
-    worst = 0.0
-    worst_sq = 0.0
-    last_start = len(norms) - 1 - bound.tau
-    for t in range(bound.t0, last_start + 1):
-        if norms[t] <= 0.0:
-            continue  # vacuous window
-        ratio = norms[t + bound.tau] / norms[t]
-        worst = max(worst, ratio)
-        worst_sq = max(worst_sq, ratio * ratio)
-    return worst, worst_sq
+def _window_stats(offs: np.ndarray, bound: Bound) -> tuple[float, float, int, int]:
+    """Over every window t >= t0 of every column of cycle-boundary S values ``offs``: the worst
+    S(A^[t+tau]) / S(A^[t]) and its square, the windows beyond gamma + FP_SLACK, and the
+    vacuous ones, where S(A^[t]) = 0 and the ratio scores 0.
+    """
+    starts = offs[bound.t0:offs.shape[0] - bound.tau]
+    live = starts > 0.0
+    ratios = np.divide(offs[bound.t0 + bound.tau:], starts, out=np.zeros(starts.shape), where=live)
+    worst = float(ratios.max(initial=0.0))
+    violations = int(np.count_nonzero(ratios > bound.gamma + FP_SLACK))
+    return worst, worst * worst, violations, live.size - int(np.count_nonzero(live))
 
 
 def check_bound(a: SymMatrix, record: ClassificationRecord, cycles: int) -> BoundCheck:
@@ -532,7 +557,7 @@ def check_bound(a: SymMatrix, record: ClassificationRecord, cycles: int) -> Boun
     if cycles < bound.t0 + bound.tau:
         raise ValueError(f"need at least {bound.t0 + bound.tau} cycles for this bound")
     _, report = run_cycles(a, record.ordering, cycles)
-    worst, worst_sq = _ratios_from_norms(report.cycle_off_norms, bound)
+    worst, worst_sq, _, _ = _window_stats(np.array(report.cycle_off_norms)[:, None], bound)
     passed = worst <= bound.gamma + FP_SLACK
     return BoundCheck(
         bound.gamma, bound.tau, bound.t0, worst, worst_sq, passed, bound.gamma + FP_SLACK - worst
@@ -615,34 +640,6 @@ class CampaignReport:
         return sum(c.violations for c in self.cells)
 
 
-def _cell_from_offs(
-    ordering: PivotOrdering,
-    label: str,
-    mode: str,
-    bound: Bound,
-    offs: np.ndarray,
-) -> CampaignCell:
-    worst = 0.0
-    worst_sq = 0.0
-    violations = 0
-    vacuous = 0
-    last_start = offs.shape[0] - 1 - bound.tau
-    for t in range(bound.t0, last_start + 1):
-        start = offs[t]
-        live = start > 0.0
-        vacuous += int(np.sum(~live))
-        if not np.any(live):
-            continue
-        ratios = offs[t + bound.tau][live] / start[live]
-        worst = max(worst, float(ratios.max()))
-        worst_sq = max(worst_sq, float((ratios**2).max()))
-        violations += int(np.sum(ratios > bound.gamma + FP_SLACK))
-    return CampaignCell(
-        ordering, label, mode, bound.gamma, bound.tau, bound.t0,
-        worst, worst_sq, violations, vacuous,
-    )
-
-
 def campaign_cells_for_ordering(
     ordering: PivotOrdering, mats: np.ndarray, modes: tuple[str, ...]
 ) -> tuple[list[CampaignCell], float, float]:
@@ -657,7 +654,8 @@ def campaign_cells_for_ordering(
     cycles = max(b.t0 + b.tau + 4 for _, b in bounds)
     sweep = batch_sweep(mats, ordering, cycles)
     cells = [
-        _cell_from_offs(ordering, label, mode, bound, sweep.off_norms)
+        CampaignCell(ordering, label, mode, bound.gamma, bound.tau, bound.t0,
+                     *_window_stats(sweep.off_norms, bound))
         for mode, bound in bounds
     ]
     return cells, sweep.identity_violation, sweep.monotonicity_excess
@@ -680,6 +678,8 @@ def verification_campaign(
     """
     if samples < 1:
         raise ValueError("need at least one sample matrix")
+    if not orderings:
+        raise ValueError("need at least one ordering")
     rng = default_rng(seed)
     mats = random_symmetric_batch(rng, samples, n=4, zero_pairs=zero_pairs)
     cells: list[CampaignCell] = []

@@ -277,6 +277,16 @@ class TestVerifyCommand:
         orderings = [row[0] for row in csv.reader(lines[2:])]
         assert orderings == [COLUMN] * 2 + [PAR] * 4 + [PAR2] * 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_ordering_list_is_input_error(self, tmp_path, capsys, jobs):
+        listing = tmp_path / "orderings.txt"
+        listing.write_text("\n")
+        args = ["verify", "--seed", "1", "--samples", "3", "--orderings", "list", str(listing)]
+        assert main(args + ["--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: need at least one ordering\n"
+        assert captured.out == ""
+
     def test_rows_are_the_library_campaign(self, capsys):
         assert main(VERIFY_C0 + ["--jobs", "1"]) == 0
         rows = capsys.readouterr().out.split("\n", 2)[2]

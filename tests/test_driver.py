@@ -228,6 +228,29 @@ class TestBatchSweep:
         with pytest.raises(ValueError, match="finite"):
             campaign_cells_for_ordering(COLUMN, mats, ("classified", "universal"))
 
+    def test_retired_matrices_keep_the_bits_they_get_alone(self):
+        # retirement must only skip work: a diagonal matrix retires at once;
+        # a -0.0 on the diagonal must still be swept to +0.0; entries near
+        # 1e-200 square to S = 0 yet still rotate
+        diagonal = np.diag([1.0, 2.0, 3.0, 4.0])
+        negative_zero = np.diag([-0.0, 2.0, 3.0, 4.0])
+        tiny = np.diag([1.0, 2.0, 3.0, 4.0])
+        tiny[np.triu_indices(4, k=1)] = 1e-200 * np.arange(1.0, 7.0)
+        tiny = np.triu(tiny) + np.triu(tiny, k=1).T
+        mats = np.concatenate(
+            [np.stack([diagonal, negative_zero, tiny]), random_symmetric_batch(default_rng(35), 20)]
+        )
+        sweep = batch_sweep(mats, COLUMN, 8)
+        alone = [batch_sweep(mats[k:k + 1], COLUMN, 8) for k in range(len(mats))]
+        for k, single in enumerate(alone):
+            assert sweep.off_norms[:, k].tobytes() == single.off_norms[:, 0].tobytes(), k
+            assert sweep.finals[k].tobytes() == single.finals[0].tobytes(), k
+        assert sweep.identity_violation == max(single.identity_violation for single in alone)
+        assert sweep.monotonicity_excess == max(single.monotonicity_excess for single in alone)
+        assert sweep.finals[1, 0, 0] == 0.0 and not np.signbit(sweep.finals[1, 0, 0])
+        assert sweep.off_norms[0, 2] == 0.0
+        assert sweep.finals[2].tobytes() != tiny.tobytes()
+
     def test_rejects_empty_stack(self):
         with pytest.raises(ValueError, match="at least one matrix"):
             batch_sweep(np.zeros((0, 4, 4)), COLUMN, 1)
@@ -288,8 +311,11 @@ class TestBatchSweep:
         assert final[last_i - 1, last_j - 1] == 0.0
         assert sweep.identity_violation <= IDENTITY_RTOL
         scale = np.max(np.abs(dense))
-        before = np.linalg.eigvalsh(dense)
-        after = np.linalg.eigvalsh(final)
+        # LAPACK can lose accuracy on entries near 1e149 beside subnormals (1.2e-12
+        # relative on one drawn case), so both spectra are taken at a power-of-two scale
+        exp = np.frexp(scale)[1]
+        before = np.ldexp(np.linalg.eigvalsh(np.ldexp(dense, -exp)), exp)
+        after = np.ldexp(np.linalg.eigvalsh(np.ldexp(final, -exp)), exp)
         assert np.allclose(before, after, rtol=0.0, atol=1e-12 * scale + 1e-300)
 
 
@@ -435,3 +461,7 @@ class TestCampaign:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             verification_campaign(1, 0, [COLUMN])
+
+    def test_rejects_empty_ordering_list(self):
+        with pytest.raises(ValueError, match="at least one ordering"):
+            verification_campaign(1, 5, [])

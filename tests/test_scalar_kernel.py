@@ -11,6 +11,8 @@ from cyclic_jacobi.cli import main
 from cyclic_jacobi.core import SymMatrix, format_matrix
 from cyclic_jacobi.driver import (
     IDENTITY_RTOL,
+    MONOTONICITY_RTOL,
+    batch_sweep,
     default_rng,
     random_spd_factor,
     random_symmetric,
@@ -213,7 +215,7 @@ class TestParallelCycleOracle:
 
 
 class TestDimensions:
-    """n from 2 to ``core.MAX_DIM`` = 16 through both single-matrix drivers."""
+    """n from 2 to ``core.MAX_DIM`` = 16 through both single-matrix drivers and the batch kernel."""
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_run_cycles_diagonalizes(self, n):
@@ -246,3 +248,21 @@ class TestDimensions:
             gap = abs(st.s_after**2 - expected) / max(st.s_before**2, 1e-300)
             assert gap <= IDENTITY_RTOL
         verify_cycle_monotonicity(report)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_batch_sweep_diagonalizes_each_matrix_as_alone(self, n):
+        mats = random_symmetric_batch(default_rng(700 + n), 4, n=n)
+        mats[1] = np.diag(np.arange(1.0, n + 1.0))  # retires before the first sweep
+        ordering = _row_major(n)
+        sweep = batch_sweep(mats, ordering, 12)
+        for k, dense in enumerate(mats):
+            scale = np.linalg.norm(dense)
+            assert np.allclose(
+                np.sort(sweep.finals[k].diagonal()), np.linalg.eigvalsh(dense),
+                rtol=0.0, atol=1e-13 * scale,
+            )
+            alone = batch_sweep(dense[None], ordering, 12)
+            assert sweep.off_norms[:, k].tobytes() == alone.off_norms[:, 0].tobytes()
+            assert sweep.finals[k].tobytes() == alone.finals[0].tobytes()
+        assert sweep.identity_violation <= IDENTITY_RTOL
+        assert sweep.monotonicity_excess <= MONOTONICITY_RTOL

@@ -4,6 +4,13 @@ Matrix indices in the public API are 1-based, matching the (r, s) pivot-pair
 convention used throughout the package.  Dense arrays returned by
 ``SymMatrix.to_dense`` are ordinary 0-based numpy arrays.
 
+``_rotation_params`` specifies the rotation every kernel applies, in IEEE
+operations only.  The packed layout (``_packed_layout``: the strictly upper
+entries row by row, then the diagonal), in which ``SymMatrix`` stores its
+entries, the per-pivot positions (``_pivot_plan``) and the one plane step
+(``_plane_step``) live here too: ``apply_two_sided`` and ``annihilate`` step
+through them, as do the sweep kernels in ``driver`` and ``jjacobi``.
+
 Everything here is a pure function over immutable values; no locking is
 needed for concurrent use.
 """
@@ -37,27 +44,48 @@ def _packed_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
-@lru_cache(maxsize=32)
-def _triu_indices(n: int, k: int, /) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k)``, built once per (n, k) and read-only."""
-    rows, cols = np.triu_indices(n, k)
+# --- packed layout -------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _packed_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The (r, c) of every packed entry, and the packed position of every (r, c).
+
+    The strictly upper entries come first, row by row (the order S^2 sums
+    them in), then the diagonal.  Positions are symmetric: pos[r][c] ==
+    pos[c][r].
+    """
+    entries = [(r, c) for r in range(n) for c in range(r + 1, n)] + [(r, r) for r in range(n)]
+    pos = [[0] * n for _ in range(n)]
+    for k, (r, c) in enumerate(entries):
+        pos[r][c] = pos[c][r] = k
+    return tuple(entries), tuple(map(tuple, pos))
+
+
+@lru_cache(maxsize=None)
+def _layout_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns of the packed entries, as read-only index arrays."""
+    rows, cols = np.array(_packed_layout(n)[0]).T
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
 
 
-def _packed_index(n: int, r: int, s: int) -> int:
-    # 1-based (r, s) with r <= s into row-major upper-triangle storage.
-    r0 = r - 1
-    s0 = s - 1
-    return r0 * n - r0 * (r0 - 1) // 2 + (s0 - r0)
+@lru_cache(maxsize=None)
+def _pivot_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """Packed positions of a_ii, a_jj and a_ij for the 1-based pivot (i, j),
+    and the (a_ki, a_kj) position pairs for every other k, in order of k."""
+    _, pos = _packed_layout(n)
+    i0, j0 = i - 1, j - 1
+    others = tuple((pos[k][i0], pos[k][j0]) for k in range(n) if k not in (i0, j0))
+    return pos[i0][i0], pos[j0][j0], pos[i0][j0], others
 
 
 class SymMatrix:
     """Dense real symmetric matrix with a single stored copy of each entry.
 
-    Only the upper triangle (including the diagonal) is stored, so symmetry
-    holds by construction.  Instances are treated as immutable values.
+    Only the upper triangle (including the diagonal) is stored, in the
+    packed layout of ``_packed_layout``, so symmetry holds by construction.
+    Instances are treated as immutable values.
     """
 
     __slots__ = ("n", "_packed")
@@ -88,7 +116,7 @@ class SymMatrix:
                 f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "
                 f"exceeds {rtol:.0e} relative"
             )
-        return cls(n, a[_triu_indices(n, 0)])
+        return cls(n, a[_layout_indices(n)])
 
     @classmethod
     def diag(cls, values) -> "SymMatrix":
@@ -103,27 +131,26 @@ class SymMatrix:
         """Entry at 1-based position (r, s); symmetric lookup."""
         if not (1 <= r <= self.n and 1 <= s <= self.n):
             raise IndexError(f"index ({r}, {s}) out of range for n={self.n}")
-        if r > s:
-            r, s = s, r
-        return float(self._packed[_packed_index(self.n, r, s)])
+        return float(self._packed[_packed_layout(self.n)[1][r - 1][s - 1]])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        iu = _triu_indices(self.n, 0)
-        out[iu] = self._packed
-        out.T[iu] = self._packed
+        rows, cols = _layout_indices(self.n)
+        out[rows, cols] = self._packed
+        out[cols, rows] = self._packed
         return out
 
     def diagonal(self) -> np.ndarray:
-        return np.array([self.entry(i, i) for i in range(1, self.n + 1)])
+        return self._packed[self.n * (self.n - 1) // 2:].copy()
 
     def frobenius(self) -> float:
-        """Frobenius norm, rescaled by the largest |a_ij| when the squares overflow."""
+        """Frobenius norm, rescaled by the largest |a_ij| when the squares overflow,
+        or when that entry is below 2^-511, so its square can underflow."""
         dense = self.to_dense()
+        scale = float(np.abs(dense).max())
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(dense))
-        if math.isinf(norm):  # the entries are finite, so only the squares overflowed
-            scale = float(np.abs(dense).max())
+        if math.isinf(norm) or 0.0 < scale < 2.0**-511:  # the entries are finite
             norm = scale * float(np.linalg.norm(dense / scale))
         return norm
 
@@ -187,11 +214,13 @@ class PlaneRotation:
 def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, float]:
     """Stable (c, s, phi) annihilating the (i, j) entry, with |phi| <= pi/4.
 
+    The specification both sweep kernels follow, in IEEE operations only.
     Solves tan(2*phi) = 2*aij / (aii - ajj) via t = tan(phi),
-    t = sign(tau) / (|tau| + sqrt(1 + tau^2)) with tau = (aii - ajj) / (2*aij).
-    A zero pivot gives the identity; an exact diagonal tie gives
-    phi = sign(aij) * pi/4.  Where tau overflows (a subnormal pivot, or
-    |tau| near the top of the range) the formula rounds t to 0 and would
+    t = copysign(1, tau) / (|tau| + sqrt(1 + tau*tau)) with
+    tau = (aii - ajj) / (2*aij), then c = 1/h and s = t/h with
+    h = sqrt(1 + t*t).  A zero pivot gives the identity; a diagonal tie
+    (tau = +-0) gives t = +-1, a quarter turn.  Where tau*tau overflows (a
+    subnormal pivot, or |tau| above about 1.3e154) t rounds to 0 and would
     leave the pivot in place; t = aij / (aii - ajj), its limit, is used
     instead.  The inputs are taken as Python floats, so these overflows
     raise no numpy warnings.
@@ -200,27 +229,48 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     if aij == 0.0:
         return 1.0, 0.0, 0.0
     diff = aii - ajj
-    if diff == 0.0:
-        t = 1.0 if aij > 0.0 else -1.0
-    else:
-        tau = diff / (2.0 * aij)
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-        if t == 0.0:
-            t = aij / diff
-    h = math.hypot(1.0, t)
+    tau = diff / (2.0 * aij)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    if t == 0.0:
+        t = aij / diff
+    h = math.sqrt(1.0 + t * t)
     return 1.0 / h, t / h, math.atan(t)
 
 
-def _apply_rotation(a: np.ndarray, i0: int, j0: int, c: float, s: float) -> None:
-    """Two-sided update a <- R^T a R in place (0-based plane indices)."""
-    ri = a[i0, :].copy()
-    rj = a[j0, :].copy()
-    a[i0, :] = c * ri + s * rj
-    a[j0, :] = c * rj - s * ri
-    ci = a[:, i0].copy()
-    cj = a[:, j0].copy()
-    a[:, i0] = c * ci + s * cj
-    a[:, j0] = c * cj - s * ci
+def _packed_entries(a: SymMatrix) -> list[float]:
+    """The entries of ``a`` as Python floats in the packed layout."""
+    return a._packed.tolist()
+
+
+def _plane_step(
+    e: list[float], plan: tuple[int, int, int, tuple[tuple[int, int], ...]],
+    c: float, s: float, t: float,
+) -> None:
+    """e <- F^T e F in place for the plane transformation F = [[c, t], [s, c]] at ``plan``.
+
+    A rotation has t = -s, a hyperbolic transformation s = t = sinh.  Each
+    pair (a_ki, a_kj) becomes (c*a_ki + s*a_kj, c*a_kj + t*a_ki); a_ii and
+    a_jj are the second (column) stage of the dense row-then-column update,
+    taken from the row-updated a_ii, a_ij, a_ji and a_jj; the pivot is
+    stored as +0.0.  With t = -s, t*u is -(s*u) exactly, and IEEE addition
+    commutes, so these are the dense update's bits.
+    """
+    ii, jj, ij, others = plan
+    for p, q in others:
+        u = e[p]
+        v = e[q]
+        e[p] = c * u + s * v
+        e[q] = c * v + t * u
+    aii = e[ii]
+    ajj = e[jj]
+    aij = e[ij]
+    row_ii = c * aii + s * aij
+    row_ij = c * aij + s * ajj
+    row_ji = c * aij + t * aii
+    row_jj = c * ajj + t * aij
+    e[ii] = c * row_ii + s * row_ij
+    e[jj] = c * row_jj + t * row_ji
+    e[ij] = 0.0
 
 
 def _check_pivot(n: int, i: int, j: int) -> None:
@@ -231,15 +281,17 @@ def _check_pivot(n: int, i: int, j: int) -> None:
 def off_norm(m) -> float:
     """Square root of the sum of squares of the strictly upper entries.
 
-    Takes a ``SymMatrix`` or a dense square array; the sweep drivers call it
-    on their working arrays after every step.
+    Takes a ``SymMatrix`` or a dense square array.  For n <= 4 these are
+    the bits the sweep kernels report; for n >= 5 ``np.sum`` adds the
+    squares pairwise, the kernels one by one.
     """
     if isinstance(m, SymMatrix):
         dense = m.to_dense()
     else:
         dense = np.asarray(m, dtype=float)
-    iu = _triu_indices(dense.shape[0], 1)
-    return float(np.sqrt(np.sum(dense[iu] ** 2)))
+    n_off = dense.shape[0] * (dense.shape[0] - 1) // 2
+    rows, cols = _layout_indices(dense.shape[0])
+    return float(np.sqrt(np.sum(dense[rows[:n_off], cols[:n_off]] ** 2)))
 
 
 def rotation_for_pivot(m: SymMatrix, i: int, j: int) -> PlaneRotation:
@@ -250,28 +302,33 @@ def rotation_for_pivot(m: SymMatrix, i: int, j: int) -> PlaneRotation:
 
 
 def apply_two_sided(m: SymMatrix, rot: PlaneRotation) -> SymMatrix:
-    """Return R^T M R.  Symmetry and the Frobenius norm are preserved."""
+    """Return R^T M R.  Symmetry and the Frobenius norm are preserved.
+
+    The rotated pivot is c*(c*a_ij + s*a_jj) - s*(c*a_ii + s*a_ij), the
+    dense update's bits, so it is left at rounding level, not zeroed.
+    """
     _check_pivot(m.n, rot.i, rot.j)
-    dense = m.to_dense()
-    _apply_rotation(dense, rot.i - 1, rot.j - 1, rot.c, rot.s)
-    return SymMatrix(m.n, dense[_triu_indices(m.n, 0)])
+    c, s = rot.c, rot.s
+    plan = _pivot_plan(m.n, rot.i, rot.j)
+    e = _packed_entries(m)
+    aii, ajj, aij = e[plan[0]], e[plan[1]], e[plan[2]]
+    _plane_step(e, plan, c, s, -s)
+    e[plan[2]] = c * (c * aij + s * ajj) - s * (c * aii + s * aij)
+    return SymMatrix(m.n, e)
 
 
 def annihilate(m: SymMatrix, i: int, j: int) -> tuple[SymMatrix, PlaneRotation]:
     """One Jacobi step: rotate so the (i, j) entry becomes zero.
 
-    The pivot entry is stored as an exact zero (it is at rounding level after
-    the update anyway), so S^2 drops by exactly the squared pivot value up to
-    roundoff in the remaining entries.
+    The pivot entry is stored as +0.0 (it is at rounding level after the
+    update anyway), so S^2 drops by exactly the squared pivot value up to
+    roundoff in the remaining entries.  Every step is applied, even when
+    s = +-0, as both sweep kernels apply it.
     """
-    _check_pivot(m.n, i, j)
     rot = rotation_for_pivot(m, i, j)
-    dense = m.to_dense()
-    if not rot.is_identity:
-        _apply_rotation(dense, i - 1, j - 1, rot.c, rot.s)
-        dense[i - 1, j - 1] = 0.0
-        dense[j - 1, i - 1] = 0.0
-    return SymMatrix(m.n, dense[_triu_indices(m.n, 0)]), rot
+    e = _packed_entries(m)
+    _plane_step(e, _pivot_plan(m.n, i, j), rot.c, rot.s, -rot.s)
+    return SymMatrix(m.n, e), rot
 
 
 def parse_matrix(text: str, rtol: float = SYMMETRY_RTOL) -> SymMatrix:

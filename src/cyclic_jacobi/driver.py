@@ -9,14 +9,17 @@ S(A^[t+tau]) / S(A^[t]) promised by a classification record, and
 matrices.  ``cjacobi verify`` is that function plus an executor: its
 ``--jobs`` must be at least 1, and above 1 it passes a process pool's ``map``.
 
-Both kernels keep the n(n+1)/2 upper-triangle entries packed in one layout
-(``_packed_layout``): the strictly upper entries row by row, then the
+Both kernels keep the n(n+1)/2 upper-triangle entries packed in the layout
+of ``core._packed_layout``: the strictly upper entries row by row, then the
 diagonal.  ``batch_sweep`` holds them entry-major as numpy arrays, one row
 per entry; the single-matrix paths (``run_cycles``, ``run_parallel_cycle``
-and ``jjacobi.run_j_jacobi``) hold them as a list of Python floats and
-update them with ``_plane_step``, so a step makes no numpy call.  Every
-step performs the IEEE operations of the dense row-then-column update, in
-its order, so both give the bits the dense update gave.
+and ``jjacobi.run_j_jacobi``) hold them as a list of Python floats and share
+one sweep routine, ``_sweep``, which steps them with ``core._plane_step``,
+so a step makes no numpy call.  Both take the rotation of
+``core._rotation_params``, apply every step (storing the pivot as +0.0 even
+when s = +-0), perform the IEEE operations of the dense row-then-column
+update in its order, and sum S^2 in one order, so ``run_cycles`` and
+``batch_sweep`` give the same bits.
 
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
@@ -31,7 +34,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _rotation_params
+from .core import (
+    SymMatrix,
+    _layout_indices,
+    _packed_entries,
+    _pivot_plan,
+    _plane_step,
+    _rotation_params,
+)
 from .orderings import Pair, PivotOrdering
 # Unused here, but kept bound: perfbench/tracing.py wraps ``driver.relate`` by
 # name, and its traced runs fail without it.
@@ -135,110 +145,50 @@ def verify_cycle_monotonicity(report: SweepReport, rtol: float = MONOTONICITY_RT
 
 # --- scalar kernel ------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _packed_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """The (r, c) of every packed entry, and the packed position of every (r, c).
-
-    The strictly upper entries come first, row by row (the order S^2 sums
-    them in), then the diagonal.  Positions are symmetric: pos[r][c] ==
-    pos[c][r].
-    """
-    entries = [(r, c) for r in range(n) for c in range(r + 1, n)] + [(r, r) for r in range(n)]
-    pos = [[0] * n for _ in range(n)]
-    for k, (r, c) in enumerate(entries):
-        pos[r][c] = pos[c][r] = k
-    return tuple(entries), tuple(map(tuple, pos))
-
-
-@lru_cache(maxsize=None)
-def _triu_positions(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Packed positions in ``SymMatrix`` order (row-major upper triangle), and back."""
-    _, pos = _packed_layout(n)
-    to_sym = tuple(pos[r][c] for r in range(n) for c in range(r, n))
-    from_sym = [0] * len(to_sym)
-    for k, q in enumerate(to_sym):
-        from_sym[q] = k
-    return to_sym, tuple(from_sym)
-
-
-@lru_cache(maxsize=None)
-def _pivot_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """Packed positions of a_ii, a_jj and a_ij for the 1-based pivot (i, j),
-    and the (a_ki, a_kj) position pairs for every other k, in order of k."""
-    _, pos = _packed_layout(n)
-    i0, j0 = i - 1, j - 1
-    others = tuple((pos[k][i0], pos[k][j0]) for k in range(n) if k not in (i0, j0))
-    return pos[i0][i0], pos[j0][j0], pos[i0][j0], others
-
-
-def _packed_entries(a: SymMatrix) -> list[float]:
-    """The entries of ``a`` as Python floats in the packed layout."""
-    stored = a._packed.tolist()
-    return [stored[k] for k in _triu_positions(a.n)[1]]
-
-
-def _sym_from_packed(n: int, e: list[float]) -> SymMatrix:
-    """The ``SymMatrix`` whose packed-layout entries are ``e``."""
-    return SymMatrix(n, [e[k] for k in _triu_positions(n)[0]])
-
-
 def _off_norm_packed(e: list[float], n_off: int) -> float:
-    """S of the packed entries, with the bits of ``core.off_norm``.
+    """S of the packed entries, with the bits of ``batch_sweep``'s S^2.
 
-    ``np.sum`` adds fewer than eight terms one by one, and up to 128 (n <= 16
-    gives at most 120) in eight interleaved partial sums that it combines
-    pairwise before it adds the tail; this follows the same order.  Squares
-    are ``x * x``: float ``**`` raises where numpy gave inf.  Raises
-    ``ValueError`` when S^2 is not finite.
+    The squares of the strictly upper entries are added one by one, row by
+    row, as numpy reduces the rows of the batch kernel's (p, m) array; for
+    n <= 4 (fewer than eight terms) ``np.sum`` and so ``core.off_norm`` add
+    in that order too.  Squares are ``x * x``: float ``**`` raises where
+    numpy gave inf.  Raises ``ValueError`` when S^2 is not finite.
     """
-    if n_off < 8:
-        total = 0.0
-        for x in e[:n_off]:
-            total += x * x
-    else:
-        sq = [x * x for x in e[:n_off]]
-        r = sq[:8]
-        whole = n_off - n_off % 8
-        for k in range(8, whole, 8):
-            for m in range(8):
-                r[m] += sq[k + m]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in sq[whole:]:
-            total += x
+    total = 0.0
+    for x in e[:n_off]:
+        total += x * x
     if not math.isfinite(total):
         raise ValueError("S^2 is not finite: entries too large for float64 squares")
     return math.sqrt(total)
 
 
-def _plane_step(
-    e: list[float], plan: tuple[int, int, int, tuple[tuple[int, int], ...]],
-    c: float, s: float, t: float,
-) -> None:
-    """e <- F^T e F in place for the plane transformation F = [[c, t], [s, c]] at ``plan``.
+def _rotation_plan(ordering: PivotOrdering) -> list[tuple]:
+    """The ``_sweep`` plan of plain rotations, F = [[c, -s], [s, c]], over ``ordering``."""
+    n = ordering.n
+    return [(pair, _pivot_plan(n, *pair), _rotation_params, -1.0) for pair in ordering.pairs]
 
-    A rotation has t = -s, a hyperbolic transformation s = t = sinh.  Each
-    pair (a_ki, a_kj) becomes (c*a_ki + s*a_kj, c*a_kj + t*a_ki); a_ii and
-    a_jj are the second (column) stage of the dense row-then-column update,
-    taken from the row-updated a_ii, a_ij, a_ji and a_jj; the pivot is
-    stored as an exact zero.  With t = -s, t*u is -(s*u) exactly, and IEEE
-    addition commutes, so these are the dense update's bits.
+
+def _sweep(e: list[float], n_off: int, plan: list, s: float) -> list[tuple]:
+    """One sweep over the packed entries ``e`` in place, from off-norm ``s``.
+
+    ``plan`` holds per step its pivot pair, its ``_pivot_plan``, a function
+    of (a_ii, a_jj, a_ij) giving (c, s, angle), and the sign that makes
+    t = -s (a rotation) or t = s (a hyperbolic step) in F = [[c, t], [s, c]].
+    Every step is applied and its pivot stored as +0.0, even when s = +-0,
+    as in ``batch_sweep``; S is summed afresh after each.  Returns per step
+    (pair, a_ij before, c, s, t, angle, S before, S after).
     """
-    ii, jj, ij, others = plan
-    for p, q in others:
-        u = e[p]
-        v = e[q]
-        e[p] = c * u + s * v
-        e[q] = c * v + t * u
-    aii = e[ii]
-    ajj = e[jj]
-    aij = e[ij]
-    row_ii = c * aii + s * aij
-    row_ij = c * aij + s * ajj
-    row_ji = c * aij + t * aii
-    row_jj = c * ajj + t * aij
-    e[ii] = c * row_ii + s * row_ij
-    e[jj] = c * row_jj + t * row_ji
-    e[ij] = 0.0
+    records = []
+    for pair, pivot, params, t_sign in plan:
+        ii, jj, ij, _ = pivot
+        piv = e[ij]
+        c, sn, angle = params(e[ii], e[jj], piv)
+        t = t_sign * sn
+        _plane_step(e, pivot, c, sn, t)
+        s_new = _off_norm_packed(e, n_off)
+        records.append((pair, piv, c, sn, t, angle, s, s_new))
+        s = s_new
+    return records
 
 
 def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymMatrix, SweepReport]:
@@ -252,41 +202,20 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
         raise ValueError(f"matrix dimension {a.n} does not match ordering n={ordering.n}")
     if cycles < 0:
         raise ValueError("cycle count must be nonnegative")
-    n = a.n
-    n_off = n * (n - 1) // 2
+    n_off = a.n * (a.n - 1) // 2
     e = _packed_entries(a)
-    plan = [(pair, _pivot_plan(n, *pair)) for pair in ordering.pairs]
-    s = _off_norm_packed(e, n_off)
+    plan = _rotation_plan(ordering)
+    cycle_norms = [_off_norm_packed(e, n_off)]
     steps: list[StepRecord] = []
-    cycle_norms = [s]
-    executed = 0
     for _ in range(cycles):
-        if s < OFF_NORM_FLOOR:
+        if cycle_norms[-1] < OFF_NORM_FLOOR:
             break
-        for pair, pivot in plan:
-            ii, jj, ij, _ = pivot
-            piv = e[ij]
-            c, sn, phi = _rotation_params(e[ii], e[jj], piv)
-            if sn != 0.0:
-                _plane_step(e, pivot, c, sn, -sn)
-            s_new = _off_norm_packed(e, n_off)
-            steps.append(StepRecord((pair,), (piv,), (phi,), s, s_new))
-            s = s_new
-        executed += 1
-        cycle_norms.append(s)
-    final = _sym_from_packed(n, e)
-    return final, SweepReport(ordering, cycles, executed, steps, cycle_norms, final)
-
-
-def _commuting_groups(ordering: PivotOrdering) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    pairs = ordering.pairs
-    groups = []
-    for k in range(0, len(pairs), 2):
-        a, b = pairs[k], pairs[k + 1]
-        if set(a) & set(b):
-            raise NotParallelOrderingError(f"pairs {a} and {b} do not commute")
-        groups.append((a, b))
-    return groups
+        records = _sweep(e, n_off, plan, cycle_norms[-1])
+        steps += [StepRecord((pair,), (piv,), (phi,), s0, s1)
+                  for pair, piv, _, _, _, phi, s0, s1 in records]
+        cycle_norms.append(records[-1][7])
+    final = SymMatrix(a.n, e)
+    return final, SweepReport(ordering, cycles, len(cycle_norms) - 1, steps, cycle_norms, final)
 
 
 @lru_cache(maxsize=1)
@@ -305,11 +234,11 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     """One sweep executed as three simultaneous-rotation steps.
 
     The ordering must be a transposition-variant of one of the two parallel
-    anchors.  Both rotations of a group are computed from the same iterate,
-    then applied one after the other; their pivots are disjoint, so neither
-    touches an entry the other reads, and the final matrix is bitwise the
-    one sweep of ``run_cycles``.  S is measured once per group; ``ValueError``
-    when S^2 is not finite.
+    anchors, so each consecutive pair of its pivots is disjoint: neither
+    rotation of a group touches an entry the other reads, and computing both
+    from the same iterate gives bitwise the one sweep of ``run_cycles``,
+    which is how it runs.  S is reported once per group; ``ValueError`` when
+    S^2 is not finite.
     """
     if a.n != ordering.n or ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
@@ -317,21 +246,13 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
         raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
     e = _packed_entries(a)
     s = _off_norm_packed(e, 6)
-    steps: list[StepRecord] = []
-    cycle_norms = [s]
-    for group in _commuting_groups(ordering):
-        pivots = [_pivot_plan(4, *pair) for pair in group]
-        values = tuple(e[ij] for _, _, ij, _ in pivots)
-        params = [_rotation_params(e[ii], e[jj], e[ij]) for ii, jj, ij, _ in pivots]
-        for pivot, (c, sn, _) in zip(pivots, params):
-            if sn != 0.0:
-                _plane_step(e, pivot, c, sn, -sn)
-        s_new = _off_norm_packed(e, 6)
-        steps.append(StepRecord(group, values, tuple(phi for _, _, phi in params), s, s_new))
-        s = s_new
-    cycle_norms.append(s)
-    final = _sym_from_packed(4, e)
-    return final, SweepReport(ordering, 1, 1, steps, cycle_norms, final)
+    records = _sweep(e, 6, _rotation_plan(ordering), s)
+    steps = [
+        StepRecord((p[0], q[0]), (p[1], q[1]), (p[5], q[5]), p[6], q[7])
+        for p, q in zip(records[::2], records[1::2])
+    ]
+    final = SymMatrix(4, e)
+    return final, SweepReport(ordering, 1, 1, steps, [s, steps[-1].s_after], final)
 
 
 # --- batch kernel -------------------------------------------------------------
@@ -386,10 +307,7 @@ def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], floa
     mirrored = w2[::-1, ::-1]  # row r of w meets row 2n-1-r
     aii, aij, ajj = w[n - 2:n + 1]
     corners, pivot_rows = w[n - 2:n + 1:2], w[n - 1:n + 2:2]  # (U'_ii, V'_jj), (U'_ij, V'_ij)
-    diff, two_aij, tau, h, denom, sgn = np.empty((6, width))
-    # 1, t and -t over h = hypot(1, t) give c, s and -s in one division.
-    tangents, cs = np.ones((2, 3, width))
-    _, tt, neg_tt = tangents
+    rotations, cs = _batch_rotations(width)
     c, s_pair = cs[0], cs[1:]  # s for column i, -s for column j
     mixed = np.empty((2, n, width))
 
@@ -399,15 +317,7 @@ def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], floa
             # the plan's indices are in range, and mode="raise" would buffer ``out``
             e.take(gather, 0, out=w, mode="clip")
             pivots[k] = aij
-            np.subtract(aii, ajj, out=diff)
-            np.divide(diff, np.add(aij, aij, out=two_aij), out=tau)  # 2*aij exactly
-            np.add(np.abs(tau, out=denom), np.hypot(1.0, tau, out=h), out=denom)
-            np.divide(np.sign(tau, out=sgn), denom, out=tt)
-            # a zero pivot, a diagonal tie, or tau out of range
-            if np.count_nonzero(tt) < width or np.count_nonzero(aij) < width:
-                _fix_tangents(tt, tau, aij, diff)
-            np.negative(tt, out=neg_tt)
-            np.divide(tangents, np.hypot(1.0, tt, out=h), out=cs)
+            rotations(aii, ajj, aij)
             # c*U + s*V and c*V - s*U at once
             np.multiply(mirrored, s_pair[:, None, :], out=mixed)
             np.add(np.multiply(w2, c, out=w2), mixed, out=w2)
@@ -457,7 +367,7 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     m = a.shape[0]
     if m == 0:
         raise ValueError("need at least one matrix")
-    rows, cols = np.array(_packed_layout(n)[0]).T  # the (r, c) of every packed entry
+    rows, cols = _layout_indices(n)  # the (r, c) of every packed entry
     plan = _step_plan(n, ordering)
     n_off = n * (n - 1) // 2
 
@@ -499,21 +409,44 @@ def _check_finite_s2(s2: np.ndarray, cycle: int) -> None:
         )
 
 
-def _fix_tangents(tt: np.ndarray, tau: np.ndarray, aij: np.ndarray, diff: np.ndarray) -> None:
+def _batch_rotations(width: int) -> tuple[Callable[..., None], np.ndarray]:
+    """``_rotation_params`` across ``width`` pivots, with its bits, in work arrays made once.
+
+    Returns the function of the rows a_ii, a_jj and a_ij that writes c, s and
+    -s into the (3, width) array returned beside it.  Runs under the
+    caller's ``np.errstate``.
+    """
+    diff, two_aij, tau, h, denom, sgn = np.empty((6, width))
+    # 1, t and -t over h = sqrt(1 + t*t) give c, s and -s in one division.
+    tangents, cs = np.ones((2, 3, width))
+    _, tt, neg_tt = tangents
+
+    def sqrt_1_plus_sq(x: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.add(np.multiply(x, x, out=h), 1.0, out=h), out=h)
+
+    def rotations(aii: np.ndarray, ajj: np.ndarray, aij: np.ndarray) -> None:
+        np.subtract(aii, ajj, out=diff)
+        np.divide(diff, np.add(aij, aij, out=two_aij), out=tau)  # 2*aij exactly
+        np.add(np.abs(tau, out=denom), sqrt_1_plus_sq(tau), out=denom)
+        np.divide(np.copysign(1.0, tau, out=sgn), denom, out=tt)
+        # a zero pivot, or tau*tau out of range
+        if np.count_nonzero(tt) < width or np.count_nonzero(aij) < width:
+            _fix_tangents(tt, aij, diff)
+        np.negative(tt, out=neg_tt)
+        np.divide(tangents, sqrt_1_plus_sq(tt), out=cs)
+
+    return rotations, cs
+
+
+def _fix_tangents(tt: np.ndarray, aij: np.ndarray, diff: np.ndarray) -> None:
     """Set tan(phi) in place where the closed form gave 0 or NaN, as ``_rotation_params`` does.
 
-    A zero pivot gives 0 and a diagonal tie sign(a_ij).  Where tau
-    underflowed to 0, t is sign(tau), a quarter turn.  Where it overflowed
-    (a subnormal pivot, or |tau| near the top of the range), t is
-    a_ij / (a_ii - a_jj).  Runs under the caller's ``np.errstate``.
+    A zero pivot gives 0.  Where tau*tau overflowed (a subnormal pivot, or
+    |tau| above about 1.3e154), t is a_ij / (a_ii - a_jj).
     """
-    zero = aij == 0.0
-    tt[zero] = 0.0
-    if np.count_nonzero(tt) + np.count_nonzero(zero) < tt.size:  # a tie, or tau out of range
-        limit = np.where(np.abs(tau) > 1.0, aij / diff, np.copysign(1.0, tau))
-        fixed = np.where(tt == 0.0, limit, tt)
-        fixed = np.where(diff == 0.0, np.sign(aij), fixed)
-        tt[:] = np.where(zero, 0.0, fixed)
+    overflowed = tt == 0.0
+    tt[overflowed] = aij[overflowed] / diff[overflowed]
+    tt[aij == 0.0] = 0.0
 
 
 # --- bound checks -------------------------------------------------------------

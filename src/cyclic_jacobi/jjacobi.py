@@ -7,9 +7,10 @@ tanh(2*theta) = -2 a_ij / (a_ii + a_jj) annihilating the pivot.  For
 symmetric positive definite A the hyperbolic parameter magnitude stays
 below one automatically.
 
-``run_j_jacobi`` keeps A in the packed layout of ``driver`` (strictly upper
+``run_j_jacobi`` keeps A in the packed layout of ``core`` (strictly upper
 entries row by row, then the diagonal) as a list of Python floats, and
-applies both kinds of step with ``driver._plane_step``: a rotation as
+sweeps it with ``driver._sweep``, the routine behind ``run_cycles``, which
+applies both kinds of step with ``core._plane_step``: a rotation as
 F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
 The accumulated transform is kept column by column, also as Python floats,
 so a step makes no numpy call.
@@ -28,8 +29,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _rotation_params
-from .driver import _off_norm_packed, _packed_entries, _pivot_plan, _plane_step, _sym_from_packed
+from .core import SymMatrix, _packed_entries, _pivot_plan, _rotation_params
+from .driver import _off_norm_packed, _sweep
 from .orderings import PivotOrdering
 
 __all__ = [
@@ -230,9 +231,11 @@ def run_j_jacobi(
     initial_norm = a.frobenius()
     threshold = tol * initial_norm
     transform = [[float(r == k) for r in range(n)] for k in range(n)]  # F, column by column
+    hyperbolic = [signs[i - 1] != signs[j - 1] for i, j in ordering.pairs]
     plan = [
-        (pair, _pivot_plan(n, *pair), signs[pair[0] - 1] != signs[pair[1] - 1])
-        for pair in ordering.pairs
+        (pair, _pivot_plan(n, *pair), _hyperbolic_params, 1.0) if hyp
+        else (pair, _pivot_plan(n, *pair), _rotation_params, -1.0)
+        for pair, hyp in zip(ordering.pairs, hyperbolic)
     ]
     steps: list[JJacobiStep] = []
     envelope: list[float] = []
@@ -241,32 +244,23 @@ def run_j_jacobi(
     cycles = 0
     while cycles < max_cycles and not certified:
         max_tanh = 0.0
-        s = cycle_norms[-1]
-        for pair, pivot, hyperbolic in plan:
-            ii, jj, ij, _ = pivot
-            piv = e[ij]
-            if hyperbolic:
-                c, sn, angle = _hyperbolic_params(e[ii], e[jj], piv)
-                t, kind, th = sn, "hyperbolic", abs(math.tanh(angle))
-                max_tanh = max(max_tanh, th)
-            else:
-                c, sn, angle = _rotation_params(e[ii], e[jj], piv)
-                t, kind, th = -sn, "trigonometric", 0.0
-            if sn != 0.0:
-                _plane_step(e, pivot, c, sn, t)
-                i0, j0 = pair[0] - 1, pair[1] - 1
-                ti, tj = transform[i0], transform[j0]
-                transform[i0] = [c * x + sn * y for x, y in zip(ti, tj)]
-                transform[j0] = [c * y + t * x for x, y in zip(ti, tj)]
-            s_new = _off_norm_packed(e, n_off)
+        for hyp, (pair, piv, c, sn, t, angle, s, s_new) in zip(
+            hyperbolic, _sweep(e, n_off, plan, cycle_norms[-1])
+        ):
+            th = abs(math.tanh(angle)) if hyp else 0.0
+            max_tanh = max(max_tanh, th)
+            i0, j0 = pair[0] - 1, pair[1] - 1
+            ti, tj = transform[i0], transform[j0]
+            transform[i0] = [c * x + sn * y for x, y in zip(ti, tj)]
+            transform[j0] = [c * y + t * x for x, y in zip(ti, tj)]
+            kind = "hyperbolic" if hyp else "trigonometric"
             steps.append(JJacobiStep(pair, kind, piv, angle, th, s, s_new))
-            s = s_new
         cycles += 1
-        cycle_norms.append(s)
+        cycle_norms.append(s_new)
         envelope.append(max_tanh)
         if converged:
             certified = True  # the extra sweep from the converged state ran
-        elif s <= threshold:
+        elif s_new <= threshold:
             converged = True
             if cycles >= max_cycles:
                 certified = True  # no room for the certifying sweep
@@ -275,7 +269,7 @@ def run_j_jacobi(
         converged, cycles, initial_norm, _covered(signs),
     )
     f = np.ascontiguousarray(np.array(transform).T)
-    return JJacobiResult(_sym_from_packed(n, e), f, report)
+    return JJacobiResult(SymMatrix(n, e), f, report)
 
 
 def solve_factored(

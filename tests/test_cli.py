@@ -40,7 +40,7 @@ VERIFY_C0 = [
     "verify", "--seed", "201", "--samples", "20", "--orderings", "c0", "--bound", "both",
 ]
 # sha256 of the stdout of VERIFY_C0: header and 240 rows.
-VERIFY_C0_SHA256 = "49d27842efcf3d818934bbd74c9e5244418204fc5b4a777b313d282a4b6cd7f2"
+VERIFY_C0_SHA256 = "af210e7291bc6a9a51f38c32fcdc5f9432971d1c2b0e1c1e677505d0ec64815f"
 
 # An unsorted ordering list with a blank line and a duplicate.
 PAR = "1 2, 3 4, 1 3, 2 4, 1 4, 2 3"
@@ -49,7 +49,7 @@ PAR2 = "1 4, 2 3, 1 3, 2 4, 1 2, 3 4"
 VERIFY_LISTING = f"{PAR}\n{COLUMN}\n\n{PAR}\n{PAR2}\n"
 # sha256 of the lines after the header comment (which names the list file) of
 # `verify --seed 201 --samples 20 --orderings list FILE --bound both`.
-VERIFY_LIST_ROWS_SHA256 = "0a63f3205178ce2d51925b63bb7c4d1dc6b66fa40da7f71ed685c2a9453223b9"
+VERIFY_LIST_ROWS_SHA256 = "5495e0eebff4ccdf60ca011af13ca5419b5110f99e300b8d94d6d33f1b582419"
 
 
 class TestClassifyCommand:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +24,18 @@ SUBNORMAL = 2.0**-1074
 
 def signed(lo, hi):
     return st.builds(lambda x, neg: -x if neg else x, st.floats(lo, hi), st.booleans())
+
+
+# symmetric, with every entry a small multiple of the subnormal spacing
+ALL_SUBNORMAL = SUBNORMAL * np.array([
+    [3.0, -7.0, 11.0, 2.0],
+    [-7.0, 5.0, -1.0, 13.0],
+    [11.0, -1.0, -9.0, 4.0],
+    [2.0, 13.0, 4.0, 6.0],
+])
+# every entry 1.70965869e-203 but a_22 = 0: the squares underflow to 0
+TINY_UNIFORM = np.full((4, 4), 1.70965869e-203)
+TINY_UNIFORM[1, 1] = 0.0
 
 
 # subnormal, moderate and huge magnitudes, each in either sign
@@ -190,6 +202,7 @@ class TestApplyTwoSided:
 
     @given(symmetric_matrices())
     @settings(max_examples=50)
+    @example(SymMatrix.from_dense(TINY_UNIFORM))  # rotated pivot -7.08e-220, rounding level
     def test_pivot_annihilated(self, m):
         rot = rotation_for_pivot(m, 2, 4)
         out = apply_two_sided(m, rot)
@@ -197,10 +210,12 @@ class TestApplyTwoSided:
 
     @given(symmetric_matrices(), st.floats(min_value=-math.pi / 4, max_value=math.pi / 4))
     @settings(max_examples=50)
+    @example(SymMatrix.from_dense(ALL_SUBNORMAL), 0.3)
     def test_frobenius_preserved(self, m, phi):
         rot = PlaneRotation(1, 3, math.cos(phi), math.sin(phi), phi)
         out = apply_two_sided(m, rot)
-        assert out.frobenius() == pytest.approx(m.frobenius(), rel=1e-13)
+        # a rotated entry is rounded to the subnormal spacing, where it can lose every bit
+        assert out.frobenius() == pytest.approx(m.frobenius(), rel=1e-13, abs=8 * SUBNORMAL)
 
     @given(symmetric_matrices())
     @settings(max_examples=50)

@@ -58,8 +58,8 @@ ORACLE_STEP_NORMS = [
 
 
 # sha256 of every output of batch_sweep on the inputs of batch_sweep_digest(),
-# recorded with the dense (m, n, n) kernel that the packed kernel replaced.
-BATCH_SWEEP_DIGEST = "f62cc6124214ffd381e1e90441af5d4442245c8409bc3b99e7fb404af1f87e30"
+# recorded when both kernels moved to the IEEE-only tangent (sqrt, not hypot).
+BATCH_SWEEP_DIGEST = "1452d60263f1623669605696f3a8508015bd4f8fd475fdd57e83287c727d0aa9"
 
 EPS = np.finfo(float).eps
 SUBNORMAL = 2.0**-1074
@@ -277,6 +277,7 @@ class TestBatchSweep:
             return
         final = batch_sweep(np.array([dense]), make_ordering([(1, 2)]), 1).finals[0]
         stepped, rot = annihilate(SymMatrix.from_dense(dense), 1, 2)
+        assert final.tobytes() == stepped.to_dense().tobytes()
         assert final[0, 1] == final[1, 0] == 0.0
         scale = max(abs(aii), abs(ajj), abs(pivot))
         assert np.allclose(

@@ -8,10 +8,11 @@ import pytest
 
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, anchor_variants, catalog
 from cyclic_jacobi.cli import main
-from cyclic_jacobi.core import SymMatrix, format_matrix
+from cyclic_jacobi.core import SymMatrix, _rotation_params, format_matrix
 from cyclic_jacobi.driver import (
     IDENTITY_RTOL,
     MONOTONICITY_RTOL,
+    _batch_rotations,
     batch_sweep,
     default_rng,
     random_spd_factor,
@@ -31,9 +32,10 @@ SUBNORMAL = 2.0**-1074
 SIGN_PATTERNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, 1, 1, 1), (1, -1, -1, -1))
 
 # sha256 of every output of run_cycles, run_j_jacobi and solve_factored on the
-# inputs of scalar_path_digest(), recorded with the dense numpy step that the
-# scalar packed kernel replaced.
-SCALAR_PATH_DIGEST = "2c22eeeb958a9ce2dc0b7319d828e8c6bb8d4a6e0434310e23039a507fb14c10"
+# inputs of scalar_path_digest(), recorded when both kernels moved to the
+# IEEE-only tangent (sqrt, not hypot) and to applying every step, and the
+# scalar S^2 to the batch kernel's summation order (n >= 5).
+SCALAR_PATH_DIGEST = "263821392b4b36a812854244e609f82bcfb7d64233d87e4658d83fb9b5dde8cd"
 
 
 def _row_major(n):
@@ -45,10 +47,10 @@ def scalar_path_digest():
 
     run_cycles: all 720 n=4 orderings on a seeded batch; matrices scaled to
     1e-200, 1e-140 and 1e150; diagonal ties; pinned zero pivots; a subnormal
-    pivot; n=3 and n=5 runs (the n=5 off-norm has ten terms, so numpy sums
-    it pairwise).  run_j_jacobi and solve_factored: four sign patterns over
-    a spread of orderings, the 1e-160 and subnormal hyperbolic pivots, and
-    n=3 and n=5 runs with mixed signs.
+    pivot; n=3 and n=5 runs (the n=5 off-norm has ten terms, which
+    ``np.sum`` would add pairwise).  run_j_jacobi and solve_factored: four
+    sign patterns over a spread of orderings, the 1e-160 and subnormal
+    hyperbolic pivots, and n=3 and n=5 runs with mixed signs.
     """
     digest = hashlib.sha256()
 
@@ -129,6 +131,70 @@ def scalar_path_digest():
 
 def test_outputs_match_recorded_digest():
     assert scalar_path_digest() == SCALAR_PATH_DIGEST
+
+
+# A pivot of -5e-324 whose tangent a_ij / (a_ii - a_jj) underflows to -0.0,
+# met mid-sweep on the seed-4242 batch: both kernels must still apply the
+# step and store the pivot as +0.0.
+UNDERFLOWING_TANGENT = (1.8541314313513022, -1.4409759882020718, -5e-324)
+
+# (a_ii, a_jj, a_ij) at the edges of the tangent formula.
+TANGENT_CASES = [
+    (1.0, 2.0, 0.0), (2.0, 1.0, -0.0), (0.5, 0.5, 0.0), (0.5, 0.5, -0.0),  # zero pivots
+    (0.5, 0.5, 1.0), (0.5, 0.5, -1.0), (-0.0, 0.0, 0.25), (0.0, -0.0, -0.25),  # diagonal ties
+    (5e-324, 0.0, 1.0), (0.0, 5e-324, -1.0),  # tau = +-5e-324 / 2 underflows
+    # tau*tau overflows
+    (1.0, 0.0, 1e-155), (1e10, 0.0, -1e-150), (1e300, 0.0, 1e-5), (-1.7e308, 0.0, 0.85),
+    (1.0, 0.0, 1e-310), (0.0, 1.0, -SUBNORMAL), (2.0, -1.0, SUBNORMAL),  # subnormal pivots
+    UNDERFLOWING_TANGENT,
+]
+
+
+class TestTangentSpecification:
+    """The batch kernel's c and s are bitwise those of ``core._rotation_params``."""
+
+    def test_batch_rotations_match_rotation_params(self):
+        rng = default_rng(5150)
+        moderate = rng.uniform(-1.0, 1.0, size=(500, 3))
+        spread = moderate * 10.0 ** rng.integers(-320, 300, size=(500, 3))
+        cases = np.concatenate([np.array(TANGENT_CASES), moderate, spread])
+        rotations, cs = _batch_rotations(len(cases))
+        aii, ajj, aij = cases.T.copy()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rotations(aii, ajj, aij)
+        for k, case in enumerate(cases.tolist()):
+            c, s, _ = _rotation_params(*case)
+            assert np.array([c, s, -s]).tobytes() == cs[:, k].tobytes(), case
+
+
+class TestScalarEqualsBatch:
+    """``run_cycles`` and ``batch_sweep`` share one tangent formula and one step rule."""
+
+    def test_all_720_orderings_bitwise(self):
+        rng = default_rng(4242)
+        plain = random_symmetric_batch(rng, 8)
+        special = random_symmetric_batch(rng, 6)
+        special[0, range(4), range(4)] = 0.5  # diagonal ties
+        special[1, 0, 1] = special[1, 1, 0] = special[1, 2, 3] = special[1, 3, 2] = 0.0
+        special[2, 0, 1] = special[2, 1, 0] = SUBNORMAL
+        special[3, 0, 0], special[3, 3, 3], special[3, 0, 3] = UNDERFLOWING_TANGENT
+        special[3, 3, 0] = special[3, 0, 3]
+        special[4] *= 1e-150
+        special[5] *= 1e150
+        mats = np.concatenate([plain, special])
+        complete = stopped = 0
+        for ordering in enumerate_orderings(4):
+            sweep = batch_sweep(mats, ordering, 6)
+            for k, dense in enumerate(mats):
+                final, report = run_cycles(SymMatrix.from_dense(dense), ordering, 6)
+                norms = np.array(report.cycle_off_norms)
+                assert norms.tobytes() == sweep.off_norms[:norms.size, k].tobytes(), (ordering, k)
+                if report.cycles_executed == 6:
+                    complete += 1
+                    assert final.to_dense().tobytes() == sweep.finals[k].tobytes(), (ordering, k)
+                else:  # stopped at OFF_NORM_FLOOR; the batch kernel sweeps on
+                    stopped += 1
+        assert complete > 0 and stopped > 0
 
 
 class TestNonFiniteOffNorm:
@@ -264,5 +330,12 @@ class TestDimensions:
             alone = batch_sweep(dense[None], ordering, 12)
             assert sweep.off_norms[:, k].tobytes() == alone.off_norms[:, 0].tobytes()
             assert sweep.finals[k].tobytes() == alone.finals[0].tobytes()
+            # run_cycles stops at OFF_NORM_FLOOR: its norms are a prefix, its
+            # final matrix that of the batch swept as many cycles
+            final, report = run_cycles(SymMatrix.from_dense(dense), ordering, 12)
+            norms = np.array(report.cycle_off_norms)
+            assert norms.tobytes() == sweep.off_norms[:norms.size, k].tobytes()
+            short = batch_sweep(mats, ordering, report.cycles_executed)
+            assert final.to_dense().tobytes() == short.finals[k].tobytes()
         assert sweep.identity_violation <= IDENTITY_RTOL
         assert sweep.monotonicity_excess <= MONOTONICITY_RTOL

@@ -197,6 +197,10 @@ class Bound:
     gamma_sq: Optional[Fraction] = None  # exact square when available
 
 
+# Every cyclic ordering's bound, and the only one the parallel class has.
+UNIVERSAL_BOUND = Bound(PARALLEL_GAMMA, 3, 1)
+
+
 @dataclass(frozen=True)
 class ClassificationRecord:
     ordering: PivotOrdering
@@ -264,8 +268,7 @@ def _parallel_record(o: PivotOrdering, dist, parent) -> Optional[ClassificationR
                 f"parallel chain for {o} needs {len(shifts)} shifts; expected at most one"
             )
         shift_length = shifts[0].length if shifts else 0
-        bound = Bound(PARALLEL_GAMMA, 3, 1)
-        return ClassificationRecord(o, Parallel(anchor, shift_length), cert, bound)
+        return ClassificationRecord(o, Parallel(anchor, shift_length), cert, UNIVERSAL_BOUND)
     return None
 
 

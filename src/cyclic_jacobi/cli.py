@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import format_matrix, read_matrix_file
+from .core import _parse_square, format_matrix, read_matrix_file
 from .orderings import PivotOrdering, enumerate_orderings, format_certificate, parse_ordering
 from .classification import (
     GeneralizedSerial,
@@ -166,12 +166,7 @@ def _load_factor(text: str, n: int) -> np.ndarray:
     if text == "identity":
         return np.eye(n)
     with open(text, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    values = [float(t) for t in tokens]
-    size = int(round(len(values) ** 0.5))
-    if size * size != len(values):
-        raise ValueError(f"factor file must hold n*n values, got {len(values)}")
-    return np.array(values).reshape(size, size)
+        return _parse_square(fh.read())  # a factor need not be symmetric
 
 
 def cmd_jsolve(args) -> int:

@@ -7,9 +7,11 @@ convention used throughout the package.  Dense arrays returned by
 ``_rotation_params`` specifies the rotation every kernel applies, in IEEE
 operations only.  The packed layout (``_packed_layout``: the strictly upper
 entries row by row, then the diagonal), in which ``SymMatrix`` stores its
-entries, the per-pivot positions (``_pivot_plan``) and the one plane step
-(``_plane_step``) live here too: ``apply_two_sided`` and ``annihilate`` step
-through them, as do the sweep kernels in ``driver`` and ``jjacobi``.
+entries, the per-pivot positions (``_pivot_plan``), the one plane step
+(``_plane_step``), the scalar sweep (``_sweep``) of ``run_cycles``,
+``run_parallel_cycle`` and ``run_j_jacobi``, and the one scalar sum of S^2
+(``_off_norm_packed``), behind it and ``off_norm``, live here too; the
+vectorized batch kernel is ``driver.batch_sweep``.
 
 Everything here is a pure function over immutable values; no locking is
 needed for concurrent use.
@@ -273,6 +275,43 @@ def _plane_step(
     e[ij] = 0.0
 
 
+def _off_norm_packed(e: list[float], n_off: int) -> float:
+    """S of the packed entries ``e``, adding the squares of the first ``n_off``
+    (the strictly upper entries) one by one, in the order in which
+    ``driver.batch_sweep`` reduces its rows.  Squares are ``x * x`` over
+    Python floats.  Raises ``ValueError`` when S^2 is not finite.
+    """
+    total = 0.0
+    for x in e[:n_off]:
+        total += x * x
+    if not math.isfinite(total):
+        raise ValueError("S^2 is not finite: entries too large for float64 squares")
+    return math.sqrt(total)
+
+
+def _sweep(e: list[float], n_off: int, plan: list, s: float) -> list[tuple]:
+    """One sweep over the packed entries ``e`` in place, from off-norm ``s``.
+
+    ``plan`` holds per step its pivot pair, its ``_pivot_plan``, a function
+    of (a_ii, a_jj, a_ij) giving (c, s, angle), and the sign that makes
+    t = -s (a rotation) or t = s (a hyperbolic step) in F = [[c, t], [s, c]].
+    Every step is applied and its pivot stored as +0.0, even when s = +-0,
+    as in ``driver.batch_sweep``; S is summed afresh after each.  Returns
+    per step (pair, a_ij before, c, s, t, angle, S before, S after).
+    """
+    records = []
+    for pair, pivot, params, t_sign in plan:
+        ii, jj, ij, _ = pivot
+        piv = e[ij]
+        c, sn, angle = params(e[ii], e[jj], piv)
+        t = t_sign * sn
+        _plane_step(e, pivot, c, sn, t)
+        s_new = _off_norm_packed(e, n_off)
+        records.append((pair, piv, c, sn, t, angle, s, s_new))
+        s = s_new
+    return records
+
+
 def _check_pivot(n: int, i: int, j: int) -> None:
     if not (1 <= i < j <= n):
         raise IndexError(f"pivot ({i}, {j}) out of range for n={n}")
@@ -281,17 +320,16 @@ def _check_pivot(n: int, i: int, j: int) -> None:
 def off_norm(m) -> float:
     """Square root of the sum of squares of the strictly upper entries.
 
-    Takes a ``SymMatrix`` or a dense square array.  For n <= 4 these are
-    the bits the sweep kernels report; for n >= 5 ``np.sum`` adds the
-    squares pairwise, the kernels one by one.
+    Takes a ``SymMatrix`` or a dense square array, and gives the bits the
+    sweep kernels report.  Raises ``ValueError`` when S^2 is not finite.
     """
     if isinstance(m, SymMatrix):
-        dense = m.to_dense()
+        n, packed = m.n, m._packed
     else:
         dense = np.asarray(m, dtype=float)
-    n_off = dense.shape[0] * (dense.shape[0] - 1) // 2
-    rows, cols = _layout_indices(dense.shape[0])
-    return float(np.sqrt(np.sum(dense[rows[:n_off], cols[:n_off]] ** 2)))
+        n = dense.shape[0]
+        packed = dense[_layout_indices(n)]
+    return _off_norm_packed(packed.tolist(), n * (n - 1) // 2)
 
 
 def rotation_for_pivot(m: SymMatrix, i: int, j: int) -> PlaneRotation:
@@ -331,8 +369,8 @@ def annihilate(m: SymMatrix, i: int, j: int) -> tuple[SymMatrix, PlaneRotation]:
     return SymMatrix(m.n, e), rot
 
 
-def parse_matrix(text: str, rtol: float = SYMMETRY_RTOL) -> SymMatrix:
-    """Parse a whitespace-separated row-major full symmetric matrix."""
+def _parse_square(text: str) -> np.ndarray:
+    """The n-by-n array of a whitespace-separated row-major matrix text."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty matrix text")
@@ -343,7 +381,12 @@ def parse_matrix(text: str, rtol: float = SYMMETRY_RTOL) -> SymMatrix:
     n = math.isqrt(len(values))
     if n * n != len(values):
         raise ValueError(f"expected n*n values, got {len(values)}")
-    return SymMatrix.from_dense(np.array(values).reshape(n, n), rtol=rtol)
+    return np.array(values).reshape(n, n)
+
+
+def parse_matrix(text: str, rtol: float = SYMMETRY_RTOL) -> SymMatrix:
+    """Parse a whitespace-separated row-major full symmetric matrix."""
+    return SymMatrix.from_dense(_parse_square(text), rtol=rtol)
 
 
 def format_matrix(m: SymMatrix) -> str:

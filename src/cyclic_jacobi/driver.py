@@ -14,12 +14,13 @@ of ``core._packed_layout``: the strictly upper entries row by row, then the
 diagonal.  ``batch_sweep`` holds them entry-major as numpy arrays, one row
 per entry; the single-matrix paths (``run_cycles``, ``run_parallel_cycle``
 and ``jjacobi.run_j_jacobi``) hold them as a list of Python floats and share
-one sweep routine, ``_sweep``, which steps them with ``core._plane_step``,
-so a step makes no numpy call.  Both take the rotation of
+one sweep routine, ``core._sweep``, which steps them with
+``core._plane_step`` and sums S^2 with ``core._off_norm_packed``, so a step
+makes no numpy call.  Both take the rotation of
 ``core._rotation_params``, apply every step (storing the pivot as +0.0 even
 when s = +-0), perform the IEEE operations of the dense row-then-column
-update in its order, and sum S^2 in one order, so ``run_cycles`` and
-``batch_sweep`` give the same bits.
+update in its order, and sum S^2 in one order, so ``run_cycles``,
+``batch_sweep`` and ``core.off_norm`` give the same bits.
 
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
@@ -39,8 +40,9 @@ from .core import (
     _layout_indices,
     _packed_entries,
     _pivot_plan,
-    _plane_step,
     _rotation_params,
+    _sweep,
+    off_norm,
 )
 from .orderings import Pair, PivotOrdering
 # Unused here, but kept bound: perfbench/tracing.py wraps ``driver.relate`` by
@@ -51,6 +53,7 @@ from .classification import (
     ClassificationRecord,
     PAR_ANCHOR,
     PAR_ANCHOR_MIRROR,
+    UNIVERSAL_BOUND,
     Parallel,
     anchor_variants,
     classify,
@@ -88,8 +91,6 @@ IDENTITY_RTOL = 1e-13     # S^2 decrement identity, relative to S^2 before the s
 MONOTONICITY_RTOL = 1e-14  # growth of S across a cycle, relative
 OFF_NORM_FLOOR = 1e-300   # stop sweeping below this off-norm (denormal churn)
 RNG_ALGORITHM = "numpy-PCG64"
-
-UNIVERSAL_BOUND = Bound(1.0 - 1e-5, 3, 1)
 
 
 class NotParallelOrderingError(ValueError):
@@ -145,50 +146,10 @@ def verify_cycle_monotonicity(report: SweepReport, rtol: float = MONOTONICITY_RT
 
 # --- scalar kernel ------------------------------------------------------------
 
-def _off_norm_packed(e: list[float], n_off: int) -> float:
-    """S of the packed entries, with the bits of ``batch_sweep``'s S^2.
-
-    The squares of the strictly upper entries are added one by one, row by
-    row, as numpy reduces the rows of the batch kernel's (p, m) array; for
-    n <= 4 (fewer than eight terms) ``np.sum`` and so ``core.off_norm`` add
-    in that order too.  Squares are ``x * x``: float ``**`` raises where
-    numpy gave inf.  Raises ``ValueError`` when S^2 is not finite.
-    """
-    total = 0.0
-    for x in e[:n_off]:
-        total += x * x
-    if not math.isfinite(total):
-        raise ValueError("S^2 is not finite: entries too large for float64 squares")
-    return math.sqrt(total)
-
-
 def _rotation_plan(ordering: PivotOrdering) -> list[tuple]:
     """The ``_sweep`` plan of plain rotations, F = [[c, -s], [s, c]], over ``ordering``."""
     n = ordering.n
     return [(pair, _pivot_plan(n, *pair), _rotation_params, -1.0) for pair in ordering.pairs]
-
-
-def _sweep(e: list[float], n_off: int, plan: list, s: float) -> list[tuple]:
-    """One sweep over the packed entries ``e`` in place, from off-norm ``s``.
-
-    ``plan`` holds per step its pivot pair, its ``_pivot_plan``, a function
-    of (a_ii, a_jj, a_ij) giving (c, s, angle), and the sign that makes
-    t = -s (a rotation) or t = s (a hyperbolic step) in F = [[c, t], [s, c]].
-    Every step is applied and its pivot stored as +0.0, even when s = +-0,
-    as in ``batch_sweep``; S is summed afresh after each.  Returns per step
-    (pair, a_ij before, c, s, t, angle, S before, S after).
-    """
-    records = []
-    for pair, pivot, params, t_sign in plan:
-        ii, jj, ij, _ = pivot
-        piv = e[ij]
-        c, sn, angle = params(e[ii], e[jj], piv)
-        t = t_sign * sn
-        _plane_step(e, pivot, c, sn, t)
-        s_new = _off_norm_packed(e, n_off)
-        records.append((pair, piv, c, sn, t, angle, s, s_new))
-        s = s_new
-    return records
 
 
 def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymMatrix, SweepReport]:
@@ -205,7 +166,7 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     n_off = a.n * (a.n - 1) // 2
     e = _packed_entries(a)
     plan = _rotation_plan(ordering)
-    cycle_norms = [_off_norm_packed(e, n_off)]
+    cycle_norms = [off_norm(a)]
     steps: list[StepRecord] = []
     for _ in range(cycles):
         if cycle_norms[-1] < OFF_NORM_FLOOR:
@@ -245,7 +206,7 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     if ordering.pairs not in _parallel_variant_pairs():
         raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
     e = _packed_entries(a)
-    s = _off_norm_packed(e, 6)
+    s = off_norm(a)
     records = _sweep(e, 6, _rotation_plan(ordering), s)
     steps = [
         StepRecord((p[0], q[0]), (p[1], q[1]), (p[5], q[5]), p[6], q[7])
@@ -599,7 +560,6 @@ def verification_campaign(
     samples: int,
     orderings: Sequence[PivotOrdering],
     modes: tuple[str, ...] = ("classified", "universal"),
-    zero_pairs: Iterable[tuple[int, int]] = (),
     map_fn: Callable = map,
 ) -> CampaignReport:
     """Check contraction bounds for every ordering over a seeded matrix batch.
@@ -614,7 +574,7 @@ def verification_campaign(
     if not orderings:
         raise ValueError("need at least one ordering")
     rng = default_rng(seed)
-    mats = random_symmetric_batch(rng, samples, n=4, zero_pairs=zero_pairs)
+    mats = random_symmetric_batch(rng, samples, n=4)
     cells: list[CampaignCell] = []
     identity_violation = 0.0
     monotonicity_excess = -np.inf

@@ -9,7 +9,7 @@ below one automatically.
 
 ``run_j_jacobi`` keeps A in the packed layout of ``core`` (strictly upper
 entries row by row, then the diagonal) as a list of Python floats, and
-sweeps it with ``driver._sweep``, the routine behind ``run_cycles``, which
+sweeps it with ``core._sweep``, the routine behind ``run_cycles``, which
 applies both kinds of step with ``core._plane_step``: a rotation as
 F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
 The accumulated transform is kept column by column, also as Python floats,
@@ -29,8 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _packed_entries, _pivot_plan, _rotation_params
-from .driver import _off_norm_packed, _sweep
+from .core import SymMatrix, _packed_entries, _pivot_plan, _rotation_params, _sweep, off_norm
 from .orderings import PivotOrdering
 
 __all__ = [
@@ -227,7 +226,7 @@ def run_j_jacobi(
     n = a.n
     n_off = n * (n - 1) // 2
     e = _packed_entries(a)
-    cycle_norms = [_off_norm_packed(e, n_off)]  # raises before the norm below can overflow
+    cycle_norms = [off_norm(a)]  # raises before the norm below can overflow
     initial_norm = a.frobenius()
     threshold = tol * initial_norm
     transform = [[float(r == k) for r in range(n)] for k in range(n)]  # F, column by column
@@ -262,8 +261,6 @@ def run_j_jacobi(
             certified = True  # the extra sweep from the converged state ran
         elif s_new <= threshold:
             converged = True
-            if cycles >= max_cycles:
-                certified = True  # no room for the certifying sweep
     report = JJacobiReport(
         ordering, signs, steps, cycle_norms, envelope,
         converged, cycles, initial_norm, _covered(signs),

@@ -1,17 +1,20 @@
-"""The names the benchmark's tracer wraps, and the campaign call it times, still exist.
+"""The names the benchmark's tracer wraps, and the names its session calls, still exist.
 
 ``perfbench/tracing.py`` replaces module-level names of ``cyclic_jacobi`` by
-name, and the verify-all workload times ``driver.campaign_cells_for_ordering``.
-A refactor that renames either fails here rather than in a benchmark run.
+name, and ``perfbench/session.py`` calls ``driver``, ``jjacobi``,
+``classification`` and ``cli`` attributes in its workloads.  A refactor that
+renames or moves one fails here rather than in a benchmark run.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 from cyclic_jacobi import classification, cli, driver, jjacobi
 from cyclic_jacobi.orderings import enumerate_orderings
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = (cli, driver, classification, jjacobi)
 
 
@@ -44,3 +47,18 @@ def test_tracer_installs_and_meters_one_ordering_campaign(monkeypatch):
     assert layers["driver.batch_sweep"]["calls"] == 1
     assert layers["classification.classify"]["calls"] >= 1
     assert tracer.counts["batch_sweep.matrix_steps"] == 5 * 8 * 6
+
+
+def test_session_references_existing_names():
+    tree = ast.parse((PERFBENCH / "session.py").read_text(encoding="utf-8"))
+    modules = {m.__name__.rpartition(".")[2]: m for m in MODULES}
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {module for module, _ in used} == set(modules)
+    missing = sorted(f"{module}.{attr}" for module, attr in used if not hasattr(modules[module], attr))
+    assert missing == []

@@ -185,6 +185,17 @@ class TestJsolveCommand:
         assert payload["monitor"]["cascade_ok"] is True
         assert payload["residual_norms"] if "residual_norms" in payload else True
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty matrix text"), ("1 0 x 1\n", "bad matrix literal: could not convert")],
+    )
+    def test_bad_factor_file_is_input_error(self, tmp_path, capsys, text, message):
+        factor = tmp_path / "factor.txt"
+        factor.write_text(text)
+        code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1"])
+        assert code == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
     def test_breakdown_is_numeric_error(self, tmp_path):
         bad = tmp_path / "indefinite.txt"
         bad.write_text("1 2\n2 1\n")

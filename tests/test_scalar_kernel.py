@@ -8,7 +8,7 @@ import pytest
 
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, anchor_variants, catalog
 from cyclic_jacobi.cli import main
-from cyclic_jacobi.core import SymMatrix, _rotation_params, format_matrix
+from cyclic_jacobi.core import SymMatrix, _rotation_params, format_matrix, off_norm
 from cyclic_jacobi.driver import (
     IDENTITY_RTOL,
     MONOTONICITY_RTOL,
@@ -206,6 +206,11 @@ class TestNonFiniteOffNorm:
         with pytest.raises(ValueError, match="S\\^2 is not finite"):
             run_cycles(self.huge(), COLUMN, 3)
 
+    def test_off_norm_rejects_overflowing_s2(self):
+        for m in (self.huge(), self.huge().to_dense()):
+            with pytest.raises(ValueError, match="S\\^2 is not finite"):
+                off_norm(m)
+
     def test_run_j_jacobi_rejects_overflowing_s2(self):
         with pytest.raises(ValueError, match="S\\^2 is not finite"):
             run_j_jacobi(self.huge(), (1, 1, 1, 1), COLUMN)
@@ -314,6 +319,19 @@ class TestDimensions:
             gap = abs(st.s_after**2 - expected) / max(st.s_before**2, 1e-300)
             assert gap <= IDENTITY_RTOL
         verify_cycle_monotonicity(report)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_off_norm_has_the_kernels_bits(self, n):
+        # for n >= 5 a pairwise sum (np.sum) differs in the last bits on some of these
+        mats = random_symmetric_batch(default_rng(600 + n), 64, n=n)
+        ordering = _row_major(n)
+        sweep = batch_sweep(mats, ordering, 1)
+        for k, dense in enumerate(mats):
+            m = SymMatrix.from_dense(dense)
+            final, report = run_cycles(m, ordering, 1)
+            s0, s1 = report.cycle_off_norms
+            got = np.array([off_norm(m), off_norm(dense), off_norm(final)]).tobytes()
+            assert got == np.array([s0, s0, s1]).tobytes() == sweep.off_norms[[0, 0, 1], k].tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_batch_sweep_diagonalizes_each_matrix_as_alone(self, n):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -32,6 +33,13 @@ from cyclic_jacobi.orderings import (
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, catalog
 
 ENTRY = {e.index: e.ordering for e in catalog()}
+
+# sha256 of format_certificate(relate(o, b, moves)), or "None\n" when the two
+# are unrelated, over all 720 orderings o, the targets b = PAR_ANCHOR and
+# catalog entry 13, and the move sets {transpose}, {transpose, shift} and
+# {transpose, shift, permute}; recorded while relate kept its own candidate
+# list, before it shared one minimal-shift search with classify.
+RELATE_DIGEST = "e2bc6fb20d7e2977e65ac65e652ab07d4ef568c4e8f47fd6e3a7d1a70f136963"
 
 orderings4 = st.permutations(all_pairs(4)).map(lambda p: PivotOrdering(4, tuple(p)))
 permutations4 = st.permutations((1, 2, 3, 4)).map(tuple)
@@ -272,6 +280,17 @@ class TestRelate:
             rep = PivotOrdering(4, rep_pairs)
             for pairs in component:
                 assert relate(rep, PivotOrdering(4, pairs), {"transpose"}) is not None
+
+
+    def test_certificates_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        move_sets = ({"transpose"}, {"transpose", "shift"}, {"transpose", "shift", "permute"})
+        for o in enumerate_orderings(4):
+            for b in (PAR_ANCHOR, ENTRY[13]):
+                for moves in move_sets:
+                    cert = relate(o, b, moves)
+                    digest.update((format_certificate(cert) if cert else "None\n").encode())
+        assert digest.hexdigest() == RELATE_DIGEST
 
 
 class TestCertificates:

@@ -37,9 +37,10 @@ from .orderings import (
     PivotOrdering,
     Shift,
     Transpose,
+    _nearest,
     _relabel,
-    _steps_to,
     _weak_search,
+    identity_permutation,
     invert,
     make_certificate,
     make_ordering,
@@ -257,19 +258,18 @@ def _empty_certificate(o: PivotOrdering) -> Certificate:
 
 
 def _parallel_record(o: PivotOrdering, dist, parent) -> Optional[ClassificationRecord]:
-    for anchor in (PAR_ANCHOR, PAR_ANCHOR_MIRROR):
-        if anchor.pairs not in dist:
-            continue
-        steps = _steps_to(parent, o.pairs, anchor.pairs)
-        cert = make_certificate(o, steps)
-        shifts = [s for s in steps if isinstance(s, Shift)]
-        if len(shifts) > 1:
-            raise ClassificationError(
-                f"parallel chain for {o} needs {len(shifts)} shifts; expected at most one"
-            )
-        shift_length = shifts[0].length if shifts else 0
-        return ClassificationRecord(o, Parallel(anchor, shift_length), cert, UNIVERSAL_BOUND)
-    return None
+    anchors = (PAR_ANCHOR, PAR_ANCHOR_MIRROR)
+    targets = {a.pairs: (k, identity_permutation(4), a) for k, a in enumerate(anchors)}
+    hit = _nearest(o, dist, parent, targets)
+    if hit is None:
+        return None
+    d, (_, _, anchor), steps = hit
+    if d > 1:
+        raise ClassificationError(f"parallel chain for {o} needs {d} shifts; expected at most one")
+    shift_length = next((s.length for s in steps if isinstance(s, Shift)), 0)
+    return ClassificationRecord(
+        o, Parallel(anchor, shift_length), make_certificate(o, steps), UNIVERSAL_BOUND
+    )
 
 
 @lru_cache(maxsize=None)
@@ -289,17 +289,9 @@ def classify(o: PivotOrdering) -> ClassificationRecord:
         return ClassificationRecord(o, SerialPerm(variant), _empty_certificate(o), bound)
 
     dist, parent = _weak_search(o, frozenset((TRANSPOSE, SHIFT)))
-    index = _relabeled_serial_index()
-    candidates = [
-        (d, *index[pairs], pairs)
-        for pairs, d in dist.items()
-        if pairs in index
-    ]
-    if candidates:
-        d, _, q, target, pre = min(candidates, key=lambda c: (c[0], c[1], c[4]))
-        steps = _steps_to(parent, o.pairs, pre)
-        if q != tuple(range(1, 5)):
-            steps.append(Permute(tuple(q)))
+    hit = _nearest(o, dist, parent, _relabeled_serial_index())
+    if hit is not None:
+        d, (_, _, target), steps = hit
         cert = make_certificate(o, steps)
         if cert.target != target or member_serial_perm(cert.target) is None:
             raise ClassificationError(f"chain for {o} does not reach a serial template")

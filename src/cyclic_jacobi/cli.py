@@ -48,8 +48,6 @@ from .driver import (
 from .jjacobi import (
     ConvergenceError,
     HyperbolicBreakdownError,
-    IllConditionedError,
-    MonitorInapplicableError,
     monitor_proof_bounds,
     run_j_jacobi,
     sign_diagonal,
@@ -118,12 +116,7 @@ def cmd_classify(args) -> int:
         lines += ["all chains replay and classify consistently" if report.ok else "catalog verification FAILED"]
         _write_text(args.out, "\n".join(lines) + "\n")
         return EXIT_OK if report.ok else EXIT_VIOLATION
-    if args.all:
-        orderings = list(enumerate_orderings(4))
-    elif args.ordering is not None:
-        orderings = [parse_ordering(args.ordering)]
-    else:
-        raise ValueError("classify needs one of --all, --ordering, --catalog")
+    orderings = list(enumerate_orderings(4)) if args.all else [parse_ordering(args.ordering)]
     if args.format == "json":
         _write_json(args.out, [_classification_json(o) for o in orderings])
     else:
@@ -319,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify orderings and verify the built-in catalog")
-    p.add_argument("--all", action="store_true", help="classify all 720 orderings")
-    p.add_argument("--ordering", help='one ordering, e.g. "1 2, 1 3, 2 3, 1 4, 2 4, 3 4"')
-    p.add_argument("--catalog", action="store_true", help="replay all 120 catalog chains")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--all", action="store_true", help="classify all 720 orderings")
+    group.add_argument("--ordering", help='one ordering, e.g. "1 2, 1 3, 2 3, 1 4, 2 4, 3 4"')
+    group.add_argument("--catalog", action="store_true", help="replay all 120 catalog chains")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_classify)
@@ -372,7 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (HyperbolicBreakdownError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MonitorInapplicableError, IllConditionedError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

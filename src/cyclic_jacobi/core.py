@@ -320,16 +320,13 @@ def _check_pivot(n: int, i: int, j: int) -> None:
 def off_norm(m) -> float:
     """Square root of the sum of squares of the strictly upper entries.
 
-    Takes a ``SymMatrix`` or a dense square array, and gives the bits the
-    sweep kernels report.  Raises ``ValueError`` when S^2 is not finite.
+    Takes a ``SymMatrix`` or a dense array, which ``SymMatrix.from_dense``
+    reads (so it must be square, symmetric and finite), and gives the bits
+    the sweep kernels report.  Raises ``ValueError`` when S^2 is not finite.
     """
-    if isinstance(m, SymMatrix):
-        n, packed = m.n, m._packed
-    else:
-        dense = np.asarray(m, dtype=float)
-        n = dense.shape[0]
-        packed = dense[_layout_indices(n)]
-    return _off_norm_packed(packed.tolist(), n * (n - 1) // 2)
+    if not isinstance(m, SymMatrix):
+        m = SymMatrix.from_dense(m)
+    return _off_norm_packed(_packed_entries(m), m.n * (m.n - 1) // 2)
 
 
 def rotation_for_pivot(m: SymMatrix, i: int, j: int) -> PlaneRotation:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,18 +44,15 @@ from .core import (
     _sweep,
     off_norm,
 )
-from .orderings import Pair, PivotOrdering
+from .orderings import PivotOrdering
 # Unused here, but kept bound: perfbench/tracing.py wraps ``driver.relate`` by
 # name, and its traced runs fail without it.
 from .orderings import relate  # noqa: F401
 from .classification import (
     Bound,
     ClassificationRecord,
-    PAR_ANCHOR,
-    PAR_ANCHOR_MIRROR,
     UNIVERSAL_BOUND,
     Parallel,
-    anchor_variants,
     classify,
     label_text,
 )
@@ -120,7 +117,6 @@ class SweepReport:
     cycles_executed: int
     steps: list[StepRecord]
     cycle_off_norms: list[float]  # S at every cycle boundary, starting at t=0
-    final: SymMatrix
 
 
 def verify_step_identities(report: SweepReport, rtol: float = IDENTITY_RTOL) -> float:
@@ -175,35 +171,25 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
         steps += [StepRecord((pair,), (piv,), (phi,), s0, s1)
                   for pair, piv, _, _, _, phi, s0, s1 in records]
         cycle_norms.append(records[-1][7])
-    final = SymMatrix(a.n, e)
-    return final, SweepReport(ordering, cycles, len(cycle_norms) - 1, steps, cycle_norms, final)
-
-
-@lru_cache(maxsize=1)
-def _parallel_variant_pairs() -> frozenset[tuple[Pair, ...]]:
-    """Pair tuples of the 16 transposition-variants of the two parallel anchors.
-
-    Transpositions are self-inverse, so an ordering reaches an anchor by
-    transpositions exactly when it is one of the anchor's variants.
-    """
-    return frozenset(
-        o.pairs for anchor in (PAR_ANCHOR, PAR_ANCHOR_MIRROR) for o in anchor_variants(anchor)
-    )
+    report = SweepReport(ordering, cycles, len(cycle_norms) - 1, steps, cycle_norms)
+    return SymMatrix(a.n, e), report
 
 
 def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix, SweepReport]:
     """One sweep executed as three simultaneous-rotation steps.
 
     The ordering must be a transposition-variant of one of the two parallel
-    anchors, so each consecutive pair of its pivots is disjoint: neither
-    rotation of a group touches an entry the other reads, and computing both
-    from the same iterate gives bitwise the one sweep of ``run_cycles``,
-    which is how it runs.  S is reported once per group; ``ValueError`` when
-    S^2 is not finite.
+    anchors: ``classify`` labels it ``Parallel`` with shift length 0, which
+    holds for exactly those 16 orderings.  Then each consecutive pair of its
+    pivots is disjoint: neither rotation of a group touches an entry the
+    other reads, and computing both from the same iterate gives bitwise the
+    one sweep of ``run_cycles``, which is how it runs.  S is reported once
+    per group; ``ValueError`` when S^2 is not finite.
     """
     if a.n != ordering.n or ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
-    if ordering.pairs not in _parallel_variant_pairs():
+    label = classify(ordering).label
+    if not (isinstance(label, Parallel) and label.shift_length == 0):
         raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
     e = _packed_entries(a)
     s = off_norm(a)
@@ -212,8 +198,7 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
         StepRecord((p[0], q[0]), (p[1], q[1]), (p[5], q[5]), p[6], q[7])
         for p, q in zip(records[::2], records[1::2])
     ]
-    final = SymMatrix(4, e)
-    return final, SweepReport(ordering, 1, 1, steps, [s, steps[-1].s_after], final)
+    return SymMatrix(4, e), SweepReport(ordering, 1, 1, steps, [s, steps[-1].s_after])
 
 
 # --- batch kernel -------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _packed_entries, _pivot_plan, _rotation_params, _sweep, off_norm
+from .core import SymMatrix, _check_pivot, _packed_entries, _pivot_plan, _rotation_params, _sweep, off_norm
 from .orderings import PivotOrdering
 
 __all__ = [
@@ -158,8 +158,7 @@ def j_rotation_for_pivot(a: SymMatrix, signs: Sequence[int], i: int, j: int) -> 
     signs = sign_diagonal(signs)
     if len(signs) != a.n:
         raise ValueError(f"sign diagonal length {len(signs)} does not match n={a.n}")
-    if not (1 <= i < j <= a.n):
-        raise IndexError(f"pivot ({i}, {j}) out of range for n={a.n}")
+    _check_pivot(a.n, i, j)
     aii, ajj, aij = a.entry(i, i), a.entry(j, j), a.entry(i, j)
     if signs[i - 1] == signs[j - 1]:
         c, s, phi = _rotation_params(aii, ajj, aij)

@@ -345,6 +345,27 @@ def _steps_to(parent, start_pairs, end_pairs) -> list[Step]:
     return steps
 
 
+def _nearest(start: PivotOrdering, dist, parent, targets):
+    """The chain of a ``_weak_search`` from ``start`` to its nearest target.
+
+    ``targets`` maps a pair tuple X to (rank, q, ...), where q relabels X
+    into the ordering sought.  The hit with the fewest shifts wins, then
+    the smallest rank, then the smallest pair tuple.  Returns (shift count,
+    the hit's ``targets`` value, steps), the steps ending in Permute(q)
+    unless q is the identity, or None when no target is reached.
+    """
+    hits = [(d, targets[pairs][0], pairs) for pairs, d in dist.items() if pairs in targets]
+    if not hits:
+        return None
+    d, _, pairs = min(hits)
+    value = targets[pairs]
+    steps = _steps_to(parent, start.pairs, pairs)
+    q = value[1]
+    if q != identity_permutation(start.n):
+        steps.append(Permute(tuple(q)))
+    return d, value, steps
+
+
 def relate(a: PivotOrdering, b: PivotOrdering, moves) -> Optional[Certificate]:
     """Search for a chain from ``a`` to ``b`` over the chosen move set.
 
@@ -352,7 +373,10 @@ def relate(a: PivotOrdering, b: PivotOrdering, moves) -> Optional[Certificate]:
     the orderings are not related.  With permutation moves enabled, a single
     Permute step is placed at the end of the chain; relabeling commutes with
     transposes and shifts, so this shape loses no generality and keeps the
-    minimal shift count.
+    minimal shift count.  The chain is the one ``_nearest`` picks, the
+    search and tie-break that ``classification.classify`` uses too: among
+    equally short chains, the relabeling that comes first in lexicographic
+    order (the identity before any other).
     """
     move_set = _normalize_moves(moves)
     if a.n != b.n:
@@ -360,23 +384,17 @@ def relate(a: PivotOrdering, b: PivotOrdering, moves) -> Optional[Certificate]:
     if a.n > ENUMERATION_LIMIT:
         raise ValueError(f"relation search too large for n={a.n}")
     dist, parent = _weak_search(a, move_set - {PERMUTE})
-    candidates: list[tuple[int, int, tuple[int, ...], tuple[Pair, ...]]] = []
     if PERMUTE in move_set:
-        perms = sorted(itertools.permutations(range(1, a.n + 1)))
-        for k, q in enumerate(perms):
-            pre = _relabel(b.pairs, invert(q))
-            if pre in dist:
-                candidates.append((dist[pre], k, q, pre))
+        relabelings = sorted(itertools.permutations(range(1, a.n + 1)))
     else:
-        if b.pairs in dist:
-            q = identity_permutation(a.n)
-            candidates.append((dist[b.pairs], 0, q, b.pairs))
-    if not candidates:
+        relabelings = [identity_permutation(a.n)]
+    targets: dict[tuple[Pair, ...], tuple[int, tuple[int, ...]]] = {}
+    for k, q in enumerate(relabelings):
+        targets.setdefault(_relabel(b.pairs, invert(q)), (k, q))
+    hit = _nearest(a, dist, parent, targets)
+    if hit is None:
         return None
-    d, _, q, pre = min(candidates)
-    steps = _steps_to(parent, a.pairs, pre)
-    if q != identity_permutation(a.n):
-        steps.append(Permute(tuple(q)))
+    d, _, steps = hit
     return Certificate(a, tuple(steps), b, d)
 
 

@@ -2,12 +2,15 @@
 
 ``perfbench/tracing.py`` replaces module-level names of ``cyclic_jacobi`` by
 name, and ``perfbench/session.py`` calls ``driver``, ``jjacobi``,
-``classification`` and ``cli`` attributes in its workloads.  A refactor that
-renames or moves one fails here rather than in a benchmark run.
+``classification`` and ``cli`` attributes in its workloads; each direct
+``module.attr(...)`` call there must also bind to the callee's signature
+(its positional count and keyword names).  A refactor that renames or moves
+one fails here rather than in a benchmark run.
 """
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 from cyclic_jacobi import classification, cli, driver, jjacobi
@@ -62,3 +65,25 @@ def test_session_references_existing_names():
     assert {module for module, _ in used} == set(modules)
     missing = sorted(f"{module}.{attr}" for module, attr in used if not hasattr(modules[module], attr))
     assert missing == []
+    # every direct call binds to its callee's signature, so a renamed keyword
+    # or a dropped parameter fails here too
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in modules
+    ]
+    assert calls
+    unbound = []
+    for node in calls:
+        name = f"{node.func.value.id}.{node.func.attr}"
+        assert not any(isinstance(a, ast.Starred) for a in node.args), name
+        assert all(k.arg is not None for k in node.keywords), name
+        fn = getattr(modules[node.func.value.id], node.func.attr)
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: None for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {name}: {exc}")
+    assert unbound == []

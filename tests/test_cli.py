@@ -110,6 +110,18 @@ class TestClassifyCommand:
         assert payload[0]["label"] == "Parallel(par, shift=2)"
         assert payload[0]["certificate"][0].startswith("source:")
 
+    @pytest.mark.parametrize(
+        "modes, message",
+        [
+            ([], "one of the arguments --all --ordering --catalog is required"),
+            (["--all", "--catalog"], "argument --catalog: not allowed with argument --all"),
+            (["--catalog", "--ordering", "1 2, 1 3, 2 3, 1 4, 2 4, 3 4"], "not allowed with"),
+        ],
+    )
+    def test_needs_exactly_one_mode(self, modes, message, capsys):
+        assert main(["classify", *modes]) == 2
+        assert message in capsys.readouterr().err
+
     def test_duplicate_pair_is_input_error(self, capsys):
         code = main(["classify", "--ordering", "1 2, 1 2, 2 3, 1 4, 2 4, 3 4"])
         assert code == 2

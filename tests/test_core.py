@@ -101,6 +101,17 @@ class TestOffNorm:
     def test_two_by_two(self):
         assert off_norm(SymMatrix.from_dense([[1.0, 2.0], [2.0, 3.0]])) == 2.0
 
+    def test_dense_argument_must_be_square_and_symmetric(self):
+        for bad in (np.ones((2, 3)), [[1.0, 2.0], [5.0, 1.0]], np.ones(4)):
+            with pytest.raises(ValueError):
+                off_norm(bad)
+
+    def test_dense_argument_must_be_finite(self):
+        dense = np.eye(3)
+        dense[0, 2] = dense[2, 0] = np.nan
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            off_norm(dense)
+
     @given(symmetric_matrices())
     def test_zero_iff_diagonal(self, m):
         dense = m.to_dense()

@@ -14,9 +14,15 @@ falls into exactly one of three families:
   contract S by 1 - 1e-5 from the second cycle on.
 
 ``classify`` assigns the strongest licensed bound, with a replayable
-certificate.  ``catalog`` embeds the reference table of the 120 orderings
-that start at pivot (1, 2) together with their recorded reduction chains;
-``verify_catalog`` replays every chain and cross-checks the classifier.
+certificate.  Its chains come from ``orderings._nearest``, the one
+minimal-shift search and tie-break that ``orderings.relate`` uses too: the
+nearest relabeled serial template for the generalized serial class, the
+nearer anchor for the parallel class.  ``driver.run_parallel_cycle`` asks
+``classify`` whether an ordering is a transposition-variant of an anchor
+(``Parallel`` with shift length 0).  ``catalog`` embeds the reference table
+of the 120 orderings that start at pivot (1, 2) together with their recorded
+reduction chains; ``verify_catalog`` replays every chain and cross-checks
+the classifier.
 """
 
 from __future__ import annotations
@@ -33,15 +39,12 @@ from .orderings import (
     TRANSPOSE,
     Certificate,
     Permute,
-    Pair,
     PivotOrdering,
     Shift,
     Transpose,
     _nearest,
-    _relabel,
+    _relabeled_targets,
     _weak_search,
-    identity_permutation,
-    invert,
     make_certificate,
     make_ordering,
     replay,
@@ -238,29 +241,14 @@ def serial_perm_orderings() -> tuple[PivotOrdering, ...]:
 
 
 @lru_cache(maxsize=1)
-def _relabeled_serial_index() -> dict[tuple[Pair, ...], tuple[int, tuple[int, ...], PivotOrdering]]:
-    """Map an ordering to a relabeling q placing it in a serial template.
-
-    Keys are pair tuples X for which permute(X, q) is serial; the identity
-    relabeling is preferred, then the smallest q in lexicographic order.
-    """
-    index: dict[tuple[Pair, ...], tuple[int, tuple[int, ...], PivotOrdering]] = {}
-    perms = sorted(itertools.permutations(range(1, 5)))
-    for k, q in enumerate(perms):
-        q_inv = invert(q)
-        for target in serial_perm_orderings():
-            index.setdefault(_relabel(target.pairs, q_inv), (k, q, target))
-    return index
-
-
-def _empty_certificate(o: PivotOrdering) -> Certificate:
-    return Certificate(o, (), o, 0)
+def _relabeled_serial_index():
+    """The ``_nearest`` targets of the serial orderings under every relabeling."""
+    return _relabeled_targets(serial_perm_orderings(), True)
 
 
 def _parallel_record(o: PivotOrdering, dist, parent) -> Optional[ClassificationRecord]:
-    anchors = (PAR_ANCHOR, PAR_ANCHOR_MIRROR)
-    targets = {a.pairs: (k, identity_permutation(4), a) for k, a in enumerate(anchors)}
-    hit = _nearest(o, dist, parent, targets)
+    # the anchors are not weakly equivalent, so at most one is reached
+    hit = _nearest(o, dist, parent, _relabeled_targets((PAR_ANCHOR, PAR_ANCHOR_MIRROR), False))
     if hit is None:
         return None
     d, (_, _, anchor), steps = hit
@@ -286,7 +274,7 @@ def classify(o: PivotOrdering) -> ClassificationRecord:
     variant = member_serial_perm(o)
     if variant is not None:
         bound = Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
-        return ClassificationRecord(o, SerialPerm(variant), _empty_certificate(o), bound)
+        return ClassificationRecord(o, SerialPerm(variant), Certificate(o, (), o, 0), bound)
 
     dist, parent = _weak_search(o, frozenset((TRANSPOSE, SHIFT)))
     hit = _nearest(o, dist, parent, _relabeled_serial_index())

@@ -112,7 +112,8 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
         scale = float(np.max(np.abs(a))) if a.size else 0.0
-        gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: rejected as not finite
+            gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
         if gap > rtol * max(scale, 1e-300):
             raise ValueError(
                 f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "

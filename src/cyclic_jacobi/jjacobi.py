@@ -29,7 +29,15 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import SymMatrix, _check_pivot, _packed_entries, _pivot_plan, _rotation_params, _sweep, off_norm
+from .core import (
+    SymMatrix,
+    _check_pivot,
+    _packed_entries,
+    _pivot_plan,
+    _rotation_params,
+    _sweep,
+    off_norm,
+)
 from .orderings import PivotOrdering
 
 __all__ = [

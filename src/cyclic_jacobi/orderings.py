@@ -345,14 +345,32 @@ def _steps_to(parent, start_pairs, end_pairs) -> list[Step]:
     return steps
 
 
+def _relabeled_targets(
+    orderings: Sequence[PivotOrdering], relabel: bool
+) -> dict[tuple[Pair, ...], tuple[int, tuple[int, ...], PivotOrdering]]:
+    """The ``_nearest`` targets for reaching any of ``orderings``: each pair
+    tuple X that a relabeling q turns into one of them maps to (rank of q,
+    q, that ordering).  q is the identity, or with ``relabel`` every
+    permutation in lexicographic order; the first q and ordering giving X win.
+    """
+    n = orderings[0].n
+    relabelings = itertools.permutations(range(1, n + 1)) if relabel else [identity_permutation(n)]
+    targets: dict[tuple[Pair, ...], tuple[int, tuple[int, ...], PivotOrdering]] = {}
+    for k, q in enumerate(relabelings):
+        q_inv = invert(q)
+        for o in orderings:
+            targets.setdefault(_relabel(o.pairs, q_inv), (k, q, o))
+    return targets
+
+
 def _nearest(start: PivotOrdering, dist, parent, targets):
     """The chain of a ``_weak_search`` from ``start`` to its nearest target.
 
-    ``targets`` maps a pair tuple X to (rank, q, ...), where q relabels X
-    into the ordering sought.  The hit with the fewest shifts wins, then
-    the smallest rank, then the smallest pair tuple.  Returns (shift count,
-    the hit's ``targets`` value, steps), the steps ending in Permute(q)
-    unless q is the identity, or None when no target is reached.
+    ``targets`` is a map of ``_relabeled_targets``.  The hit with the fewest
+    shifts wins, then the smallest rank, then the smallest pair tuple.
+    Returns (shift count, the hit's ``targets`` value, steps), the steps
+    ending in Permute(q) unless q is the identity, or None when no target
+    is reached.
     """
     hits = [(d, targets[pairs][0], pairs) for pairs, d in dist.items() if pairs in targets]
     if not hits:
@@ -362,7 +380,7 @@ def _nearest(start: PivotOrdering, dist, parent, targets):
     steps = _steps_to(parent, start.pairs, pairs)
     q = value[1]
     if q != identity_permutation(start.n):
-        steps.append(Permute(tuple(q)))
+        steps.append(Permute(q))
     return d, value, steps
 
 
@@ -384,14 +402,7 @@ def relate(a: PivotOrdering, b: PivotOrdering, moves) -> Optional[Certificate]:
     if a.n > ENUMERATION_LIMIT:
         raise ValueError(f"relation search too large for n={a.n}")
     dist, parent = _weak_search(a, move_set - {PERMUTE})
-    if PERMUTE in move_set:
-        relabelings = sorted(itertools.permutations(range(1, a.n + 1)))
-    else:
-        relabelings = [identity_permutation(a.n)]
-    targets: dict[tuple[Pair, ...], tuple[int, tuple[int, ...]]] = {}
-    for k, q in enumerate(relabelings):
-        targets.setdefault(_relabel(b.pairs, invert(q)), (k, q))
-    hit = _nearest(a, dist, parent, targets)
+    hit = _nearest(a, dist, parent, _relabeled_targets((b,), PERMUTE in move_set))
     if hit is None:
         return None
     d, _, steps = hit

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,11 +107,14 @@ class TestOffNorm:
             with pytest.raises(ValueError):
                 off_norm(bad)
 
-    def test_dense_argument_must_be_finite(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dense_argument_must_be_finite(self, bad):
         dense = np.eye(3)
-        dense[0, 2] = dense[2, 0] = np.nan
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            off_norm(dense)
+        dense[0, 2] = dense[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected, not warned about
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                off_norm(dense)
 
     @given(symmetric_matrices())
     def test_zero_iff_diagonal(self, m):

@@ -110,6 +110,8 @@ PARALLEL_GAMMA = 1.0 - 1e-5
 
 PAR_ANCHOR = make_ordering([(1, 3), (2, 4), (1, 4), (2, 3), (1, 2), (3, 4)])
 PAR_ANCHOR_MIRROR = make_ordering([(1, 4), (2, 3), (1, 3), (2, 4), (1, 2), (3, 4)])
+# the anchors are not weakly equivalent, so a search reaches at most one
+_ANCHOR_TARGETS = _relabeled_targets((PAR_ANCHOR, PAR_ANCHOR_MIRROR), False)
 
 
 # --- membership templates ---------------------------------------------------
@@ -247,8 +249,7 @@ def _relabeled_serial_index():
 
 
 def _parallel_record(o: PivotOrdering, dist, parent) -> Optional[ClassificationRecord]:
-    # the anchors are not weakly equivalent, so at most one is reached
-    hit = _nearest(o, dist, parent, _relabeled_targets((PAR_ANCHOR, PAR_ANCHOR_MIRROR), False))
+    hit = _nearest(o, dist, parent, _ANCHOR_TARGETS)
     if hit is None:
         return None
     d, (_, _, anchor), steps = hit

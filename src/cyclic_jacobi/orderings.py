@@ -372,7 +372,7 @@ def _nearest(start: PivotOrdering, dist, parent, targets):
     ending in Permute(q) unless q is the identity, or None when no target
     is reached.
     """
-    hits = [(d, targets[pairs][0], pairs) for pairs, d in dist.items() if pairs in targets]
+    hits = [(dist[pairs], targets[pairs][0], pairs) for pairs in dist.keys() & targets.keys()]
     if not hits:
         return None
     d, _, pairs = min(hits)

@@ -233,21 +233,16 @@ def _step_plan(n: int, ordering: PivotOrdering) -> list[tuple[np.ndarray, int]]:
     ]
 
 
-def _paired(keep: np.ndarray) -> np.ndarray:
-    # numpy sums a lone column's S^2 terms pairwise, wider arrays' row by row: never step one alone
-    return keep.repeat(2) if keep.size == 1 else keep
-
-
 def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], float], np.ndarray]:
     """A sweep of ``plan`` over the packed entries ``e`` in place, its work arrays and views made
     once, returning its worst decrement-identity deviation; and its S^2 rows, before and after
-    each step.  The last row holds S^2 now, first that of ``e``."""
+    each step, which a sweep fills at its end."""
     n_off = n * (n - 1) // 2
     width = e.shape[1]
+    # the off-diagonal rows before and after each step; squared at the end of the sweep
+    offs = np.empty((len(plan) + 1, n_off, width))
     s2 = np.empty((len(plan) + 1, width))
-    np.add.reduce(np.square(e[:n_off]), axis=0, out=s2[-1])
-    pivots = np.empty((len(plan), width))
-    sq = np.empty((n_off, width))
+    pivots = (np.arange(len(plan)), np.array([pij for _, pij in plan]))  # offs[pivots]: each pivot
     w = np.empty((2 * n, width))  # column i, then column j mirrored
     w2 = w.reshape(2, n, width)
     mirrored = w2[::-1, ::-1]  # row r of w meets row 2n-1-r
@@ -255,25 +250,28 @@ def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], floa
     corners, pivot_rows = w[n - 2:n + 1:2], w[n - 1:n + 2:2]  # (U'_ii, V'_jj), (U'_ij, V'_ij)
     rotations, cs = _batch_rotations(width)
     c, s_pair = cs[0], cs[1:]  # s for column i, -s for column j
+    s_cols = s_pair[:, None, :]
     mixed = np.empty((2, n, width))
+    e_off = e[:n_off]
+    steps = [(gather, e[pij], offs[k]) for k, (gather, pij) in enumerate(plan, 1)]
 
     def sweep() -> float:
-        s2[0] = s2[-1]
-        for k, (gather, pij) in enumerate(plan):
+        offs[0] = e_off
+        for gather, pivot, after in steps:
             # the plan's indices are in range, and mode="raise" would buffer ``out``
             e.take(gather, 0, out=w, mode="clip")
-            pivots[k] = aij
             rotations(aii, ajj, aij)
             # c*U + s*V and c*V - s*U at once
-            np.multiply(mirrored, s_pair[:, None, :], out=mixed)
+            np.multiply(mirrored, s_cols, out=mixed)
             np.add(np.multiply(w2, c, out=w2), mixed, out=w2)
             # a_ii = c*U'_ii + s*U'_ij; a_jj = c*V'_jj - s*V'_ij; the pivot rows are spent
             np.multiply(pivot_rows, s_pair, out=pivot_rows)
             np.add(np.multiply(corners, c, out=corners), pivot_rows, out=corners)
             e[gather] = w
-            e[pij] = 0.0
-            np.add.reduce(np.square(e[:n_off], out=sq), axis=0, out=s2[k + 1])
-        dev = np.abs(s2[1:] - (s2[:-1] - np.square(pivots))) / np.maximum(s2[:-1], OFF_NORM_FLOOR)
+            pivot.fill(0.0)
+            after[...] = e_off
+        np.add.reduce(np.square(offs, out=offs), axis=1, out=s2)  # offs[pivots] are squares now
+        dev = np.abs(s2[1:] - (s2[:-1] - offs[pivots])) / np.maximum(s2[:-1], OFF_NORM_FLOOR)
         return float(dev.max())
 
     return sweep, s2
@@ -291,13 +289,17 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     a_jj from those with the same second rotation that the dense two-sided
     update R^T A R (rows first, then columns) applies; the pivot is stored
     as an exact zero.  S^2 is summed afresh from the entries after every
-    step, never derived from the decrement identity, which is checked
-    against those sums, with the cycle-to-cycle growth of S, once a cycle.
+    step, never derived from the decrement identity: each step's
+    off-diagonal entries are kept, and a sweep sums their squares once, at
+    its end, and checks the decrement identity against those sums, with
+    the cycle-to-cycle growth of S, once a cycle.
 
-    A matrix retires at a cycle boundary when its off-diagonal entries are
-    all +0.0 (bit pattern 0) and no diagonal entry is -0.0: every later step
-    would leave its bits as they are (a_ij = +0 gives t = 0, c = 1, s = +-0),
-    and its S and both checks stay 0, so the others sweep on without it.
+    Every column is stepped in every sweep that runs; the work arrays are
+    made once per call.  A matrix is done at a cycle boundary when its
+    off-diagonal entries are all +0.0 (bit pattern 0) and no diagonal entry
+    is -0.0: every later step leaves its bits as they are (a_ij = +0 gives
+    t = 0, c = 1, s = +-0), and its S and both checks stay 0.  Once every
+    matrix is done, the remaining cycles are skipped, their S left 0.
 
     Raises ``ValueError`` for non-finite entries, and when S^2 after some
     step is not finite (entries beyond about 1e154 overflow it).
@@ -314,37 +316,29 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     if m == 0:
         raise ValueError("need at least one matrix")
     rows, cols = _layout_indices(n)  # the (r, c) of every packed entry
-    plan = _step_plan(n, ordering)
     n_off = n * (n - 1) // 2
 
-    live = _paired(np.arange(m))  # the input matrix in each column of e
-    e = np.ascontiguousarray(a[live[:, None], rows, cols].T)  # the packed entries
-    packed = np.empty((rows.size, m))  # each matrix's final entries
+    # numpy sums a lone column's S^2 terms pairwise, wider arrays' row by row: never step one alone
+    e = np.ascontiguousarray((a if m > 1 else a.repeat(2, axis=0))[:, rows, cols].T)
     off = np.zeros((cycles + 1, m))
     identity_violation = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sweep, s2 = _batch_sweeper(n, plan, e)
-        _check_finite_s2(s2[-1:], 0)
-        off[0, live] = np.sqrt(s2[-1])
+        s2 = np.add.reduce(np.square(e[:n_off]), axis=0)
+        _check_finite_s2(s2, 0)
+        off[0] = np.sqrt(s2[:m])
+        sweep, s2 = _batch_sweeper(n, _step_plan(n, ordering), e)
+        bits = e.view(np.uint64)  # +0.0 is the bit pattern 0, -0.0 is 1 << 63
         for t in range(cycles):
-            bits = e.view(np.uint64)  # +0.0 is the bit pattern 0, -0.0 is 1 << 63
-            retired = ~bits[:n_off].any(axis=0) & (bits[n_off:] != 1 << 63).all(axis=0)
-            if retired.any():
-                packed[:, live[retired]] = e[:, retired]
-                keep = _paired(np.flatnonzero(~retired))
-                e, live = e[:, keep], live[keep]
-                if not live.size:
-                    break
-                sweep, s2 = _batch_sweeper(n, plan, e)
+            if not bits[:n_off].any() and not (bits[n_off:] == 1 << 63).any():
+                break
             identity_violation = max(identity_violation, sweep())
             _check_finite_s2(s2, t + 1)
-            off[t + 1, live] = np.sqrt(s2[-1])
-    packed[:, live] = e
+            off[t + 1] = np.sqrt(s2[-1, :m])
     growth = (off[1:] - off[:-1]) / np.maximum(off[:-1], OFF_NORM_FLOOR)
     monotonicity_excess = float(growth.max()) if cycles else -np.inf
     finals = np.empty((m, n, n))
-    finals[:, rows, cols] = packed.T
-    finals[:, cols, rows] = packed.T
+    finals[:, rows, cols] = e[:, :m].T
+    finals[:, cols, rows] = e[:, :m].T
     return BatchSweep(off, identity_violation, monotonicity_excess, finals)
 
 
@@ -360,9 +354,13 @@ def _batch_rotations(width: int) -> tuple[Callable[..., None], np.ndarray]:
 
     Returns the function of the rows a_ii, a_jj and a_ij that writes c, s and
     -s into the (3, width) array returned beside it.  Runs under the
-    caller's ``np.errstate``.
+    caller's ``np.errstate``.  t = 1 / (tau + copysign(h, tau)) has the bits
+    of copysign(1, tau) / (|tau| + h).  Where that gives 0 (tau*tau out of
+    range: a subnormal pivot, or |tau| above about 1.3e154) t is
+    a_ij / (a_ii - a_jj), and a zero pivot gives t = +0.
     """
-    diff, two_aij, tau, h, denom, sgn = np.empty((6, width))
+    diff, two_aij, tau, h = np.empty((4, width))
+    fix = np.empty(width, dtype=bool)
     # 1, t and -t over h = sqrt(1 + t*t) give c, s and -s in one division.
     tangents, cs = np.ones((2, 3, width))
     _, tt, neg_tt = tangents
@@ -373,26 +371,14 @@ def _batch_rotations(width: int) -> tuple[Callable[..., None], np.ndarray]:
     def rotations(aii: np.ndarray, ajj: np.ndarray, aij: np.ndarray) -> None:
         np.subtract(aii, ajj, out=diff)
         np.divide(diff, np.add(aij, aij, out=two_aij), out=tau)  # 2*aij exactly
-        np.add(np.abs(tau, out=denom), sqrt_1_plus_sq(tau), out=denom)
-        np.divide(np.copysign(1.0, tau, out=sgn), denom, out=tt)
-        # a zero pivot, or tau*tau out of range
-        if np.count_nonzero(tt) < width or np.count_nonzero(aij) < width:
-            _fix_tangents(tt, aij, diff)
+        np.add(tau, np.copysign(sqrt_1_plus_sq(tau), tau, out=h), out=h)
+        np.divide(1.0, h, out=tt)
+        np.divide(aij, diff, out=tt, where=np.equal(tt, 0.0, out=fix))
+        np.copyto(tt, 0.0, where=np.equal(aij, 0.0, out=fix))
         np.negative(tt, out=neg_tt)
         np.divide(tangents, sqrt_1_plus_sq(tt), out=cs)
 
     return rotations, cs
-
-
-def _fix_tangents(tt: np.ndarray, aij: np.ndarray, diff: np.ndarray) -> None:
-    """Set tan(phi) in place where the closed form gave 0 or NaN, as ``_rotation_params`` does.
-
-    A zero pivot gives 0.  Where tau*tau overflowed (a subnormal pivot, or
-    |tau| above about 1.3e154), t is a_ij / (a_ii - a_jj).
-    """
-    overflowed = tt == 0.0
-    tt[overflowed] = aij[overflowed] / diff[overflowed]
-    tt[aij == 0.0] = 0.0
 
 
 # --- bound checks -------------------------------------------------------------

@@ -225,8 +225,11 @@ def run_j_jacobi(
     (so the final cycle's angle envelope measures the converged matrix), or
     stops at ``max_cycles``.  Hyperbolic steps may raise
     ``HyperbolicBreakdownError`` when the pair is not definite.  Raises
-    ``ValueError`` when S^2 is not finite, before or after any step.
+    ``ValueError`` unless 0 <= tol < inf, and when S^2 is not finite,
+    before or after any step.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     signs = sign_diagonal(signs)
     if len(signs) != a.n or a.n != ordering.n:
         raise ValueError("matrix, signs, and ordering dimensions must agree")

@@ -208,6 +208,22 @@ class TestJsolveCommand:
         assert code == 2
         assert f"input error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", [["--L", "identity"], ["--A", None]])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tol_outside_zero_to_inf_is_input_error(self, spd_matrix_file, capsys, source, tol):
+        source = [arg or spd_matrix_file for arg in source]
+        code = main(["jsolve", *source, "--J", "+1 +1 -1 -1", "--tol", tol])
+        assert code == 2
+        assert "input error: tol must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_zero_tol_is_legal(self, spd_matrix_file, tmp_path):
+        report = tmp_path / "j.json"
+        code = main(["jsolve", "--A", spd_matrix_file, "--J", "+1 +1 -1 -1", "--tol", "0",
+                     "--report", str(report)])
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert payload["converged"] is True and payload["cycle_off_norms"][-1] == 0.0
+
     def test_breakdown_is_numeric_error(self, tmp_path):
         bad = tmp_path / "indefinite.txt"
         bad.write_text("1 2\n2 1\n")

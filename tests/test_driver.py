@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclic_jacobi.driver as drivermod
+from cyclic_jacobi.cli import main
 from cyclic_jacobi.core import SymMatrix, annihilate, off_norm
 from cyclic_jacobi.classification import (
     PAR_ANCHOR,
@@ -191,6 +193,48 @@ class TestRunCycles:
             run_cycles(m, COLUMN, 1)
 
 
+def count_rotations(monkeypatch):
+    """Count the builds of ``driver._batch_rotations`` and the steps their rotations run."""
+    counts = {"builds": 0, "steps": 0}
+    build = drivermod._batch_rotations
+
+    def counting(width):
+        counts["builds"] += 1
+        rotations, cs = build(width)
+
+        def counted(*rows):
+            counts["steps"] += 1
+            rotations(*rows)
+
+        return counted, cs
+
+    monkeypatch.setattr(drivermod, "_batch_rotations", counting)
+    return counts
+
+
+def mutate_rotations(monkeypatch, mutate):
+    """Make every batch step apply ``mutate(cs)`` to its (c, s, -s) before it rotates."""
+    build = drivermod._batch_rotations
+
+    def mutated(width):
+        rotations, cs = build(width)
+
+        def wrong(*rows):
+            rotations(*rows)
+            mutate(cs)
+
+        return wrong, cs
+
+    monkeypatch.setattr(drivermod, "_batch_rotations", mutated)
+
+
+MUTATIONS = {
+    "flipped-s": lambda cs: np.negative(cs[1:], out=cs[1:]),
+    "skipped-rotation": lambda cs: (cs[0].fill(1.0), cs[1:].fill(0.0)),
+    "scaled-c": lambda cs: np.multiply(cs[0], 1.0 + 1e-4, out=cs[0]),
+}
+
+
 class TestBatchSweep:
     def test_agrees_with_scalar_path(self):
         rng = default_rng(31)
@@ -250,6 +294,43 @@ class TestBatchSweep:
         assert sweep.finals[1, 0, 0] == 0.0 and not np.signbit(sweep.finals[1, 0, 0])
         assert sweep.off_norms[0, 2] == 0.0
         assert sweep.finals[2].tobytes() != tiny.tobytes()
+
+    def test_all_diagonal_batch_runs_no_step(self, monkeypatch):
+        counts = count_rotations(monkeypatch)
+        mats = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([0.0, 0.0, 5.0, -1.0])])
+        sweep = batch_sweep(mats, COLUMN, 8)
+        assert counts == {"builds": 1, "steps": 0}
+        assert not sweep.off_norms.any()
+        assert sweep.finals.tobytes() == mats.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 200])
+    def test_one_sweeper_stops_at_the_last_retirement(self, monkeypatch, m):
+        # a random matrix, one that retires after one sweep (its -0.0 turns
+        # +0.0), a diagonal one that retires at once, then more random ones
+        cycles, steps = 12, len(COLUMN.pairs)
+        negative_zero, diagonal = np.diag([-0.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0, 3.0, 4.0])
+        rng = default_rng(36)
+        pool = np.concatenate([
+            random_symmetric_batch(rng, 1), np.stack([negative_zero, diagonal]),
+            random_symmetric_batch(rng, 197),
+        ])
+        mats = pool[:m]
+        counts = count_rotations(monkeypatch)
+        alone, sweeps_alone = [], []
+        for k in range(m):
+            counts["steps"] = 0
+            alone.append(batch_sweep(mats[k:k + 1], COLUMN, cycles))
+            sweeps_alone.append(counts["steps"] // steps)
+        counts.update(builds=0, steps=0)
+        sweep = batch_sweep(mats, COLUMN, cycles)
+        assert counts == {"builds": 1, "steps": steps * max(sweeps_alone)}
+        assert max(sweeps_alone) < cycles
+        assert len(set(sweeps_alone)) >= min(m, 3)
+        for k, single in enumerate(alone):
+            assert sweep.off_norms[:, k].tobytes() == single.off_norms[:, 0].tobytes(), k
+            assert sweep.finals[k].tobytes() == single.finals[0].tobytes(), k
+        assert sweep.identity_violation == max(single.identity_violation for single in alone)
+        assert sweep.monotonicity_excess == max(single.monotonicity_excess for single in alone)
 
     def test_rejects_empty_stack(self):
         with pytest.raises(ValueError, match="at least one matrix"):
@@ -318,6 +399,32 @@ class TestBatchSweep:
         before = np.ldexp(np.linalg.eigvalsh(np.ldexp(dense, -exp)), exp)
         after = np.ldexp(np.linalg.eigvalsh(np.ldexp(final, -exp)), exp)
         assert np.allclose(before, after, rtol=0.0, atol=1e-12 * scale + 1e-300)
+
+
+class TestKernelMutations:
+    """Deliberately wrong rotations in the batch kernel must fail a check."""
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_scalar_equals_batch_catches_it(self, monkeypatch, mutation):
+        mats = random_symmetric_batch(default_rng(37), 8)
+        mutate_rotations(monkeypatch, MUTATIONS[mutation])
+        sweep = batch_sweep(mats, COLUMN, 3)
+        equal = [
+            run_cycles(SymMatrix.from_dense(dense), COLUMN, 3)[0].to_dense().tobytes()
+            == sweep.finals[k].tobytes()
+            for k, dense in enumerate(mats)
+        ]
+        assert not any(equal)
+
+    def test_verify_exits_numeric_on_a_scaled_cosine(self, monkeypatch, tmp_path, capsys):
+        args = [
+            "verify", "--seed", "6", "--samples", "4", "--orderings", "serial",
+            "--bound", "classified", "--jobs", "1", "--out", str(tmp_path / "out.csv"),
+        ]
+        assert main(args) == 0
+        mutate_rotations(monkeypatch, MUTATIONS["scaled-c"])
+        assert main(args) == 3
+        assert "S^2 checks failed" in capsys.readouterr().err
 
 
 class TestParallelCycle:

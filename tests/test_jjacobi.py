@@ -165,6 +165,17 @@ class TestRunJJacobi:
         assert result.diagonalized == a
         assert np.array_equal(result.transform, np.eye(4))
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -5e-324])
+    def test_rejects_tol_outside_zero_to_inf(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            run_j_jacobi(SymMatrix.diag([3.0, 2.0, 5.0, 7.0]), STANDARD_SIGNS, COLUMN, tol=tol)
+
+    def test_zero_tol_sweeps_to_an_exact_zero_off_norm(self):
+        a, _ = spd_matrix(default_rng(21))
+        report = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, tol=0.0).report
+        assert report.converged and report.cycles_executed > 0
+        assert report.cycle_off_norms[-1] == 0.0
+
     def test_converges_with_j_orthogonal_transform(self):
         rng = default_rng(21)
         for _ in range(10):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -220,17 +220,18 @@ class BatchSweep:
     finals: np.ndarray
 
 
-def _step_plan(n: int, ordering: PivotOrdering) -> list[tuple[np.ndarray, int]]:
-    """Per pivot (i, j): the 2n packed positions a step gathers, and the pivot's own.
+@lru_cache(maxsize=None)
+def _pivot_gather(n: int, i: int, j: int) -> tuple[np.ndarray, int]:
+    """For the pivot (i, j): the 2n packed positions a step gathers, and the pivot's own.
 
     The first n are column i as (a_ki for k != i, j; a_ii, a_ij), the last n
     column j in mirror order (a_jj, a_ij; a_kj for k != i, j reversed), so
     every entry sits opposite the entry it is rotated with.
     """
-    return [
-        (np.array([p for p, _ in others] + [ii, ij, jj, ij] + [q for _, q in others[::-1]]), ij)
-        for ii, jj, ij, others in (_pivot_plan(n, *pair) for pair in ordering.pairs)
-    ]
+    ii, jj, ij, others = _pivot_plan(n, i, j)
+    gather = np.array([p for p, _ in others] + [ii, ij, jj, ij] + [q for _, q in others[::-1]])
+    gather.setflags(write=False)
+    return gather, ij
 
 
 def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], float], np.ndarray]:
@@ -320,20 +321,24 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
 
     # numpy sums a lone column's S^2 terms pairwise, wider arrays' row by row: never step one alone
     e = np.ascontiguousarray((a if m > 1 else a.repeat(2, axis=0))[:, rows, cols].T)
-    off = np.zeros((cycles + 1, m))
+    off = np.zeros((cycles + 1, m))  # S^2 at every cycle boundary, then S
     identity_violation = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s2 = np.add.reduce(np.square(e[:n_off]), axis=0)
         _check_finite_s2(s2, 0)
-        off[0] = np.sqrt(s2[:m])
-        sweep, s2 = _batch_sweeper(n, _step_plan(n, ordering), e)
+        off[0] = s2[:m]
+        sweep, s2 = _batch_sweeper(n, [_pivot_gather(n, *pair) for pair in ordering.pairs], e)
         bits = e.view(np.uint64)  # +0.0 is the bit pattern 0, -0.0 is 1 << 63
+        off_bits, diag_bits = bits[:n_off], bits[n_off:]
         for t in range(cycles):
-            if not bits[:n_off].any() and not (bits[n_off:] == 1 << 63).any():
+            if not np.count_nonzero(off_bits) and not np.count_nonzero(diag_bits == 1 << 63):
                 break
-            identity_violation = max(identity_violation, sweep())
-            _check_finite_s2(s2, t + 1)
-            off[t + 1] = np.sqrt(s2[-1, :m])
+            deviation = sweep()
+            if not math.isfinite(deviation):  # S^2 that is not finite makes it inf or NaN
+                _check_finite_s2(s2, t + 1)
+            identity_violation = max(identity_violation, deviation)
+            off[t + 1] = s2[-1, :m]
+    np.sqrt(off, out=off)
     growth = (off[1:] - off[:-1]) / np.maximum(off[:-1], OFF_NORM_FLOOR)
     monotonicity_excess = float(growth.max()) if cycles else -np.inf
     finals = np.empty((m, n, n))

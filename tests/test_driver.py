@@ -193,39 +193,25 @@ class TestRunCycles:
             run_cycles(m, COLUMN, 1)
 
 
-def count_rotations(monkeypatch):
-    """Count the builds of ``driver._batch_rotations`` and the steps their rotations run."""
+def wrap_rotations(monkeypatch, mutate=lambda cs: None):
+    """Wrap ``driver._batch_rotations``: count its builds and the steps their rotations run,
+    and apply ``mutate(cs)`` to every step's (c, s, -s) before it rotates."""
     counts = {"builds": 0, "steps": 0}
     build = drivermod._batch_rotations
 
-    def counting(width):
+    def wrapped(width):
         counts["builds"] += 1
         rotations, cs = build(width)
 
-        def counted(*rows):
+        def step(*rows):
             counts["steps"] += 1
-            rotations(*rows)
-
-        return counted, cs
-
-    monkeypatch.setattr(drivermod, "_batch_rotations", counting)
-    return counts
-
-
-def mutate_rotations(monkeypatch, mutate):
-    """Make every batch step apply ``mutate(cs)`` to its (c, s, -s) before it rotates."""
-    build = drivermod._batch_rotations
-
-    def mutated(width):
-        rotations, cs = build(width)
-
-        def wrong(*rows):
             rotations(*rows)
             mutate(cs)
 
-        return wrong, cs
+        return step, cs
 
-    monkeypatch.setattr(drivermod, "_batch_rotations", mutated)
+    monkeypatch.setattr(drivermod, "_batch_rotations", wrapped)
+    return counts
 
 
 MUTATIONS = {
@@ -296,7 +282,7 @@ class TestBatchSweep:
         assert sweep.finals[2].tobytes() != tiny.tobytes()
 
     def test_all_diagonal_batch_runs_no_step(self, monkeypatch):
-        counts = count_rotations(monkeypatch)
+        counts = wrap_rotations(monkeypatch)
         mats = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([0.0, 0.0, 5.0, -1.0])])
         sweep = batch_sweep(mats, COLUMN, 8)
         assert counts == {"builds": 1, "steps": 0}
@@ -315,7 +301,7 @@ class TestBatchSweep:
             random_symmetric_batch(rng, 197),
         ])
         mats = pool[:m]
-        counts = count_rotations(monkeypatch)
+        counts = wrap_rotations(monkeypatch)
         alone, sweeps_alone = [], []
         for k in range(m):
             counts["steps"] = 0
@@ -407,7 +393,7 @@ class TestKernelMutations:
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_scalar_equals_batch_catches_it(self, monkeypatch, mutation):
         mats = random_symmetric_batch(default_rng(37), 8)
-        mutate_rotations(monkeypatch, MUTATIONS[mutation])
+        wrap_rotations(monkeypatch, MUTATIONS[mutation])
         sweep = batch_sweep(mats, COLUMN, 3)
         equal = [
             run_cycles(SymMatrix.from_dense(dense), COLUMN, 3)[0].to_dense().tobytes()
@@ -422,7 +408,7 @@ class TestKernelMutations:
             "--bound", "classified", "--jobs", "1", "--out", str(tmp_path / "out.csv"),
         ]
         assert main(args) == 0
-        mutate_rotations(monkeypatch, MUTATIONS["scaled-c"])
+        wrap_rotations(monkeypatch, MUTATIONS["scaled-c"])
         assert main(args) == 3
         assert "S^2 checks failed" in capsys.readouterr().err
 

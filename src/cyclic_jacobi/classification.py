@@ -17,12 +17,20 @@ falls into exactly one of three families:
 certificate.  Its chains come from ``orderings._nearest``, the one
 minimal-shift search and tie-break that ``orderings.relate`` uses too: the
 nearest relabeled serial template for the generalized serial class, the
-nearer anchor for the parallel class.  ``driver.run_parallel_cycle`` asks
-``classify`` whether an ordering is a transposition-variant of an anchor
-(``Parallel`` with shift length 0).  ``catalog`` embeds the reference table
-of the 120 orderings that start at pivot (1, 2) together with their recorded
-reduction chains; ``verify_catalog`` replays every chain and cross-checks
-the classifier.
+nearer anchor for the parallel class.
+
+This module is the only one that knows the structure of the classes; code
+elsewhere asks ``classify``.  Besides the labels that ``cjacobi classify``
+and the campaigns print, ``driver.run_parallel_cycle`` asks whether an
+ordering is a transposition-variant of an anchor (``Parallel`` with shift
+length 0), and ``jjacobi.monitor_proof_bounds`` asks for the anchor and
+shift that place its cascade windows.  ``anchor_variants`` and
+``parallel_orderings`` enumerate the parallel class by weak searches from
+the anchors, far cheaper than classifying all 720; a Tier-1 test pins them
+to ``classify``.  ``catalog`` embeds the reference table of the 120
+orderings that start at pivot (1, 2) together with their recorded reduction
+chains; ``verify_catalog`` replays every chain and cross-checks the
+classifier.
 """
 
 from __future__ import annotations
@@ -248,19 +256,6 @@ def _relabeled_serial_index():
     return _relabeled_targets(serial_perm_orderings(), True)
 
 
-def _parallel_record(o: PivotOrdering, dist, parent) -> Optional[ClassificationRecord]:
-    hit = _nearest(o, dist, parent, _ANCHOR_TARGETS)
-    if hit is None:
-        return None
-    d, (_, _, anchor), steps = hit
-    if d > 1:
-        raise ClassificationError(f"parallel chain for {o} needs {d} shifts; expected at most one")
-    shift_length = next((s.length for s in steps if isinstance(s, Shift)), 0)
-    return ClassificationRecord(
-        o, Parallel(anchor, shift_length), make_certificate(o, steps), UNIVERSAL_BOUND
-    )
-
-
 @lru_cache(maxsize=None)
 def classify(o: PivotOrdering) -> ClassificationRecord:
     """Assign an ordering its class, certificate, and convergence bound.
@@ -287,10 +282,16 @@ def classify(o: PivotOrdering) -> ClassificationRecord:
         bound = Bound(SERIAL_GAMMA, d + 1, 0, SERIAL_GAMMA_SQ)
         return ClassificationRecord(o, GeneralizedSerial(d), cert, bound)
 
-    record = _parallel_record(o, dist, parent)
-    if record is not None:
-        return record
-    raise ClassificationError(f"ordering {o} matched no class; case analysis falsified")
+    hit = _nearest(o, dist, parent, _ANCHOR_TARGETS)
+    if hit is None:
+        raise ClassificationError(f"ordering {o} matched no class; case analysis falsified")
+    d, (_, _, anchor), steps = hit
+    if d > 1:
+        raise ClassificationError(f"parallel chain for {o} needs {d} shifts; expected at most one")
+    shift_length = next((s.length for s in steps if isinstance(s, Shift)), 0)
+    return ClassificationRecord(
+        o, Parallel(anchor, shift_length), make_certificate(o, steps), UNIVERSAL_BOUND
+    )
 
 
 def anchor_variants(anchor: PivotOrdering) -> tuple[PivotOrdering, ...]:
@@ -503,15 +504,13 @@ def c0_orderings() -> tuple[PivotOrdering, ...]:
     return tuple(entry.ordering for entry in catalog())
 
 
-_TERMINAL_TESTS = {
-    "Cc": member_column_wise,
-    "Cr": member_row_wise,
-    "rCc": lambda o: member_column_wise(reverse(o)),
-    "rCr": lambda o: member_row_wise(reverse(o)),
+# serial terminal tag -> the family ``member_serial_perm`` names
+_TERMINAL_FAMILIES = {
+    "Cc": "column",
+    "Cr": "row",
+    "rCc": "reverse-column",
+    "rCr": "reverse-row",
 }
-
-# catalog entries whose minimal chain needs no shift at all
-_NO_SHIFT_ENTRIES = frozenset({17, 18, 19, 20, 82, 90})
 
 
 @dataclass
@@ -563,7 +562,7 @@ def verify_catalog() -> CatalogReport:
             if endpoint != PAR_ANCHOR_MIRROR:
                 failures.append(f"entry {entry.index}: chain misses the mirrored anchor")
         else:
-            if not _TERMINAL_TESTS[entry.terminal](endpoint):
+            if member_serial_perm(endpoint) != _TERMINAL_FAMILIES[entry.terminal]:
                 failures.append(
                     f"entry {entry.index}: endpoint {endpoint} not in family {entry.terminal}"
                 )
@@ -579,8 +578,6 @@ def verify_catalog() -> CatalogReport:
                 failures.append(f"entry {entry.index}: expected a generalized-serial label")
             else:
                 counts["generalized-serial"] += 1
-                if entry.index in _NO_SHIFT_ENTRIES and record.label.d != 0:
-                    failures.append(f"entry {entry.index}: minimal chain should need no shift")
                 if record.label.d > entry.chain.shift_count:
                     failures.append(
                         f"entry {entry.index}: minimal d exceeds the recorded chain's"

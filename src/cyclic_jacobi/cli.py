@@ -211,21 +211,23 @@ def cmd_jsolve(args) -> int:
 
 
 def _select_orderings(selection: list[str]) -> list[PivotOrdering]:
-    kind = selection[0]
-    if kind == "all":
-        return list(enumerate_orderings(4))
-    if kind == "c0":
-        return list(c0_orderings())
-    if kind == "serial":
-        return list(serial_perm_orderings())
-    if kind == "parallel":
-        return list(parallel_orderings())
+    kind, rest = selection[0], selection[1:]
     if kind == "list":
-        if len(selection) != 2:
+        if len(rest) != 1:
             raise ValueError("--orderings list needs a file path")
-        with open(selection[1], "r", encoding="utf-8") as fh:
+        with open(rest[0], "r", encoding="utf-8") as fh:
             return [parse_ordering(line) for line in fh if line.strip()]
-    raise ValueError(f"unknown ordering selection {selection!r}")
+    sources = {
+        "all": partial(enumerate_orderings, 4),
+        "c0": c0_orderings,
+        "serial": serial_perm_orderings,
+        "parallel": parallel_orderings,
+    }
+    if kind not in sources:
+        raise ValueError(f"unknown ordering selection {selection!r}")
+    if rest:
+        raise ValueError(f"--orderings {kind} takes no further tokens, got {' '.join(rest)!r}")
+    return list(sources[kind]())
 
 
 def _requested_jobs(flag: Optional[int]) -> int:

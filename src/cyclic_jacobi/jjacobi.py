@@ -17,8 +17,10 @@ so a step makes no numpy call.
 
 ``eigen_from_factored`` solves H = L J L^T given its factor: it runs the
 solver on A = L^T L and maps the diagonalization back to eigenpairs of H.
-``monitor_proof_bounds`` watches a converged run of a parallel-pattern
-ordering and checks the epsilon-cascade of off-norm decay windows.
+``monitor_proof_bounds`` watches a converged run of a parallel ordering and
+checks the epsilon-cascade of off-norm decay windows.  It holds no pivot
+pattern of its own: ``classification.classify`` names the ordering's anchor
+and shift, and those fix where the windows start.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .core import (
     _sweep,
     off_norm,
 )
+from .classification import PAR_ANCHOR, Parallel, classify
 from .orderings import PivotOrdering
 
 __all__ = [
@@ -78,7 +81,7 @@ class ConvergenceError(RuntimeError):
 
 
 class MonitorInapplicableError(ValueError):
-    """The run's ordering does not contain the parallel window the monitor needs."""
+    """The run's sign pattern or ordering is not one the monitor applies to."""
 
 
 def sign_diagonal(values: Sequence[int]) -> tuple[int, ...]:
@@ -352,29 +355,6 @@ def cubic_decay_indicator(
 
 # --- proof-pattern monitor ------------------------------------------------------
 
-_TRIG_GROUP = frozenset({(1, 2), (3, 4)})
-_HYP_GROUP_A = frozenset({(1, 3), (2, 4)})
-_HYP_GROUP_B = frozenset({(1, 4), (2, 3)})
-
-
-def _find_parallel_window(ordering: PivotOrdering) -> tuple[int, str]:
-    """Phase p and variant of the pattern: trig group, then the two
-    hyperbolic groups in either order, inside the doubled pivot sequence."""
-    doubled = ordering.pairs * 2
-    for p in range(6):
-        g0 = frozenset(doubled[p:p + 2])
-        g1 = frozenset(doubled[p + 2:p + 4])
-        g2 = frozenset(doubled[p + 4:p + 6])
-        if g0 == _TRIG_GROUP:
-            if g1 == _HYP_GROUP_A and g2 == _HYP_GROUP_B:
-                return p, "13-24 first"
-            if g1 == _HYP_GROUP_B and g2 == _HYP_GROUP_A:
-                return p, "14-23 first"
-    raise MonitorInapplicableError(
-        f"monitor inapplicable: {ordering} contains no parallel window"
-    )
-
-
 @dataclass
 class ProofMonitorVerdict:
     """Outcome of the epsilon-cascade check on one converged run.
@@ -398,6 +378,12 @@ class ProofMonitorVerdict:
 def monitor_proof_bounds(report: JJacobiReport, epsilon: float) -> ProofMonitorVerdict:
     """Check the off-norm cascade on a parallel-pattern run.
 
+    The ordering must be one that ``classify`` labels ``Parallel(anchor, l)``;
+    any other raises ``MonitorInapplicableError``.  Both anchors end in the
+    trigonometric group (1 2, 3 4), so the phase is p = (l + 4) mod 6, and
+    the variant names the anchor's first hyperbolic group: "13-24 first" for
+    ``PAR_ANCHOR``, "14-23 first" for its mirror.
+
     Premises per window r (steps 6r+p .. 6r+p+5 with phase p): the squared
     hyperbolic pivot pair sums and the squared tanh pair sums all stay below
     epsilon^2 / 2.  Conclusions checked from r0 on:
@@ -411,7 +397,13 @@ def monitor_proof_bounds(report: JJacobiReport, epsilon: float) -> ProofMonitorV
         raise ValueError(f"epsilon must lie in (0, {EPSILON_WINDOW}), got {epsilon}")
     if report.signs != STANDARD_SIGNS:
         raise MonitorInapplicableError("monitor requires the sign pattern (1, 1, -1, -1)")
-    phase, variant = _find_parallel_window(report.ordering)
+    label = classify(report.ordering).label
+    if not isinstance(label, Parallel):
+        raise MonitorInapplicableError(
+            f"monitor inapplicable: {report.ordering} contains no parallel window"
+        )
+    phase = (label.shift_length + 4) % 6
+    variant = "13-24 first" if label.anchor == PAR_ANCHOR else "14-23 first"
 
     norms = [report.cycle_off_norms[0]] + [st.s_after for st in report.steps]
     total_steps = len(report.steps)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -22,7 +23,15 @@ from cyclic_jacobi.classification import (
     serial_perm_orderings,
     verify_catalog,
 )
+import cyclic_jacobi.classification as classification
 from cyclic_jacobi.classification import _relabeled_serial_index
+from cyclic_jacobi.core import SymMatrix
+from cyclic_jacobi.jjacobi import (
+    STANDARD_SIGNS,
+    MonitorInapplicableError,
+    monitor_proof_bounds,
+    run_j_jacobi,
+)
 from cyclic_jacobi.orderings import (
     SHIFT,
     TRANSPOSE,
@@ -165,6 +174,51 @@ class TestClassify:
             classify(o3)
 
 
+class TestParallelClassAgreement:
+    """``classify``, the parallel enumerations and the J-Jacobi monitor agree on all 720."""
+
+    # the monitor's pattern, restated independently: the trigonometric group,
+    # then the two hyperbolic groups in the anchor's order
+    GROUPS = {
+        PAR_ANCHOR: ({(1, 2), (3, 4)}, {(1, 3), (2, 4)}, {(1, 4), (2, 3)}),
+        PAR_ANCHOR_MIRROR: ({(1, 2), (3, 4)}, {(1, 4), (2, 3)}, {(1, 3), (2, 4)}),
+    }
+    VARIANT = {PAR_ANCHOR: "13-24 first", PAR_ANCHOR_MIRROR: "14-23 first"}
+
+    def test_parallel_label_iff_a_shift_lands_in_the_anchor_variants(self):
+        variants = {a: set(anchor_variants(a)) for a in (PAR_ANCHOR, PAR_ANCHOR_MIRROR)}
+        for o in enumerate_orderings(4):
+            label = classify(o).label
+            for anchor, members in variants.items():
+                for length in range(6):
+                    assert (label == Parallel(anchor, length)) == (
+                        cyclic_shift(o, length) in members
+                    ), (o, anchor, length)
+
+    def test_parallel_orderings_are_the_parallel_labels(self):
+        labelled = {
+            o for o in enumerate_orderings(4) if isinstance(classify(o).label, Parallel)
+        }
+        assert set(parallel_orderings()) == labelled
+        assert len(labelled) == 96
+
+    def test_monitor_window_follows_the_label(self):
+        diagonal = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])  # no sweep runs
+        for o in enumerate_orderings(4):
+            report = run_j_jacobi(diagonal, STANDARD_SIGNS, o).report
+            label = classify(o).label
+            if not isinstance(label, Parallel):
+                with pytest.raises(MonitorInapplicableError, match="no parallel window"):
+                    monitor_proof_bounds(report, 0.05)
+                continue
+            verdict = monitor_proof_bounds(report, 0.05)
+            assert verdict.phase == (label.shift_length + 4) % 6, o
+            assert verdict.variant == self.VARIANT[label.anchor], o
+            doubled = o.pairs * 2
+            window = [set(doubled[verdict.phase + k:verdict.phase + k + 2]) for k in (0, 2, 4)]
+            assert tuple(window) == self.GROUPS[label.anchor], o
+
+
 class TestSearchTables:
     def test_search_maps_and_relabel_index_match_recorded_digest(self):
         digest = hashlib.sha256()
@@ -225,6 +279,24 @@ class TestCatalog:
         steps = ENTRY[120].chain.steps
         assert steps == (Shift(2), Transpose(0), Transpose(2))
         assert ENTRY[120].chain.target == PAR_ANCHOR_MIRROR
+
+    @pytest.mark.parametrize("index", [17, 18, 19, 20, 82, 90])
+    def test_a_shift_beyond_a_shift_free_chain_is_reported(self, monkeypatch, index):
+        # these are the entries 17-104 whose recorded chain has no shift, so
+        # the chain-length check alone guards their minimal d = 0
+        entry = ENTRY[index]
+        assert entry.chain.shift_count == 0
+        real = classification.classify
+
+        def classify_with_one_shift(o):
+            record = real(o)
+            if o == entry.ordering:
+                return dataclasses.replace(record, label=GeneralizedSerial(1))
+            return record
+
+        monkeypatch.setattr(classification, "classify", classify_with_one_shift)
+        report = verify_catalog()
+        assert f"entry {index}: minimal d exceeds the recorded chain's" in report.failures
 
     def test_verify_catalog_clean(self):
         report = verify_catalog()

@@ -332,6 +332,19 @@ class TestVerifyCommand:
         report = verification_campaign(201, 20, sorted(c0_orderings(), key=lambda o: o.pairs))
         assert rows == _cell_rows(report.cells)
 
+    @pytest.mark.parametrize(
+        "selection",
+        [["parallel", "serial"], ["all", "c0"], ["c0", "parallel"], ["serial", "extra"]],
+    )
+    def test_tokens_after_a_named_selection_are_input_error(self, capsys, selection):
+        args = ["verify", "--seed", "1", "--samples", "2", "--orderings", *selection]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"input error: --orderings {selection[0]} takes no further tokens"
+        )
+
     def test_missing_seed_is_usage_error(self):
         assert main(["verify", "--samples", "5"]) == 2
 

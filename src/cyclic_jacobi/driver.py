@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -211,63 +211,86 @@ class BatchSweep:
     every matrix.  ``identity_violation`` is the largest relative deviation
     of the per-step S^2 decrement from the squared pivot values;
     ``monotonicity_excess`` the largest relative cycle-to-cycle growth of S
-    (nonpositive when S never grows).
+    (nonpositive when S never grows).  ``finals`` is the (m, n, n) stack of
+    final matrices, built from the packed final entries on first access.
     """
 
     off_norms: np.ndarray
     identity_violation: float
     monotonicity_excess: float
-    finals: np.ndarray
+    _packed: np.ndarray = field(repr=False)  # (n(n+1)/2, m), in the layout of batch_sweep
+
+    @cached_property
+    def finals(self) -> np.ndarray:
+        size, m = self._packed.shape
+        n = (math.isqrt(8 * size + 1) - 1) // 2
+        rows, cols = _layout_indices(n)
+        finals = np.empty((m, n, n))
+        finals[:, rows, cols] = self._packed.T
+        finals[:, cols, rows] = self._packed.T
+        return finals
 
 
 @lru_cache(maxsize=None)
-def _pivot_gather(n: int, i: int, j: int) -> tuple[np.ndarray, int]:
-    """For the pivot (i, j): the 2n packed positions a step gathers, and the pivot's own.
+def _pivot_gather(n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """For the pivot (i, j): the 2n packed positions a step gathers, their partners, and the
+    pivot's own.
 
-    The first n are column i as (a_ki for k != i, j; a_ii, a_ij), the last n
-    column j in mirror order (a_jj, a_ij; a_kj for k != i, j reversed), so
-    every entry sits opposite the entry it is rotated with.
+    ``gather`` is (a_ki for k != i, j; a_kj likewise; a_ii, a_jj, a_ij, a_ij) and ``partner``
+    holds, row for row, the entry each is rotated with: (a_kj; a_ki; a_ij, a_ij, a_jj, a_ii).
     """
     ii, jj, ij, others = _pivot_plan(n, i, j)
-    gather = np.array([p for p, _ in others] + [ii, ij, jj, ij] + [q for _, q in others[::-1]])
+    col_i, col_j = [p for p, _ in others], [q for _, q in others]
+    gather = np.array(col_i + col_j + [ii, jj, ij, ij])
+    partner = np.array(col_j + col_i + [ij, ij, jj, ii])
     gather.setflags(write=False)
-    return gather, ij
+    partner.setflags(write=False)
+    return gather, partner, ij
 
 
 def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], float], np.ndarray]:
     """A sweep of ``plan`` over the packed entries ``e`` in place, its work arrays and views made
     once, returning its worst decrement-identity deviation; and its S^2 rows, before and after
-    each step, which a sweep fills at its end."""
+    each step, which a sweep fills at its end.
+
+    Every numpy call of a step works on contiguous arrays of one shape: the gathered entries
+    ``w`` and their partners ``p`` as (2n, m) arrays, and (c, s, -s) expanded once per step to
+    the factor of every row of each.
+    """
     n_off = n * (n - 1) // 2
     width = e.shape[1]
     # the off-diagonal rows before and after each step; squared at the end of the sweep
     offs = np.empty((len(plan) + 1, n_off, width))
     s2 = np.empty((len(plan) + 1, width))
-    pivots = (np.arange(len(plan)), np.array([pij for _, pij in plan]))  # offs[pivots]: each pivot
-    w = np.empty((2 * n, width))  # column i, then column j mirrored
-    w2 = w.reshape(2, n, width)
-    mirrored = w2[::-1, ::-1]  # row r of w meets row 2n-1-r
-    aii, aij, ajj = w[n - 2:n + 1]
-    corners, pivot_rows = w[n - 2:n + 1:2], w[n - 1:n + 2:2]  # (U'_ii, V'_jj), (U'_ij, V'_ij)
+    pivots = (np.arange(len(plan)), np.array([pij for _, _, pij in plan]))  # offs[pivots]
+    w, p = np.empty((2, 2 * n, width))  # the gathered entries, and the partner of each
+    aii, ajj, aij = w[2 * n - 4:2 * n - 1]
+    # after the row update: (U'_ii, V'_jj), then (U'_ij, V'_ij)
+    corners, pivot_rows = w[2 * n - 4:2 * n - 2], w[2 * n - 2:]
     rotations, cs = _batch_rotations(width)
-    c, s_pair = cs[0], cs[1:]  # s for column i, -s for column j
-    s_cols = s_pair[:, None, :]
-    mixed = np.empty((2, n, width))
+    # c for every row of w, then the s or -s its partner is scaled by
+    pattern = np.array([0] * (2 * n) + [1] * (n - 2) + [2] * (n - 2) + [1, 2, 1, 2])
+    expanded = np.empty((4 * n, width))
+    c_rows, s_rows = expanded[:2 * n], expanded[2 * n:]
+    c_corners, s_corners = expanded[:2], expanded[4 * n - 2:]  # c, c and s, -s
     e_off = e[:n_off]
-    steps = [(gather, e[pij], offs[k]) for k, (gather, pij) in enumerate(plan, 1)]
+    steps = [(gather, partner, e[pij], offs[k])
+             for k, (gather, partner, pij) in enumerate(plan, 1)]
 
     def sweep() -> float:
         offs[0] = e_off
-        for gather, pivot, after in steps:
+        for gather, partner, pivot, after in steps:
             # the plan's indices are in range, and mode="raise" would buffer ``out``
             e.take(gather, 0, out=w, mode="clip")
+            e.take(partner, 0, out=p, mode="clip")
             rotations(aii, ajj, aij)
-            # c*U + s*V and c*V - s*U at once
-            np.multiply(mirrored, s_cols, out=mixed)
-            np.add(np.multiply(w2, c, out=w2), mixed, out=w2)
+            cs.take(pattern, 0, out=expanded, mode="clip")
+            # c*U + s*V and c*V - s*U, row by row
+            np.multiply(p, s_rows, out=p)
+            np.add(np.multiply(w, c_rows, out=w), p, out=w)
             # a_ii = c*U'_ii + s*U'_ij; a_jj = c*V'_jj - s*V'_ij; the pivot rows are spent
-            np.multiply(pivot_rows, s_pair, out=pivot_rows)
-            np.add(np.multiply(corners, c, out=corners), pivot_rows, out=corners)
+            np.multiply(pivot_rows, s_corners, out=pivot_rows)
+            np.add(np.multiply(corners, c_corners, out=corners), pivot_rows, out=corners)
             e[gather] = w
             pivot.fill(0.0)
             after[...] = e_off
@@ -286,10 +309,11 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     array with the strictly upper entries first and the diagonal last, so
     one array operation updates one entry of all m matrices.  A step
     gathers column i with (a_ii, a_ij) as U and column j with (a_ij, a_jj)
-    as V, rotates them to c*U + s*V and c*V - s*U, and finishes a_ii and
-    a_jj from those with the same second rotation that the dense two-sided
-    update R^T A R (rows first, then columns) applies; the pivot is stored
-    as an exact zero.  S^2 is summed afresh from the entries after every
+    as V into one (2n, m) array, and into a second one the entry each is
+    rotated with, so that c*U + s*V and c*V - s*U are one row-by-row
+    multiply-add; it finishes a_ii and a_jj from those with the same second
+    rotation that the dense two-sided update R^T A R (rows first, then
+    columns) applies, and stores the pivot as an exact zero.  S^2 is summed afresh from the entries after every
     step, never derived from the decrement identity: each step's
     off-diagonal entries are kept, and a sweep sums their squares once, at
     its end, and checks the decrement identity against those sums, with
@@ -300,7 +324,8 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     off-diagonal entries are all +0.0 (bit pattern 0) and no diagonal entry
     is -0.0: every later step leaves its bits as they are (a_ij = +0 gives
     t = 0, c = 1, s = +-0), and its S and both checks stay 0.  Once every
-    matrix is done, the remaining cycles are skipped, their S left 0.
+    matrix is done, the remaining cycles are skipped, their S left 0.  The
+    dense ``finals`` are built only when read.
 
     Raises ``ValueError`` for non-finite entries, and when S^2 after some
     step is not finite (entries beyond about 1e154 overflow it).
@@ -341,10 +366,7 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     np.sqrt(off, out=off)
     growth = (off[1:] - off[:-1]) / np.maximum(off[:-1], OFF_NORM_FLOOR)
     monotonicity_excess = float(growth.max()) if cycles else -np.inf
-    finals = np.empty((m, n, n))
-    finals[:, rows, cols] = e[:, :m].T
-    finals[:, cols, rows] = e[:, :m].T
-    return BatchSweep(off, identity_violation, monotonicity_excess, finals)
+    return BatchSweep(off, identity_violation, monotonicity_excess, e[:, :m])
 
 
 def _check_finite_s2(s2: np.ndarray, cycle: int) -> None:
@@ -362,7 +384,9 @@ def _batch_rotations(width: int) -> tuple[Callable[..., None], np.ndarray]:
     caller's ``np.errstate``.  t = 1 / (tau + copysign(h, tau)) has the bits
     of copysign(1, tau) / (|tau| + h).  Where that gives 0 (tau*tau out of
     range: a subnormal pivot, or |tau| above about 1.3e154) t is
-    a_ij / (a_ii - a_jj), and a zero pivot gives t = +0.
+    a_ij / (a_ii - a_jj), and a zero pivot gives t = +0.  These fix-ups run
+    only in a call where some t is +-0 or some a_ij is 0: elsewhere their
+    masks are empty, and t (NaN from 0/0 needs a_ij = 0) keeps its bits.
     """
     diff, two_aij, tau, h = np.empty((4, width))
     fix = np.empty(width, dtype=bool)
@@ -378,8 +402,9 @@ def _batch_rotations(width: int) -> tuple[Callable[..., None], np.ndarray]:
         np.divide(diff, np.add(aij, aij, out=two_aij), out=tau)  # 2*aij exactly
         np.add(tau, np.copysign(sqrt_1_plus_sq(tau), tau, out=h), out=h)
         np.divide(1.0, h, out=tt)
-        np.divide(aij, diff, out=tt, where=np.equal(tt, 0.0, out=fix))
-        np.copyto(tt, 0.0, where=np.equal(aij, 0.0, out=fix))
+        if np.count_nonzero(tt) < width or np.count_nonzero(two_aij) < width:
+            np.divide(aij, diff, out=tt, where=np.equal(tt, 0.0, out=fix))
+            np.copyto(tt, 0.0, where=np.equal(aij, 0.0, out=fix))
         np.negative(tt, out=neg_tt)
         np.divide(tangents, sqrt_1_plus_sq(tt), out=cs)
 

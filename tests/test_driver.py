@@ -402,6 +402,25 @@ class TestKernelMutations:
         ]
         assert not any(equal)
 
+    def test_scalar_equals_batch_catches_a_misplaced_partner(self, monkeypatch):
+        mats = random_symmetric_batch(default_rng(37), 8)
+        gather = drivermod._pivot_gather
+
+        def misplaced(n, i, j):
+            rows, partner, pivot = gather(n, i, j)
+            if (i, j) == COLUMN.pairs[2]:  # in this one step a_k1i meets a_k2j, a_k2i meets a_k1j
+                partner = partner[[1, 0, *range(2, 2 * n)]]
+            return rows, partner, pivot
+
+        monkeypatch.setattr(drivermod, "_pivot_gather", misplaced)
+        sweep = batch_sweep(mats, COLUMN, 3)
+        equal = [
+            run_cycles(SymMatrix.from_dense(dense), COLUMN, 3)[0].to_dense().tobytes()
+            == sweep.finals[k].tobytes()
+            for k, dense in enumerate(mats)
+        ]
+        assert not any(equal)
+
     def test_verify_exits_numeric_on_a_scaled_cosine(self, monkeypatch, tmp_path, capsys):
         args = [
             "verify", "--seed", "6", "--samples", "4", "--orderings", "serial",

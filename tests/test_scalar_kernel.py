@@ -166,6 +166,31 @@ class TestTangentSpecification:
             c, s, _ = _rotation_params(*case)
             assert np.array([c, s, -s]).tobytes() == cs[:, k].tobytes(), case
 
+    @pytest.mark.parametrize("special", [
+        None,  # normal columns only: the fix-ups are skipped
+        (1.0, 2.0, 0.0),  # zero pivot, tau = -inf
+        (0.5, 0.5, 0.0),  # zero pivot on a diagonal tie, tau = 0/0
+        (2.0, 1.0, -0.0),  # -0.0 pivot
+        (1.0, 0.0, 1e-310),  # subnormal pivot, tau*tau overflows
+        (1e300, 0.0, 1e-5),  # |tau| above 1.3e154
+    ], ids=["normal", "zero-pivot", "zero-over-zero", "minus-zero-pivot", "subnormal-pivot",
+            "huge-tau"])
+    def test_fixups_reach_a_lone_special_column(self, special):
+        # the fix-ups run for a whole call or not at all, so each edge case
+        # sits alone among columns that need none, at every position
+        normal = default_rng(5151).uniform(-1.0, 1.0, size=(7, 3))
+        rotations, cs = _batch_rotations(len(normal))
+        for k in range(len(normal)) if special else [None]:
+            cases = normal.copy()
+            if special:
+                cases[k] = special
+            aii, ajj, aij = cases.T.copy()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                rotations(aii, ajj, aij)
+            for col, case in enumerate(cases.tolist()):
+                c, s, _ = _rotation_params(*case)
+                assert np.array([c, s, -s]).tobytes() == cs[:, col].tobytes(), (k, case)
+
 
 class TestScalarEqualsBatch:
     """``run_cycles`` and ``batch_sweep`` share one tangent formula and one step rule."""

@@ -313,11 +313,12 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     rotated with, so that c*U + s*V and c*V - s*U are one row-by-row
     multiply-add; it finishes a_ii and a_jj from those with the same second
     rotation that the dense two-sided update R^T A R (rows first, then
-    columns) applies, and stores the pivot as an exact zero.  S^2 is summed afresh from the entries after every
-    step, never derived from the decrement identity: each step's
-    off-diagonal entries are kept, and a sweep sums their squares once, at
-    its end, and checks the decrement identity against those sums, with
-    the cycle-to-cycle growth of S, once a cycle.
+    columns) applies, and stores the pivot as an exact zero.  S^2 is summed
+    afresh from the entries after every step, never derived from the
+    decrement identity: each step's off-diagonal entries are kept, and a
+    sweep sums their squares once, at its end, and checks the decrement
+    identity against those sums, with the cycle-to-cycle growth of S, once
+    a cycle.
 
     Every column is stepped in every sweep that runs; the work arrays are
     made once per call.  A matrix is done at a cycle boundary when its

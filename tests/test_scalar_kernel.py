@@ -180,10 +180,10 @@ class TestTangentSpecification:
         # sits alone among columns that need none, at every position
         normal = default_rng(5151).uniform(-1.0, 1.0, size=(7, 3))
         rotations, cs = _batch_rotations(len(normal))
-        for k in range(len(normal)) if special else [None]:
-            cases = normal.copy()
-            if special:
-                cases[k] = special
+        batches = [normal] if special is None else [
+            np.concatenate([normal[:k], [special], normal[k + 1:]]) for k in range(len(normal))
+        ]
+        for k, cases in enumerate(batches):
             aii, ajj, aij = cases.T.copy()
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 rotations(aii, ajj, aij)

@@ -22,6 +22,13 @@ when s = +-0), perform the IEEE operations of the dense row-then-column
 update in its order, and sum S^2 in one order, so ``run_cycles``,
 ``batch_sweep`` and ``core.off_norm`` give the same bits.
 
+``run_cycles`` and ``run_parallel_cycle`` keep the raw per-step records of
+``core._sweep`` in their ``SweepReport`` and build its ``steps``, the
+``StepRecord`` objects, the first time they are read.  ``check_bound`` and
+callers that want only the matrix or the cycle-boundary off-norms never
+build them; ``cjacobi solve`` and ``verify_step_identities`` build them once
+per report.
+
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
 """
@@ -112,11 +119,29 @@ class StepRecord:
 
 @dataclass
 class SweepReport:
+    """The cycle-boundary off-norms of a run, and its steps.
+
+    ``steps`` is built from the kernel's raw ``core._sweep`` records the
+    first time it is read, and kept: one ``StepRecord`` per
+    ``_steps_per_group`` records.  Callers that never read it
+    (``check_bound``, a timed ``run_cycles`` or ``run_parallel_cycle``) pay
+    nothing for it; ``cjacobi solve`` and ``verify_step_identities`` pay once.
+    """
+
     ordering: PivotOrdering
     cycles_requested: int
     cycles_executed: int
-    steps: list[StepRecord]
     cycle_off_norms: list[float]  # S at every cycle boundary, starting at t=0
+    _records: list[tuple] = field(repr=False)
+    _steps_per_group: int = field(default=1, repr=False)  # 2 for run_parallel_cycle
+
+    @cached_property
+    def steps(self) -> list[StepRecord]:
+        steps = []
+        for group in zip(*[iter(self._records)] * self._steps_per_group):
+            pairs, values, _, _, _, angles, before, after = zip(*group)
+            steps.append(StepRecord(pairs, values, angles, before[0], after[-1]))
+        return steps
 
 
 def verify_step_identities(report: SweepReport, rtol: float = IDENTITY_RTOL) -> float:
@@ -163,15 +188,13 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     e = _packed_entries(a)
     plan = _rotation_plan(ordering)
     cycle_norms = [off_norm(a)]
-    steps: list[StepRecord] = []
+    records: list[tuple] = []
     for _ in range(cycles):
         if cycle_norms[-1] < OFF_NORM_FLOOR:
             break
-        records = _sweep(e, n_off, plan, cycle_norms[-1])
-        steps += [StepRecord((pair,), (piv,), (phi,), s0, s1)
-                  for pair, piv, _, _, _, phi, s0, s1 in records]
+        records += _sweep(e, n_off, plan, cycle_norms[-1])
         cycle_norms.append(records[-1][7])
-    report = SweepReport(ordering, cycles, len(cycle_norms) - 1, steps, cycle_norms)
+    report = SweepReport(ordering, cycles, len(cycle_norms) - 1, cycle_norms, records)
     return SymMatrix(a.n, e), report
 
 
@@ -194,11 +217,7 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     e = _packed_entries(a)
     s = off_norm(a)
     records = _sweep(e, 6, _rotation_plan(ordering), s)
-    steps = [
-        StepRecord((p[0], q[0]), (p[1], q[1]), (p[5], q[5]), p[6], q[7])
-        for p, q in zip(records[::2], records[1::2])
-    ]
-    return SymMatrix(4, e), SweepReport(ordering, 1, 1, steps, [s, steps[-1].s_after])
+    return SymMatrix(4, e), SweepReport(ordering, 1, 1, [s, records[-1][7]], records, 2)
 
 
 # --- batch kernel -------------------------------------------------------------

@@ -13,7 +13,11 @@ sweeps it with ``core._sweep``, the routine behind ``run_cycles``, which
 applies both kinds of step with ``core._plane_step``: a rotation as
 F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
 The accumulated transform is kept column by column, also as Python floats,
-so a step makes no numpy call.
+so a step makes no numpy call.  The angle envelope and the transform are
+computed as the run goes; the ``JJacobiStep`` records of the report's
+``steps`` are built from the raw ``core._sweep`` records the first time they
+are read, so ``solve_factored`` and ``eigen_from_factored``, which never read
+them, do not build them, and ``monitor_proof_bounds`` builds them once.
 
 ``eigen_from_factored`` solves H = L J L^T given its factor: it runs the
 solver on A = L^T L and maps the diagonalization back to eigenpairs of H.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -191,15 +196,35 @@ class JJacobiStep:
 
 @dataclass
 class JJacobiReport:
+    """The cycle-boundary off-norms and angle envelope of a run, and its steps.
+
+    ``steps`` is built from the kernel's raw ``core._sweep`` records the
+    first time it is read, and kept.  ``solve_factored``,
+    ``eigen_from_factored`` and ``cjacobi jsolve`` without ``--monitor``
+    never read it and pay nothing for it; ``monitor_proof_bounds`` pays once.
+    """
+
     ordering: PivotOrdering
     signs: tuple[int, ...]
-    steps: list[JJacobiStep]
     cycle_off_norms: list[float]
     angle_envelope: list[float]  # per cycle: max |tanh theta| over hyperbolic steps
     converged: bool
     cycles_executed: int
     initial_norm: float
     covered_by_convergence_theory: bool
+    _records: list[tuple] = field(repr=False)
+
+    @cached_property
+    def steps(self) -> list[JJacobiStep]:
+        signs = self.signs
+        steps = []
+        for pair, piv, _, _, _, angle, s, s_new in self._records:
+            if signs[pair[0] - 1] != signs[pair[1] - 1]:
+                kind, th = "hyperbolic", abs(math.tanh(angle))
+            else:
+                kind, th = "trigonometric", 0.0
+            steps.append(JJacobiStep(pair, kind, piv, angle, th, s, s_new))
+        return steps
 
 
 class JJacobiResult(NamedTuple):
@@ -228,11 +253,13 @@ def run_j_jacobi(
     (so the final cycle's angle envelope measures the converged matrix), or
     stops at ``max_cycles``.  Hyperbolic steps may raise
     ``HyperbolicBreakdownError`` when the pair is not definite.  Raises
-    ``ValueError`` unless 0 <= tol < inf, and when S^2 is not finite,
-    before or after any step.
+    ``ValueError`` unless 0 <= tol < inf and max_cycles >= 0, and when S^2
+    is not finite, before or after any step.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if max_cycles < 0:
+        raise ValueError(f"max_cycles must be nonnegative, got {max_cycles!r}")
     signs = sign_diagonal(signs)
     if len(signs) != a.n or a.n != ordering.n:
         raise ValueError("matrix, signs, and ordering dimensions must agree")
@@ -249,34 +276,30 @@ def run_j_jacobi(
         else (pair, _pivot_plan(n, *pair), _rotation_params, -1.0)
         for pair, hyp in zip(ordering.pairs, hyperbolic)
     ]
-    steps: list[JJacobiStep] = []
+    records: list[tuple] = []
     envelope: list[float] = []
     converged = cycle_norms[0] <= threshold
     certified = converged
     cycles = 0
     while cycles < max_cycles and not certified:
-        max_tanh = 0.0
-        for hyp, (pair, piv, c, sn, t, angle, s, s_new) in zip(
-            hyperbolic, _sweep(e, n_off, plan, cycle_norms[-1])
-        ):
-            th = abs(math.tanh(angle)) if hyp else 0.0
-            max_tanh = max(max_tanh, th)
-            i0, j0 = pair[0] - 1, pair[1] - 1
-            ti, tj = transform[i0], transform[j0]
-            transform[i0] = [c * x + sn * y for x, y in zip(ti, tj)]
-            transform[j0] = [c * y + t * x for x, y in zip(ti, tj)]
-            kind = "hyperbolic" if hyp else "trigonometric"
-            steps.append(JJacobiStep(pair, kind, piv, angle, th, s, s_new))
+        sweep = _sweep(e, n_off, plan, cycle_norms[-1])
+        for (i, j), _, c, sn, t, _, _, _ in sweep:
+            ti, tj = transform[i - 1], transform[j - 1]
+            transform[i - 1] = [c * x + sn * y for x, y in zip(ti, tj)]
+            transform[j - 1] = [c * y + t * x for x, y in zip(ti, tj)]
+        records += sweep
         cycles += 1
+        s_new = sweep[-1][7]
         cycle_norms.append(s_new)
-        envelope.append(max_tanh)
+        envelope.append(max([0.0] + [abs(math.tanh(rec[5]))
+                                     for rec, hyp in zip(sweep, hyperbolic) if hyp]))
         if converged:
             certified = True  # the extra sweep from the converged state ran
         elif s_new <= threshold:
             converged = True
     report = JJacobiReport(
-        ordering, signs, steps, cycle_norms, envelope,
-        converged, cycles, initial_norm, _covered(signs),
+        ordering, signs, cycle_norms, envelope,
+        converged, cycles, initial_norm, _covered(signs), records,
     )
     f = np.ascontiguousarray(np.array(transform).T)
     return JJacobiResult(SymMatrix(n, e), f, report)

@@ -52,6 +52,25 @@ VERIFY_LISTING = f"{PAR}\n{COLUMN}\n\n{PAR}\n{PAR2}\n"
 VERIFY_LIST_ROWS_SHA256 = "5495e0eebff4ccdf60ca011af13ca5419b5110f99e300b8d94d6d33f1b582419"
 
 
+# sha256 of the report of `cjacobi solve` on SOLVE_ARGS and of `cjacobi jsolve --A ... --monitor`
+# on JSOLVE_MONITOR_ARGS: the two commands that read every step of their reports.
+SOLVE_ARGS = ["--ordering", "1 2, 1 3, 2 3, 1 4, 2 4, 3 4", "--cycles", "4"]
+SOLVE_REPORT_SHA256 = "e95f1844da5a86cce5900c1326dd3c2a48802433870d0554a82e3d0b45ad791b"
+JSOLVE_MONITOR_ARGS = [
+    "--J", "+1 +1 -1 -1", "--ordering", "1 3, 2 4, 1 4, 2 3, 1 2, 3 4", "--monitor", "0.05",
+]
+JSOLVE_MONITOR_REPORT_SHA256 = "3d8aa18674d7abe93cedbe7885e86aee05262755539f70eebee6f01d1c91c09c"
+
+
+@pytest.fixture
+def random_matrix_file(tmp_path):
+    rng = np.random.default_rng(12)
+    raw = rng.uniform(-1, 1, (4, 4))
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(SymMatrix.from_dense((raw + raw.T) / 2)))
+    return str(path)
+
+
 class TestClassifyCommand:
     def test_all_json_matches_recorded_digest(self, tmp_path):
         out = tmp_path / "all.json"
@@ -157,6 +176,12 @@ class TestSolveCommand:
         assert all(v == 0.0 for v in payload["cycle_off_norms"])
         assert payload["final_diagonal"] == [1.0, 2.0, 3.0, 4.0]
 
+    def test_report_matches_recorded_digest(self, random_matrix_file, tmp_path):
+        report = tmp_path / "run.json"
+        assert main(["solve", "--matrix", random_matrix_file, *SOLVE_ARGS,
+                     "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == SOLVE_REPORT_SHA256
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(
             [
@@ -196,6 +221,12 @@ class TestJsolveCommand:
         payload = json.loads(report.read_text())
         assert payload["monitor"]["cascade_ok"] is True
         assert payload["residual_norms"] if "residual_norms" in payload else True
+
+    def test_monitor_report_matches_recorded_digest(self, spd_matrix_file, tmp_path):
+        report = tmp_path / "j.json"
+        assert main(["jsolve", "--A", spd_matrix_file, *JSOLVE_MONITOR_ARGS,
+                     "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == JSOLVE_MONITOR_REPORT_SHA256
 
     @pytest.mark.parametrize(
         "text, message",
@@ -425,15 +456,8 @@ class TestWorkerCount:
         assert worker_count(8, 720, None) == 1
 
 
-def test_solve_reports_are_byte_identical(tmp_path):
-    rng = np.random.default_rng(12)
-    raw = rng.uniform(-1, 1, (4, 4))
-    matrix = tmp_path / "m.txt"
-    matrix.write_text(format_matrix(SymMatrix.from_dense((raw + raw.T) / 2)))
-    args = [
-        "solve", "--matrix", str(matrix),
-        "--ordering", "1 2, 1 3, 2 3, 1 4, 2 4, 3 4", "--cycles", "4",
-    ]
+def test_solve_reports_are_byte_identical(random_matrix_file, tmp_path):
+    args = ["solve", "--matrix", random_matrix_file, *SOLVE_ARGS]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--report", str(a)]) == 0
     assert main(args + ["--report", str(b)]) == 0

@@ -170,6 +170,21 @@ class TestRunJJacobi:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             run_j_jacobi(SymMatrix.diag([3.0, 2.0, 5.0, 7.0]), STANDARD_SIGNS, COLUMN, tol=tol)
 
+    @pytest.mark.parametrize("max_cycles", [-1, -5])
+    def test_rejects_negative_max_cycles(self, max_cycles):
+        a, factor = spd_matrix(default_rng(22))
+        with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
+            run_j_jacobi(a, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
+        for solve in (solve_factored, eigen_from_factored):
+            with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
+                solve(factor, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
+
+    def test_zero_max_cycles_runs_no_sweep(self):
+        a, _ = spd_matrix(default_rng(22))
+        result = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, max_cycles=0)
+        assert not result.report.converged and result.report.cycles_executed == 0
+        assert result.diagonalized == a and result.report.steps == []
+
     def test_zero_tol_sweeps_to_an_exact_zero_off_norm(self):
         a, _ = spd_matrix(default_rng(21))
         report = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, tol=0.0).report

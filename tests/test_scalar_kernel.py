@@ -6,14 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, anchor_variants, catalog
+import cyclic_jacobi.driver as drivermod
+import cyclic_jacobi.jjacobi as jjacobimod
+from cyclic_jacobi.classification import (
+    PAR_ANCHOR,
+    PAR_ANCHOR_MIRROR,
+    anchor_variants,
+    catalog,
+    classify,
+)
 from cyclic_jacobi.cli import main
 from cyclic_jacobi.core import SymMatrix, _rotation_params, format_matrix, off_norm
 from cyclic_jacobi.driver import (
     IDENTITY_RTOL,
     MONOTONICITY_RTOL,
+    StepRecord,
     _batch_rotations,
     batch_sweep,
+    check_bound,
     default_rng,
     random_spd_factor,
     random_symmetric,
@@ -23,7 +33,7 @@ from cyclic_jacobi.driver import (
     verify_cycle_monotonicity,
     verify_step_identities,
 )
-from cyclic_jacobi.jjacobi import run_j_jacobi, solve_factored
+from cyclic_jacobi.jjacobi import JJacobiStep, eigen_from_factored, run_j_jacobi, solve_factored
 from cyclic_jacobi.orderings import enumerate_orderings, make_ordering
 
 ENTRY = {e.index: e.ordering for e in catalog()}
@@ -308,6 +318,71 @@ class TestParallelCycleOracle:
                 assert verify_step_identities(report) <= IDENTITY_RTOL
                 seq, _ = run_cycles(m, ordering, 1)
                 assert np.array_equal(par.to_dense(), seq.to_dense())
+
+    def test_grouped_steps_are_the_sequential_steps_bitwise(self):
+        """Each step of a parallel cycle is two consecutive steps of one run_cycles sweep."""
+        rng = default_rng(6061)
+        mats = np.concatenate([random_symmetric_batch(rng, 12),
+                               random_symmetric_batch(rng, 4, zero_pairs=((1, 2), (3, 4)))])
+        for ordering in anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR):
+            for dense in mats:
+                m = SymMatrix.from_dense(dense)
+                _, par = run_parallel_cycle(m, ordering)
+                _, seq = run_cycles(m, ordering, 1)
+                assert len(par.steps) == 3 and len(seq.steps) == 6
+                for group, first, second in zip(par.steps, seq.steps[::2], seq.steps[1::2]):
+                    assert group.pivots == first.pivots + second.pivots
+                    assert _bits(group.values) == _bits(first.values + second.values)
+                    assert _bits(group.angles) == _bits(first.angles + second.angles)
+                    assert _bits([group.s_before, group.s_after]) == _bits(
+                        [first.s_before, second.s_after])
+                assert _bits(par.cycle_off_norms) == _bits(seq.cycle_off_norms)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestLazySteps:
+    """Reports build their step objects the first time ``steps`` is read, and only then."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Count the step objects built through ``driver.StepRecord`` and ``jjacobi.JJacobiStep``."""
+        counts = {}
+        for module, cls in ((drivermod, StepRecord), (jjacobimod, JJacobiStep)):
+            counts[cls] = 0
+
+            def counting(*args, cls=cls):
+                counts[cls] += 1
+                return cls(*args)
+
+            monkeypatch.setattr(module, cls.__name__, counting)
+        return counts
+
+    @pytest.mark.parametrize("run, cls, steps_per_cycle", [
+        (lambda m, f: run_cycles(m, COLUMN, 10)[1], StepRecord, 6),
+        (lambda m, f: run_parallel_cycle(m, PAR_ANCHOR)[1], StepRecord, 3),
+        (lambda m, f: solve_factored(f, (1, 1, -1, -1), PAR_ANCHOR)[2].report, JJacobiStep, 6),
+    ], ids=["run_cycles", "run_parallel_cycle", "solve_factored"])
+    def test_steps_are_built_once_on_first_read(self, built, run, cls, steps_per_cycle):
+        rng = default_rng(71)
+        report = run(random_symmetric(rng), random_spd_factor(rng))
+        assert set(built.values()) == {0}
+        steps = report.steps
+        assert len(steps) == steps_per_cycle * report.cycles_executed > 0
+        assert all(type(st) is cls for st in steps)
+        assert built[cls] == len(steps) and sum(built.values()) == len(steps)
+        assert report.steps is steps
+        assert built[cls] == len(steps)
+
+    def test_solvers_that_never_read_steps_build_none(self, built):
+        rng = default_rng(72)
+        m, factor = random_symmetric(rng), random_spd_factor(rng)
+        check_bound(m, classify(COLUMN), 3)
+        eigen_from_factored(factor, (1, 1, -1, -1), PAR_ANCHOR)
+        run_j_jacobi(SymMatrix.from_dense(factor.T @ factor), (1, -1, 1, -1), COLUMN)
+        assert set(built.values()) == {0}
 
 
 class TestDimensions:

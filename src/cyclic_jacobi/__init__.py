@@ -56,8 +56,6 @@ from .classification import (
     classify,
     compute_eta,
     label_text,
-    member_column_wise,
-    member_row_wise,
     member_serial_perm,
     parallel_orderings,
     serial_perm_orderings,

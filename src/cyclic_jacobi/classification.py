@@ -19,6 +19,11 @@ minimal-shift search and tie-break that ``orderings.relate`` uses too: the
 nearest relabeled serial template for the generalized serial class, the
 nearer anchor for the parallel class.
 
+``serial_perm_orderings`` is the one definition of the serial templates:
+its order fixes the classifier's tie-break, and ``member_serial_perm`` is a
+lookup into it.  ``_ANCHOR_NAMES`` is the one map from an anchor to its name
+("par", "par2") in the labels and the catalog terminals.
+
 This module is the only one that knows the structure of the classes; code
 elsewhere asks ``classify``.  Besides the labels that ``cjacobi classify``
 and the campaigns print, ``driver.run_parallel_cycle`` asks whether an
@@ -74,8 +79,6 @@ __all__ = [
     "SERIAL_GAMMA",
     "PARALLEL_GAMMA",
     "compute_eta",
-    "member_column_wise",
-    "member_row_wise",
     "member_serial_perm",
     "classify",
     "catalog",
@@ -120,64 +123,8 @@ PAR_ANCHOR = make_ordering([(1, 3), (2, 4), (1, 4), (2, 3), (1, 2), (3, 4)])
 PAR_ANCHOR_MIRROR = make_ordering([(1, 4), (2, 3), (1, 3), (2, 4), (1, 2), (3, 4)])
 # the anchors are not weakly equivalent, so a search reaches at most one
 _ANCHOR_TARGETS = _relabeled_targets((PAR_ANCHOR, PAR_ANCHOR_MIRROR), False)
-
-
-# --- membership templates ---------------------------------------------------
-
-def member_column_wise(o: PivotOrdering) -> bool:
-    """(1,2) first, then column 3 in some row order, then column 4, ..."""
-    seq = list(o.pairs)
-    if seq[0] != (1, 2):
-        return False
-    k = 1
-    for col in range(3, o.n + 1):
-        rows = []
-        for _ in range(col - 1):
-            r, s = seq[k]
-            if s != col:
-                return False
-            rows.append(r)
-            k += 1
-        if sorted(rows) != list(range(1, col)):
-            return False
-    return True
-
-
-def member_row_wise(o: PivotOrdering) -> bool:
-    """(n-1, n) first, then row n-2 in some column order, ..., then row 1."""
-    seq = list(o.pairs)
-    if seq[0] != (o.n - 1, o.n):
-        return False
-    k = 1
-    for row in range(o.n - 2, 0, -1):
-        cols = []
-        for _ in range(o.n - row):
-            r, s = seq[k]
-            if r != row:
-                return False
-            cols.append(s)
-            k += 1
-        if sorted(cols) != list(range(row + 1, o.n + 1)):
-            return False
-    return True
-
-
-def member_serial_perm(o: PivotOrdering) -> Optional[str]:
-    """Which serial template (if any) the ordering matches.
-
-    Checked in the order column, row, reverse-column, reverse-row; for n = 4
-    the four families are disjoint.
-    """
-    if member_column_wise(o):
-        return "column"
-    if member_row_wise(o):
-        return "row"
-    rev = reverse(o)
-    if member_column_wise(rev):
-        return "reverse-column"
-    if member_row_wise(rev):
-        return "reverse-row"
-    return None
+# each anchor's name in the labels and the catalog terminals
+_ANCHOR_NAMES = {PAR_ANCHOR: "par", PAR_ANCHOR_MIRROR: "par2"}
 
 
 # --- labels, bounds, records -------------------------------------------------
@@ -228,8 +175,7 @@ def label_text(label: Label) -> str:
         return f"SerialPerm({label.variant})"
     if isinstance(label, GeneralizedSerial):
         return f"GeneralizedSerial(d={label.d})"
-    tag = "par" if label.anchor == PAR_ANCHOR else "par2"
-    return f"Parallel({tag}, shift={label.shift_length})"
+    return f"Parallel({_ANCHOR_NAMES[label.anchor]}, shift={label.shift_length})"
 
 
 # --- classifier ---------------------------------------------------------------
@@ -248,6 +194,25 @@ def serial_perm_orderings() -> tuple[PivotOrdering, ...]:
             out.append(make_ordering(rows))
     out.extend(reverse(o) for o in list(out))
     return tuple(out)
+
+
+# the families of ``serial_perm_orderings``, 12 orderings each, in its order
+_FAMILIES = ("column", "row", "reverse-column", "reverse-row")
+
+
+@lru_cache(maxsize=1)
+def _serial_families() -> dict[PivotOrdering, str]:
+    return {o: _FAMILIES[k // 12] for k, o in enumerate(serial_perm_orderings())}
+
+
+def member_serial_perm(o: PivotOrdering) -> Optional[str]:
+    """The serial template family of an n = 4 ordering, or None if it is in none.
+
+    A lookup into ``serial_perm_orderings``, the one definition of the templates.
+    """
+    if o.n != 4:
+        raise ValueError(f"serial templates are defined for n=4, got n={o.n}")
+    return _serial_families().get(o)
 
 
 @lru_cache(maxsize=1)
@@ -505,12 +470,7 @@ def c0_orderings() -> tuple[PivotOrdering, ...]:
 
 
 # serial terminal tag -> the family ``member_serial_perm`` names
-_TERMINAL_FAMILIES = {
-    "Cc": "column",
-    "Cr": "row",
-    "rCc": "reverse-column",
-    "rCr": "reverse-row",
-}
+_TERMINAL_FAMILIES = dict(zip(("Cc", "Cr", "rCc", "rCr"), _FAMILIES))
 
 
 @dataclass
@@ -535,14 +495,7 @@ def verify_catalog() -> CatalogReport:
     if any(e.ordering.pairs[0] != (1, 2) for e in entries):
         failures.append("catalog contains an ordering not starting at (1, 2)")
 
-    counts = {
-        "column": 0,
-        "row": 0,
-        "reverse-column": 0,
-        "reverse-row": 0,
-        "generalized-serial": 0,
-        "parallel": 0,
-    }
+    counts = dict.fromkeys(_FAMILIES + ("generalized-serial", "parallel"), 0)
     for entry in entries:
         try:
             endpoint = replay(entry.chain)
@@ -555,12 +508,9 @@ def verify_catalog() -> CatalogReport:
                 failures.append(
                     f"entry {entry.index}: chain lands at {endpoint}, not entry {ref.index}"
                 )
-        elif entry.terminal == "par":
-            if endpoint != PAR_ANCHOR:
-                failures.append(f"entry {entry.index}: chain misses the parallel anchor")
-        elif entry.terminal == "par2":
-            if endpoint != PAR_ANCHOR_MIRROR:
-                failures.append(f"entry {entry.index}: chain misses the mirrored anchor")
+        elif entry.terminal.startswith("par"):
+            if _ANCHOR_NAMES.get(endpoint) != entry.terminal:
+                failures.append(f"entry {entry.index}: chain misses anchor {entry.terminal}")
         else:
             if member_serial_perm(endpoint) != _TERMINAL_FAMILIES[entry.terminal]:
                 failures.append(

@@ -230,18 +230,6 @@ def _select_orderings(selection: list[str]) -> list[PivotOrdering]:
     return list(sources[kind]())
 
 
-def _requested_jobs(flag: Optional[int]) -> int:
-    """``--jobs``, else ``JPL_JOBS``, else 1; whichever is used must be an integer >= 1."""
-    if flag is None:
-        text = os.environ.get("JPL_JOBS", "1")
-        if not text.strip().isdecimal() or int(text) < 1:
-            raise ValueError(f"JPL_JOBS must be an integer >= 1, got {text!r}")
-        return int(text)
-    if flag < 1:
-        raise ValueError(f"--jobs must be an integer >= 1, got {flag}")
-    return flag
-
-
 def worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
     """Worker processes for ``tasks`` orderings: ``jobs`` clamped to the tasks and CPUs.
 
@@ -275,7 +263,9 @@ def cmd_verify(args) -> int:
     # enumeration order: itertools.permutations of the sorted pairs is lexicographic
     orderings = sorted(_select_orderings(args.orderings), key=lambda o: o.pairs)
     modes = ("classified", "universal") if args.bound == "both" else (args.bound,)
-    jobs = worker_count(_requested_jobs(args.jobs), len(orderings), os.cpu_count())
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
+    jobs = worker_count(args.jobs, len(orderings), os.cpu_count())
     campaign = partial(verification_campaign, args.seed, args.samples, orderings, modes)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -352,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bound", choices=("classified", "universal", "both"), default="both")
     p.add_argument("--out", help="CSV report path (default stdout)")
-    p.add_argument("--jobs", type=int, help="worker processes, >= 1 (default: JPL_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1 (default: 1)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -20,6 +20,7 @@ needed for concurrent use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -316,6 +317,17 @@ def _sweep(e: list[float], n_off: int, plan: list, s: float) -> list[tuple]:
 def _check_pivot(n: int, i: int, j: int) -> None:
     if not (1 <= i < j <= n):
         raise IndexError(f"pivot ({i}, {j}) out of range for n={n}")
+
+
+def _check_cycles(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer >= 0 (``operator.index``)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{name} must be nonnegative and an integer, got {value!r}")
+    return count
 
 
 def off_norm(m) -> float:

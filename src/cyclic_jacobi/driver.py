@@ -44,6 +44,7 @@ import numpy as np
 
 from .core import (
     SymMatrix,
+    _check_cycles,
     _layout_indices,
     _packed_entries,
     _pivot_plan,
@@ -177,13 +178,13 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     """Apply ``cycles`` full sweeps of ``ordering`` to ``a``.
 
     Stops early (reporting the executed count) once the off-norm falls below
-    ``OFF_NORM_FLOOR``.  Raises ``ValueError`` when S^2 is not finite, before
-    or after any step (entries beyond about 1e154 overflow it).
+    ``OFF_NORM_FLOOR``.  Raises ``ValueError`` unless ``cycles`` is an integer
+    >= 0, and when S^2 is not finite, before or after any step (entries
+    beyond about 1e154 overflow it).
     """
     if a.n != ordering.n:
         raise ValueError(f"matrix dimension {a.n} does not match ordering n={ordering.n}")
-    if cycles < 0:
-        raise ValueError("cycle count must be nonnegative")
+    cycles = _check_cycles("cycles", cycles)
     n_off = a.n * (a.n - 1) // 2
     e = _packed_entries(a)
     plan = _rotation_plan(ordering)
@@ -347,9 +348,11 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     matrix is done, the remaining cycles are skipped, their S left 0.  The
     dense ``finals`` are built only when read.
 
-    Raises ``ValueError`` for non-finite entries, and when S^2 after some
-    step is not finite (entries beyond about 1e154 overflow it).
+    Raises ``ValueError`` unless ``cycles`` is an integer >= 0, for
+    non-finite entries, and when S^2 after some step is not finite (entries
+    beyond about 1e154 overflow it).
     """
+    cycles = _check_cycles("cycles", cycles)
     a = np.asarray(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (m, n, n) stack, got shape {a.shape}")

@@ -38,6 +38,7 @@ import numpy as np
 
 from .core import (
     SymMatrix,
+    _check_cycles,
     _check_pivot,
     _packed_entries,
     _pivot_plan,
@@ -45,7 +46,7 @@ from .core import (
     _sweep,
     off_norm,
 )
-from .classification import PAR_ANCHOR, Parallel, classify
+from .classification import Parallel, classify
 from .orderings import PivotOrdering
 
 __all__ = [
@@ -253,13 +254,12 @@ def run_j_jacobi(
     (so the final cycle's angle envelope measures the converged matrix), or
     stops at ``max_cycles``.  Hyperbolic steps may raise
     ``HyperbolicBreakdownError`` when the pair is not definite.  Raises
-    ``ValueError`` unless 0 <= tol < inf and max_cycles >= 0, and when S^2
-    is not finite, before or after any step.
+    ``ValueError`` unless 0 <= tol < inf and max_cycles is an integer >= 0,
+    and when S^2 is not finite, before or after any step.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    if max_cycles < 0:
-        raise ValueError(f"max_cycles must be nonnegative, got {max_cycles!r}")
+    max_cycles = _check_cycles("max_cycles", max_cycles)
     signs = sign_diagonal(signs)
     if len(signs) != a.n or a.n != ordering.n:
         raise ValueError("matrix, signs, and ordering dimensions must agree")
@@ -404,8 +404,8 @@ def monitor_proof_bounds(report: JJacobiReport, epsilon: float) -> ProofMonitorV
     The ordering must be one that ``classify`` labels ``Parallel(anchor, l)``;
     any other raises ``MonitorInapplicableError``.  Both anchors end in the
     trigonometric group (1 2, 3 4), so the phase is p = (l + 4) mod 6, and
-    the variant names the anchor's first hyperbolic group: "13-24 first" for
-    ``PAR_ANCHOR``, "14-23 first" for its mirror.
+    the variant names the anchor's first hyperbolic group, its first two
+    pivots: "13-24 first" for ``PAR_ANCHOR``, "14-23 first" for its mirror.
 
     Premises per window r (steps 6r+p .. 6r+p+5 with phase p): the squared
     hyperbolic pivot pair sums and the squared tanh pair sums all stay below
@@ -426,7 +426,8 @@ def monitor_proof_bounds(report: JJacobiReport, epsilon: float) -> ProofMonitorV
             f"monitor inapplicable: {report.ordering} contains no parallel window"
         )
     phase = (label.shift_length + 4) % 6
-    variant = "13-24 first" if label.anchor == PAR_ANCHOR else "14-23 first"
+    (a, b), (c, d) = label.anchor.pairs[:2]
+    variant = f"{a}{b}-{c}{d} first"
 
     norms = [report.cycle_off_norms[0]] + [st.s_after for st in report.steps]
     total_steps = len(report.steps)

@@ -16,8 +16,6 @@ from cyclic_jacobi.classification import (
     classify,
     compute_eta,
     label_text,
-    member_column_wise,
-    member_row_wise,
     member_serial_perm,
     parallel_orderings,
     serial_perm_orderings,
@@ -73,22 +71,36 @@ class TestEta:
             compute_eta(1)
 
 
+def signature_family(o):
+    """The serial family read off the pair signature, independently of the templates.
+
+    Column-wise: (1, 2), then two pivots in column 3, then three in column 4.
+    Row-wise: (3, 4), then two pivots in row 2, then three in row 1.
+    """
+    for prefix, pairs in (("", o.pairs), ("reverse-", o.pairs[::-1])):
+        if [s for _, s in pairs] == [2, 3, 3, 4, 4, 4]:
+            return prefix + "column"
+        if [r for r, _ in pairs] == [3, 2, 2, 1, 1, 1]:
+            return prefix + "row"
+    return None
+
+
 class TestMembership:
     def test_column_template(self):
-        assert member_column_wise(ENTRY[1].ordering)
-        assert not member_column_wise(ENTRY[13].ordering)
+        assert member_serial_perm(ENTRY[1].ordering) == "column"
+        assert member_serial_perm(ENTRY[13].ordering) != "column"
 
     def test_column_count_in_c0(self):
-        count = sum(member_column_wise(o) for o in c0_orderings())
+        count = sum(member_serial_perm(o) == "column" for o in c0_orderings())
         assert count == 12
 
     def test_row_template_instance(self):
         o = make_ordering([(3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4)])
-        assert member_row_wise(o)
+        assert member_serial_perm(o) == "row"
 
     def test_row_never_starts_at_12(self):
-        assert all(not member_row_wise(o) for o in c0_orderings())
-        assert not member_row_wise(ENTRY[1].ordering)
+        assert all(member_serial_perm(o) != "row" for o in c0_orderings())
+        assert member_serial_perm(ENTRY[1].ordering) != "row"
 
     def test_serial_perm_variants(self):
         assert member_serial_perm(ENTRY[16].ordering) == "reverse-row"
@@ -101,8 +113,20 @@ class TestMembership:
 
     def test_reverse_maps_column_to_reverse_column(self):
         for o in serial_perm_orderings():
-            if member_column_wise(o):
+            if member_serial_perm(o) == "column":
                 assert member_serial_perm(reverse(o)) == "reverse-column"
+
+    def test_templates_match_the_pair_signatures_over_all_720(self):
+        families = [member_serial_perm(o) for o in enumerate_orderings(4)]
+        assert families == [signature_family(o) for o in enumerate_orderings(4)]
+        for family in ("column", "row", "reverse-column", "reverse-row"):
+            assert families.count(family) == 12
+        assert families.count(None) == 720 - 48
+
+    def test_rejects_other_dimensions(self):
+        o5 = make_ordering([(i, j) for i in range(1, 6) for j in range(i + 1, 6)])
+        with pytest.raises(ValueError):
+            member_serial_perm(o5)
 
 
 class TestClassify:
@@ -271,7 +295,7 @@ class TestCatalog:
         assert isinstance(steps[0], Permute) and steps[0].images == (1, 3, 4, 2)
         assert steps[1] == Shift(3)
         assert steps[2] == Transpose(2)
-        assert member_row_wise(reverse(ENTRY[104].chain.target))
+        assert member_serial_perm(ENTRY[104].chain.target) == "reverse-row"
 
     def test_entry_120_chain_shape(self):
         from cyclic_jacobi.orderings import Shift, Transpose

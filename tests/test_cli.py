@@ -411,33 +411,13 @@ class TestVerifyCommand:
         assert "S^2 checks failed" in capsys.readouterr().err
         assert bad.read_bytes() == clean.read_bytes()
 
-    def test_jpl_jobs_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("JPL_JOBS", "2")
-        out = tmp_path / "env.csv"
-        base = [
-            "verify", "--seed", "3", "--samples", "5",
-            "--orderings", "serial", "--bound", "classified",
-        ]
-        assert main(base + ["--out", str(out)]) == 0
-        monkeypatch.delenv("JPL_JOBS")
-        ref = tmp_path / "ref.csv"
-        assert main(base + ["--out", str(ref), "--jobs", "1"]) == 0
-        assert out.read_bytes() == ref.read_bytes()
-
-    @pytest.mark.parametrize(
-        "jobs, env",
-        [("0", None), ("-4", None), (None, "0"), (None, "-2"), (None, "two"), (None, "")],
-    )
-    def test_bad_jobs_is_input_error(self, monkeypatch, capsys, jobs, env):
-        if env is None:
-            monkeypatch.delenv("JPL_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("JPL_JOBS", env)
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_bad_jobs_is_input_error(self, capsys, jobs):
         args = ["verify", "--seed", "1", "--samples", "2", "--orderings", "serial"]
-        assert main(args + (["--jobs", jobs] if jobs else [])) == 2
+        assert main(args + ["--jobs", jobs]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: ")
-        assert ("--jobs" if jobs else "JPL_JOBS") in captured.err
+        assert "--jobs" in captured.err
         assert captured.out == ""
 
 

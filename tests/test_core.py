@@ -17,6 +17,7 @@ from cyclic_jacobi.core import (
     parse_matrix,
     rotation_for_pivot,
 )
+from oracles import spectrum
 
 
 EPS = np.finfo(float).eps
@@ -55,17 +56,6 @@ def rotated_pivot_bound(aii, ajj, aij, rot):
     """
     diag = abs(aii) + abs(ajj)
     return 8 * EPS * (abs(aij) + abs(rot.c * rot.s) * diag) + 8 * SUBNORMAL * (1.0 + diag)
-
-
-def spectrum(dense):
-    """Sorted eigenvalues of a symmetric matrix, with entries below 2**-511 set to 0.
-
-    LAPACK's symmetric eigensolvers can lose the spectrum when squared entries
-    fall below the normal range. By Weyl's inequality the zeroed entries move
-    each eigenvalue by at most n * 2**-511.
-    """
-    dense = np.where(np.abs(dense) < 2.0**-511, 0.0, dense)
-    return np.sort(np.linalg.eigvalsh(dense))
 
 
 def symmetric_matrices(n=4, magnitude=10.0):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclic_jacobi.driver as drivermod
@@ -35,6 +35,7 @@ from cyclic_jacobi.driver import (
     verify_step_identities,
 )
 from cyclic_jacobi.orderings import TRANSPOSE, enumerate_orderings, make_ordering, relate
+from oracles import spectrum
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -191,6 +192,14 @@ class TestRunCycles:
         m = SymMatrix.identity(3)
         with pytest.raises(ValueError):
             run_cycles(m, COLUMN, 1)
+
+    @pytest.mark.parametrize("cycles", [2.5, math.nan, -1])
+    def test_rejects_a_cycle_count_that_is_not_a_nonnegative_integer(self, cycles):
+        m = random_symmetric(default_rng(3))
+        with pytest.raises(ValueError, match="cycles must be nonnegative and an integer"):
+            run_cycles(m, COLUMN, cycles)
+        with pytest.raises(ValueError, match="cycles must be nonnegative and an integer"):
+            batch_sweep(m.to_dense()[None], COLUMN, cycles)
 
 
 def wrap_rotations(monkeypatch, mutate=lambda cs: None):
@@ -368,6 +377,15 @@ class TestBatchSweep:
         ),
     )
     @settings(max_examples=100, deadline=None)
+    # LAPACK's eigvalsh of these inputs lost digits beside their subnormal entries
+    @example(
+        off=[0, 8.152131911864144e149, 8.426543541939689e148, 2.2250738585072014e-308, 0, 1e-3],
+        diag=[2, 7.14071910106098e-309, 7.14071910106098e-309, 2],
+    )
+    @example(
+        off=[0, 2.316864326517534e149, 2.2250738585072014e-308, 0, 0.00390625, 1],
+        diag=[71, 71, 1.642276094363543e-308, 5e-324],
+    )
     def test_extreme_entries_sweep_cleanly(self, off, diag):
         dense = np.diag(diag)
         dense[np.triu_indices(4, k=1)] = off
@@ -379,12 +397,9 @@ class TestBatchSweep:
         assert final[last_i - 1, last_j - 1] == 0.0
         assert sweep.identity_violation <= IDENTITY_RTOL
         scale = np.max(np.abs(dense))
-        # LAPACK can lose accuracy on entries near 1e149 beside subnormals (1.2e-12
-        # relative on one drawn case), so both spectra are taken at a power-of-two scale
-        exp = np.frexp(scale)[1]
-        before = np.ldexp(np.linalg.eigvalsh(np.ldexp(dense, -exp)), exp)
-        after = np.ldexp(np.linalg.eigvalsh(np.ldexp(final, -exp)), exp)
-        assert np.allclose(before, after, rtol=0.0, atol=1e-12 * scale + 1e-300)
+        assert np.allclose(
+            spectrum(dense), spectrum(final), rtol=0.0, atol=1e-12 * scale + 1e-300
+        )
 
 
 class TestKernelMutations:

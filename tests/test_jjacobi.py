@@ -170,7 +170,7 @@ class TestRunJJacobi:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             run_j_jacobi(SymMatrix.diag([3.0, 2.0, 5.0, 7.0]), STANDARD_SIGNS, COLUMN, tol=tol)
 
-    @pytest.mark.parametrize("max_cycles", [-1, -5])
+    @pytest.mark.parametrize("max_cycles", [-1, -5, 2.5, math.nan])
     def test_rejects_negative_max_cycles(self, max_cycles):
         a, factor = spd_matrix(default_rng(22))
         with pytest.raises(ValueError, match="max_cycles must be nonnegative"):

@@ -12,12 +12,14 @@ entries row by row, then the diagonal) as a list of Python floats, and
 sweeps it with ``core._sweep``, the routine behind ``run_cycles``, which
 applies both kinds of step with ``core._plane_step``: a rotation as
 F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
-The accumulated transform is kept column by column, also as Python floats,
-so a step makes no numpy call.  The angle envelope and the transform are
-computed as the run goes; the ``JJacobiStep`` records of the report's
-``steps`` are built from the raw ``core._sweep`` records the first time they
-are read, so ``solve_factored`` and ``eigen_from_factored``, which never read
-them, do not build them, and ``monitor_proof_bounds`` builds them once.
+The accumulated transform F rides in the same list, row by row after A's
+n(n+1)/2 entries: each step's plan (``_transform_plan``) adds the positions
+of F's columns i and j to A's (a_ki, a_kj) pairs, so the one plane step
+updates A and F and a step makes no numpy call.  The report's angle envelope
+and its ``JJacobiStep`` records (``steps``) are built from the raw
+``core._sweep`` records the first time they are read, so ``solve_factored``
+and ``eigen_from_factored``, which never read them, do not build them, and
+``monitor_proof_bounds`` builds the steps once.
 
 ``eigen_from_factored`` solves H = L J L^T given its factor: it runs the
 solver on A = L^T L and maps the diagonalization back to eigenpairs of H.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -199,21 +201,33 @@ class JJacobiStep:
 class JJacobiReport:
     """The cycle-boundary off-norms and angle envelope of a run, and its steps.
 
-    ``steps`` is built from the kernel's raw ``core._sweep`` records the
-    first time it is read, and kept.  ``solve_factored``,
-    ``eigen_from_factored`` and ``cjacobi jsolve`` without ``--monitor``
-    never read it and pay nothing for it; ``monitor_proof_bounds`` pays once.
+    ``angle_envelope`` and ``steps`` are each built from the kernel's raw
+    ``core._sweep`` records the first time they are read, and kept.
+    ``solve_factored`` and ``eigen_from_factored`` read neither and pay
+    nothing for them; ``cjacobi jsolve`` reads the envelope, and
+    ``monitor_proof_bounds`` (``jsolve --monitor``) pays once for ``steps``.
     """
 
     ordering: PivotOrdering
     signs: tuple[int, ...]
     cycle_off_norms: list[float]
-    angle_envelope: list[float]  # per cycle: max |tanh theta| over hyperbolic steps
     converged: bool
     cycles_executed: int
     initial_norm: float
     covered_by_convergence_theory: bool
     _records: list[tuple] = field(repr=False)
+
+    @cached_property
+    def angle_envelope(self) -> list[float]:
+        """Per cycle: max |tanh theta| over its hyperbolic steps, 0.0 if none."""
+        signs = self.signs
+        records = self._records
+        per_cycle = len(self.ordering.pairs)
+        return [
+            max([0.0] + [abs(math.tanh(rec[5])) for rec in records[k:k + per_cycle]
+                         if signs[rec[0][0] - 1] != signs[rec[0][1] - 1]])
+            for k in range(0, len(records), per_cycle)
+        ]
 
     @cached_property
     def steps(self) -> list[JJacobiStep]:
@@ -240,6 +254,18 @@ def _covered(signs: tuple[int, ...]) -> bool:
     return signs == STANDARD_SIGNS or len(set(signs)) == 1
 
 
+@lru_cache(maxsize=None)
+def _transform_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """``_pivot_plan`` with the (f_ki, f_kj) positions of every row k of F
+    appended to its (a_ki, a_kj) pairs.  F is kept row by row after A's
+    packed entries, so ``core._plane_step`` sets columns i and j of F to
+    c*f_ki + s*f_kj and c*f_kj + t*f_ki: F <- F [[c, t], [s, c]]."""
+    ii, jj, ij, others = _pivot_plan(n, i, j)
+    base = n * (n + 1) // 2
+    columns = tuple((base + k * n + i - 1, base + k * n + j - 1) for k in range(n))
+    return ii, jj, ij, others + columns
+
+
 def run_j_jacobi(
     a: SymMatrix,
     signs: Sequence[int],
@@ -255,7 +281,9 @@ def run_j_jacobi(
     stops at ``max_cycles``.  Hyperbolic steps may raise
     ``HyperbolicBreakdownError`` when the pair is not definite.  Raises
     ``ValueError`` unless 0 <= tol < inf and max_cycles is an integer >= 0,
-    and when S^2 is not finite, before or after any step.
+    when S^2 is not finite, before or after any step, and when the initial
+    S^2 underflows to 0 while sqrt(n(n-1)/2) max |a_ij| over the
+    off-diagonal entries, a bound on S, exceeds the threshold.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -269,40 +297,36 @@ def run_j_jacobi(
     cycle_norms = [off_norm(a)]  # raises before the norm below can overflow
     initial_norm = a.frobenius()
     threshold = tol * initial_norm
-    transform = [[float(r == k) for r in range(n)] for k in range(n)]  # F, column by column
-    hyperbolic = [signs[i - 1] != signs[j - 1] for i, j in ordering.pairs]
+    if cycle_norms[0] == 0.0 and math.sqrt(n_off) * max(map(abs, e[:n_off])) > threshold:
+        raise ValueError("S^2 underflows to 0: off-diagonal entries too small for float64 squares")
+    size = len(e)
+    e += [float(r == k) for r in range(n) for k in range(n)]  # F, row by row, after A
     plan = [
-        (pair, _pivot_plan(n, *pair), _hyperbolic_params, 1.0) if hyp
-        else (pair, _pivot_plan(n, *pair), _rotation_params, -1.0)
-        for pair, hyp in zip(ordering.pairs, hyperbolic)
+        (pair, _transform_plan(n, *pair), _hyperbolic_params, 1.0)
+        if signs[pair[0] - 1] != signs[pair[1] - 1]
+        else (pair, _transform_plan(n, *pair), _rotation_params, -1.0)
+        for pair in ordering.pairs
     ]
     records: list[tuple] = []
-    envelope: list[float] = []
     converged = cycle_norms[0] <= threshold
     certified = converged
     cycles = 0
     while cycles < max_cycles and not certified:
         sweep = _sweep(e, n_off, plan, cycle_norms[-1])
-        for (i, j), _, c, sn, t, _, _, _ in sweep:
-            ti, tj = transform[i - 1], transform[j - 1]
-            transform[i - 1] = [c * x + sn * y for x, y in zip(ti, tj)]
-            transform[j - 1] = [c * y + t * x for x, y in zip(ti, tj)]
         records += sweep
         cycles += 1
         s_new = sweep[-1][7]
         cycle_norms.append(s_new)
-        envelope.append(max([0.0] + [abs(math.tanh(rec[5]))
-                                     for rec, hyp in zip(sweep, hyperbolic) if hyp]))
         if converged:
             certified = True  # the extra sweep from the converged state ran
         elif s_new <= threshold:
             converged = True
     report = JJacobiReport(
-        ordering, signs, cycle_norms, envelope,
-        converged, cycles, initial_norm, _covered(signs), records,
+        ordering, signs, cycle_norms, converged, cycles, initial_norm,
+        _covered(signs), records,
     )
-    f = np.ascontiguousarray(np.array(transform).T)
-    return JJacobiResult(SymMatrix(n, e), f, report)
+    f = np.array(e[size:]).reshape(n, n)
+    return JJacobiResult(SymMatrix(n, e[:size]), f, report)
 
 
 def solve_factored(
@@ -325,6 +349,8 @@ def solve_factored(
     signs = sign_diagonal(signs)
     if len(signs) != ell.shape[0]:
         raise ValueError("sign diagonal length must match the factor size")
+    if not np.isfinite(ell).all():
+        raise ValueError("factor entries must be finite")
     cond = float(np.linalg.cond(ell))
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedError(

@@ -239,6 +239,26 @@ class TestJsolveCommand:
         assert code == 2
         assert f"input error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_factor_is_input_error(self, tmp_path, capsys, bad):
+        factor = tmp_path / "factor.txt"
+        factor.write_text(f"1 0 0 0\n0 {bad} 0 0\n0 0 1 0\n0 0 0 1\n")
+        code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1"])
+        assert code == 2
+        assert "input error: factor entries must be finite" in capsys.readouterr().err
+
+    def test_underflowed_off_norm_is_input_error(self, tmp_path, capsys):
+        # A = L^T L has off-diagonal entries near 1e-200, whose squares underflow
+        ell = drivermod.random_spd_factor(drivermod.default_rng(3)) * 1e-100
+        factor = tmp_path / "factor.txt"
+        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        report = tmp_path / "j.json"
+        code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1", "--ordering", PAR,
+                     "--report", str(report)])
+        assert code == 2
+        assert "input error: S^2 underflows to 0" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("source", [["--L", "identity"], ["--A", None]])
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
     def test_tol_outside_zero_to_inf_is_input_error(self, spd_matrix_file, capsys, source, tol):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_jacobi.core import SymMatrix, rotation_for_pivot
+from cyclic_jacobi.core import SymMatrix, off_norm, rotation_for_pivot
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, catalog
 from cyclic_jacobi.driver import default_rng, random_spd_factor, random_symmetric, run_cycles
 from cyclic_jacobi.jjacobi import (
@@ -179,6 +179,30 @@ class TestRunJJacobi:
             with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
                 solve(factor, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
 
+    def test_underflowed_off_norm_is_not_taken_as_converged(self):
+        # S^2 underflows to 0.0 while max |a_ij| is 6.3e-201: the diagonal
+        # is not the spectrum, so the run refuses rather than reporting it
+        factor = random_spd_factor(default_rng(3)) * 1e-100
+        a = SymMatrix.from_dense(factor.T @ factor)
+        assert off_norm(a) == 0.0 and np.max(np.abs(a.to_dense() - np.diag(a.diagonal()))) > 0.0
+        with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
+            run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR)
+        for solve in (solve_factored, eigen_from_factored):
+            with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
+                solve(factor, STANDARD_SIGNS, PAR_ANCHOR)
+
+    def test_underflowed_off_norm_below_the_threshold_stays_converged(self):
+        dense = np.full((4, 4), 1e-170)
+        np.fill_diagonal(dense, 1.0)
+        a = SymMatrix.from_dense(dense)
+        assert off_norm(a) == 0.0
+        result = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR)
+        assert result.report.converged and result.report.cycles_executed == 0
+        assert result.diagonalized == a and np.array_equal(result.transform, np.eye(4))
+        # tol = 0 leaves no room for a nonzero off-diagonal entry
+        with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
+            run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0)
+
     def test_zero_max_cycles_runs_no_sweep(self):
         a, _ = spd_matrix(default_rng(22))
         result = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, max_cycles=0)
@@ -304,6 +328,15 @@ class TestEigenFromFactored:
         singular = np.zeros((4, 4))
         with pytest.raises(IllConditionedError):
             eigen_from_factored(singular, STANDARD_SIGNS, COLUMN)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_factor(self, bad):
+        factor = random_spd_factor(default_rng(34))
+        factor[1, 2] = bad
+        for solve in (solve_factored, eigen_from_factored):
+            with pytest.raises(ValueError, match="factor entries must be finite") as info:
+                solve(factor, STANDARD_SIGNS, COLUMN)
+            assert type(info.value) is ValueError
 
     def test_convergence_error_when_budget_too_small(self):
         rng = default_rng(33)

@@ -35,6 +35,7 @@ from cyclic_jacobi.driver import (
 )
 from cyclic_jacobi.jjacobi import JJacobiStep, eigen_from_factored, run_j_jacobi, solve_factored
 from cyclic_jacobi.orderings import enumerate_orderings, make_ordering
+from oracles import replayed_transform
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -343,8 +344,51 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+class TestTransformOracle:
+    """run_j_jacobi's F has the bits of the column-by-column update replayed from its steps."""
+
+    @staticmethod
+    def assert_replays(result, n):
+        f = result.transform
+        assert f.shape == (n, n) and f.dtype == np.float64
+        assert _bits(f) == _bits(replayed_transform(n, result.report._records))
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    def test_four_by_four_over_every_30th_ordering(self, signs):
+        rng = default_rng(5150)
+        for ordering in list(enumerate_orderings(4))[::30]:
+            _, _, result = solve_factored(random_spd_factor(rng), signs, ordering)
+            assert result.report.cycles_executed > 0
+            self.assert_replays(result, 4)
+
+    @pytest.mark.parametrize("n, signs", [
+        (3, (1, -1, 1)), (3, (1, 1, 1)), (5, (1, 1, -1, -1, 1)), (5, (1, -1, 1, -1, -1)),
+    ])
+    def test_three_and_five(self, n, signs):
+        rng = default_rng(5160 + n)
+        for _ in range(4):
+            factor = random_spd_factor(rng, n=n)
+            _, _, result = solve_factored(factor, signs, _row_major(n))
+            assert result.report.cycles_executed > 0
+            self.assert_replays(result, n)
+
+
+class _CountingMath:
+    """``math`` with its ``tanh`` calls counted."""
+
+    def __init__(self):
+        self.tanh_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def tanh(self, x):
+        self.tanh_calls += 1
+        return math.tanh(x)
+
+
 class TestLazySteps:
-    """Reports build their step objects the first time ``steps`` is read, and only then."""
+    """Reports build their step objects and angle envelope when first read, and only then."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -383,6 +427,32 @@ class TestLazySteps:
         eigen_from_factored(factor, (1, 1, -1, -1), PAR_ANCHOR)
         run_j_jacobi(SymMatrix.from_dense(factor.T @ factor), (1, -1, 1, -1), COLUMN)
         assert set(built.values()) == {0}
+
+    @pytest.fixture
+    def counting_math(self, monkeypatch):
+        """The ``math`` that ``jjacobi`` sees, counting its ``tanh`` calls."""
+        counting = _CountingMath()
+        monkeypatch.setattr(jjacobimod, "math", counting)
+        return counting
+
+    def test_angle_envelope_is_built_once_on_first_read(self, counting_math):
+        signs = (1, 1, -1, -1)
+        report = solve_factored(random_spd_factor(default_rng(73)), signs, PAR_ANCHOR)[2].report
+        assert counting_math.tanh_calls == 0
+        envelope = report.angle_envelope
+        hyperbolic = sum(signs[i - 1] != signs[j - 1] for (i, j), *_ in report._records)
+        assert len(envelope) == report.cycles_executed > 0 and hyperbolic > 0
+        assert counting_math.tanh_calls == hyperbolic
+        assert report.angle_envelope is envelope
+        assert counting_math.tanh_calls == hyperbolic
+
+    def test_solvers_never_compute_the_angle_envelope(self, counting_math):
+        rng = default_rng(74)
+        for signs in SIGN_PATTERNS:
+            factor = random_spd_factor(rng)
+            solve_factored(factor, signs, PAR_ANCHOR)
+            eigen_from_factored(factor, signs, COLUMN)
+        assert counting_math.tanh_calls == 0
 
 
 class TestDimensions:

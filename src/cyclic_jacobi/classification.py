@@ -29,10 +29,12 @@ elsewhere asks ``classify``.  Besides the labels that ``cjacobi classify``
 and the campaigns print, ``driver.run_parallel_cycle`` asks whether an
 ordering is a transposition-variant of an anchor (``Parallel`` with shift
 length 0), and ``jjacobi.monitor_proof_bounds`` asks for the anchor and
-shift that place its cascade windows.  ``anchor_variants`` and
-``parallel_orderings`` enumerate the parallel class by weak searches from
-the anchors, far cheaper than classifying all 720; a Tier-1 test pins them
-to ``classify``.  ``catalog`` embeds the reference table of the 120
+shift that place its cascade windows.  ``anchor_variants`` enumerates the
+parallel class by a transposition search from an anchor, far cheaper than
+classifying all 720; ``parallel_orderings`` is the six cyclic shifts of the
+two anchors' 16 variants, since ``classify`` gives ``Parallel(anchor, l)``
+exactly when the shift by l is a variant of the anchor.  Tier-1 tests pin
+both to ``classify``.  ``catalog`` embeds the reference table of the 120
 orderings that start at pivot (1, 2) together with their recorded reduction
 chains; ``verify_catalog`` replays every chain and cross-checks the
 classifier.
@@ -58,6 +60,7 @@ from .orderings import (
     _nearest,
     _relabeled_targets,
     _weak_search,
+    cyclic_shift,
     make_certificate,
     make_ordering,
     replay,
@@ -267,12 +270,10 @@ def anchor_variants(anchor: PivotOrdering) -> tuple[PivotOrdering, ...]:
 
 @lru_cache(maxsize=1)
 def parallel_orderings() -> tuple[PivotOrdering, ...]:
-    """All 96 parallel orderings for n = 4 (both anchors' weak classes)."""
-    out = []
-    for anchor in (PAR_ANCHOR, PAR_ANCHOR_MIRROR):
-        dist, _ = _weak_search(anchor, frozenset((TRANSPOSE, SHIFT)))
-        out.extend(PivotOrdering(4, p) for p in dist)
-    return tuple(sorted(set(out), key=lambda o: o.pairs))
+    """All 96 parallel orderings for n = 4: the cyclic shifts of the anchors' variants."""
+    variants = anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR)
+    out = {cyclic_shift(v, length) for v in variants for length in range(6)}
+    return tuple(sorted(out, key=lambda o: o.pairs))
 
 
 # --- reference catalog --------------------------------------------------------
@@ -436,7 +437,7 @@ _CATALOG_SRC = [
 
 
 def _parse_catalog_pairs(text: str) -> PivotOrdering:
-    return make_ordering([(int(tok[0]), int(tok[1])) for tok in text.split()], n=4)
+    return make_ordering([(int(tok[0]), int(tok[1])) for tok in text.split()])
 
 
 def _parse_chain(text: str):

@@ -106,8 +106,8 @@ class SymMatrix:
         self._packed.setflags(write=False)
 
     @classmethod
-    def from_dense(cls, arr, rtol: float = SYMMETRY_RTOL) -> "SymMatrix":
-        """Build from a full square array, rejecting asymmetry beyond ``rtol``."""
+    def from_dense(cls, arr) -> "SymMatrix":
+        """Build from a full square array, rejecting asymmetry beyond ``SYMMETRY_RTOL``."""
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -115,10 +115,10 @@ class SymMatrix:
         scale = float(np.max(np.abs(a))) if a.size else 0.0
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: rejected as not finite
             gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if gap > rtol * max(scale, 1e-300):
+        if gap > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(
                 f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "
-                f"exceeds {rtol:.0e} relative"
+                f"exceeds {SYMMETRY_RTOL:.0e} relative"
             )
         return cls(n, a[_layout_indices(n)])
 
@@ -157,11 +157,6 @@ class SymMatrix:
         if math.isinf(norm) or 0.0 < scale < 2.0**-511:  # the entries are finite
             norm = scale * float(np.linalg.norm(dense / scale))
         return norm
-
-    def allclose(self, other: "SymMatrix", rtol: float = 1e-13, atol: float = 0.0) -> bool:
-        return self.n == other.n and np.allclose(
-            self._packed, other._packed, rtol=rtol, atol=atol
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
@@ -394,9 +389,9 @@ def _parse_square(text: str) -> np.ndarray:
     return np.array(values).reshape(n, n)
 
 
-def parse_matrix(text: str, rtol: float = SYMMETRY_RTOL) -> SymMatrix:
+def parse_matrix(text: str) -> SymMatrix:
     """Parse a whitespace-separated row-major full symmetric matrix."""
-    return SymMatrix.from_dense(_parse_square(text), rtol=rtol)
+    return SymMatrix.from_dense(_parse_square(text))
 
 
 def format_matrix(m: SymMatrix) -> str:

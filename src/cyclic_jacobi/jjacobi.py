@@ -15,11 +15,11 @@ F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
 The accumulated transform F rides in the same list, row by row after A's
 n(n+1)/2 entries: each step's plan (``_transform_plan``) adds the positions
 of F's columns i and j to A's (a_ki, a_kj) pairs, so the one plane step
-updates A and F and a step makes no numpy call.  The report's angle envelope
-and its ``JJacobiStep`` records (``steps``) are built from the raw
-``core._sweep`` records the first time they are read, so ``solve_factored``
-and ``eigen_from_factored``, which never read them, do not build them, and
-``monitor_proof_bounds`` builds the steps once.
+updates A and F and a step makes no numpy call.  The report's
+``JJacobiStep`` records (``steps``) are built from the raw ``core._sweep``
+records the first time they are read, and its angle envelope from the steps,
+so ``solve_factored`` and ``eigen_from_factored``, which never read them, do
+not build them, and ``monitor_proof_bounds`` builds the steps once.
 
 ``eigen_from_factored`` solves H = L J L^T given its factor: it runs the
 solver on A = L^T L and maps the diagonalization back to eigenpairs of H.
@@ -73,7 +73,10 @@ __all__ = [
 
 STANDARD_SIGNS = (1, 1, -1, -1)
 CONDITION_LIMIT = 1e8  # factors beyond this are rejected as ill-conditioned
+FACTOR_SV_LIMIT = 2.0**511  # from this largest singular value on, L^T L can overflow
 EPSILON_WINDOW = 0.1   # monitor epsilons must satisfy 0 < eps < 0.1
+CUBIC_ONSET = 1e-2     # cubic_decay_indicator reads cycles from S below this
+CUBIC_FLOOR = 1e-200   # and while S stays above this
 
 
 class HyperbolicBreakdownError(ArithmeticError):
@@ -201,11 +204,11 @@ class JJacobiStep:
 class JJacobiReport:
     """The cycle-boundary off-norms and angle envelope of a run, and its steps.
 
-    ``angle_envelope`` and ``steps`` are each built from the kernel's raw
-    ``core._sweep`` records the first time they are read, and kept.
-    ``solve_factored`` and ``eigen_from_factored`` read neither and pay
-    nothing for them; ``cjacobi jsolve`` reads the envelope, and
-    ``monitor_proof_bounds`` (``jsolve --monitor``) pays once for ``steps``.
+    ``steps`` is built from the kernel's raw ``core._sweep`` records the
+    first time it is read, and ``angle_envelope`` from ``steps``; both are
+    kept.  ``solve_factored`` and ``eigen_from_factored`` read neither and
+    pay nothing for them; ``cjacobi jsolve`` reads the envelope, and so
+    builds the steps once, which ``monitor_proof_bounds`` reuses.
     """
 
     ordering: PivotOrdering
@@ -220,13 +223,11 @@ class JJacobiReport:
     @cached_property
     def angle_envelope(self) -> list[float]:
         """Per cycle: max |tanh theta| over its hyperbolic steps, 0.0 if none."""
-        signs = self.signs
-        records = self._records
+        steps = self.steps
         per_cycle = len(self.ordering.pairs)
         return [
-            max([0.0] + [abs(math.tanh(rec[5])) for rec in records[k:k + per_cycle]
-                         if signs[rec[0][0] - 1] != signs[rec[0][1] - 1]])
-            for k in range(0, len(records), per_cycle)
+            max([0.0] + [st.tanh for st in steps[k:k + per_cycle]])
+            for k in range(0, len(steps), per_cycle)
         ]
 
     @cached_property
@@ -341,7 +342,10 @@ def solve_factored(
     Runs the solver on A = L^T L; with F^T A F diagonal and F^T J F = J the
     eigenvalues of H are the diagonal of J Lambda and an orthonormal
     eigenvector basis is L F Lambda^{-1/2} (up to column signs).  Returns
-    (eigenvalues, eigenvectors, solver result) in position order.
+    (eigenvalues, eigenvectors, solver result) in position order.  Raises
+    ``IllConditionedError`` for a singular L or cond(L) above
+    ``CONDITION_LIMIT``, and ``ValueError`` for entries that are not finite
+    or a largest singular value of 2**511 or more, before L^T L is formed.
     """
     ell = np.asarray(factor, dtype=float)
     if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
@@ -351,11 +355,14 @@ def solve_factored(
         raise ValueError("sign diagonal length must match the factor size")
     if not np.isfinite(ell).all():
         raise ValueError("factor entries must be finite")
-    cond = float(np.linalg.cond(ell))
+    sv = np.linalg.svd(ell, compute_uv=False).tolist()  # the one SVD of np.linalg.cond
+    cond = sv[0] / sv[-1] if sv[-1] else math.inf
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedError(
             f"factor condition estimate {cond:.3e} exceeds limit {CONDITION_LIMIT:.0e}"
         )
+    if sv[0] >= FACTOR_SV_LIMIT:
+        raise ValueError(f"factor too large: singular value {sv[0]:.3e} >= 2**511 overflows L^T L")
     a = SymMatrix.from_dense(ell.T @ ell)
     result = run_j_jacobi(a, signs, ordering, tol=tol, max_cycles=max_cycles)
     if not result.report.converged:
@@ -385,19 +392,17 @@ def eigen_from_factored(
     return eigenvalues, eigenvectors
 
 
-def cubic_decay_indicator(
-    report: JJacobiReport, onset: float = 1e-2, floor: float = 1e-200
-) -> list[float]:
+def cubic_decay_indicator(report: JJacobiReport) -> list[float]:
     """Per-cycle ratios |log S(next)| / |log S(current)| in the terminal phase.
 
-    Collected once the off-norm drops below ``onset`` and while both norms
-    stay above ``floor``.  Values of three or more per cycle indicate the
-    cubic terminal behavior of the parallel-pattern sweeps.
+    Collected once the off-norm drops below ``CUBIC_ONSET`` and while both
+    norms stay above ``CUBIC_FLOOR``.  Values of three or more per cycle
+    indicate the cubic terminal behavior of the parallel-pattern sweeps.
     """
     ratios = []
     norms = report.cycle_off_norms
     for current, nxt in zip(norms, norms[1:]):
-        if floor < nxt and current < onset and current > floor:
+        if CUBIC_FLOOR < nxt and current < CUBIC_ONSET and current > CUBIC_FLOOR:
             ratios.append(math.log(nxt) / math.log(current))
     return ratios
 

@@ -117,12 +117,10 @@ class PivotOrdering:
         return format_ordering(self)
 
 
-def make_ordering(pairs: Sequence[tuple[int, int]], n: int | None = None) -> PivotOrdering:
-    """Build an ordering from raw (r, s) pairs, inferring n if omitted."""
+def make_ordering(pairs: Sequence[tuple[int, int]]) -> PivotOrdering:
+    """Build an ordering from raw (r, s) pairs; n follows from their count, n(n-1)/2."""
     normalized = tuple(pivot_pair(r, s) for r, s in pairs)
-    if n is None:
-        count = len(normalized)
-        n = round((1 + (1 + 8 * count) ** 0.5) / 2)
+    n = round((1 + (1 + 8 * len(normalized)) ** 0.5) / 2)
     return PivotOrdering(n, normalized)
 
 
@@ -415,7 +413,7 @@ def format_ordering(o: PivotOrdering) -> str:
     return ", ".join(f"{r} {s}" for r, s in o.pairs)
 
 
-def parse_ordering(text: str, n: int | None = None) -> PivotOrdering:
+def parse_ordering(text: str) -> PivotOrdering:
     """Parse "1 2, 1 3, ..." into an ordering, validating the invariants."""
     chunks = [c for c in (chunk.strip() for chunk in text.split(",")) if c]
     if not chunks:
@@ -430,7 +428,7 @@ def parse_ordering(text: str, n: int | None = None) -> PivotOrdering:
         except ValueError:
             raise ValueError(f"bad pair {chunk!r}: indices must be integers") from None
         pairs.append((r, s))
-    return make_ordering(pairs, n)
+    return make_ordering(pairs)
 
 
 def format_certificate(cert: Certificate) -> str:

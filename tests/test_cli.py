@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,18 @@ class TestJsolveCommand:
         code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1"])
         assert code == 2
         assert "input error: factor entries must be finite" in capsys.readouterr().err
+
+    def test_factor_whose_square_overflows_is_input_error(self, tmp_path, capsys):
+        ell = drivermod.random_spd_factor(drivermod.default_rng(3)) * 1e160
+        factor = tmp_path / "factor.txt"
+        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error: factor too large" in err
+        assert "Warning" not in err
 
     def test_underflowed_off_norm_is_input_error(self, tmp_path, capsys):
         # A = L^T L has off-diagonal entries near 1e-200, whose squares underflow

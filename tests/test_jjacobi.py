@@ -35,8 +35,8 @@ TINY_PIVOTS = st.builds(
 )
 
 
-def spd_matrix(rng, max_cond=100.0):
-    factor = random_spd_factor(rng, max_cond=max_cond)
+def spd_matrix(rng):
+    factor = random_spd_factor(rng)
     return SymMatrix.from_dense(factor.T @ factor), factor
 
 
@@ -337,6 +337,24 @@ class TestEigenFromFactored:
             with pytest.raises(ValueError, match="factor entries must be finite") as info:
                 solve(factor, STANDARD_SIGNS, COLUMN)
             assert type(info.value) is ValueError
+
+    def test_rejects_a_factor_whose_square_overflows(self):
+        # entries near 1e160: L^T L would overflow, and numpy would warn while forming it
+        factor = random_spd_factor(default_rng(3)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (solve_factored, eigen_from_factored):
+                with pytest.raises(ValueError, match="factor too large") as info:
+                    solve(factor, STANDARD_SIGNS, COLUMN)
+                assert type(info.value) is ValueError
+
+    def test_largest_singular_value_limit_is_two_to_the_511(self):
+        with pytest.raises(ValueError, match="factor too large"):
+            solve_factored(np.eye(4) * 2.0**511, STANDARD_SIGNS, COLUMN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eigenvalues, _, _ = solve_factored(np.eye(4) * 2.0**510, STANDARD_SIGNS, COLUMN)
+        assert eigenvalues.tolist() == [2.0**1020, 2.0**1020, -(2.0**1020), -(2.0**1020)]
 
     def test_convergence_error_when_budget_too_small(self):
         rng = default_rng(33)

@@ -13,11 +13,18 @@ falls into exactly one of three families:
   splits into three pairs of commuting rotations; three consecutive sweeps
   contract S by 1 - 1e-5 from the second cycle on.
 
-``classify`` assigns the strongest licensed bound, with a replayable
-certificate.  Its chains come from ``orderings._nearest``, the one
-minimal-shift search and tie-break that ``orderings.relate`` uses too: the
-nearest relabeled serial template for the generalized serial class, the
-nearer anchor for the parallel class.
+``classify`` assigns the strongest licensed bound.  The classes are
+closed under transpositions and cyclic shifts, and both moves are
+reversible, so ``_class_table`` labels all 720 orderings from two
+multi-source searches run backward from the class targets: one from every
+relabeled serial template, whose distance (shifts cost one, transpositions
+nothing) is the generalized-serial d, and one by transpositions from the two
+anchors, whose reach is the anchors' variants.  ``classify`` is a lookup
+into that table.  A record's replayable certificate is built on first
+read, from ``orderings._nearest``, the one minimal-shift search and
+tie-break that ``orderings.relate`` uses too: the nearest relabeled serial
+template for the generalized serial class, the nearer anchor for the
+parallel class.
 
 ``serial_perm_orderings`` is the one definition of the serial templates:
 its order fixes the classifier's tie-break, and ``member_serial_perm`` is a
@@ -29,15 +36,14 @@ elsewhere asks ``classify``.  Besides the labels that ``cjacobi classify``
 and the campaigns print, ``driver.run_parallel_cycle`` asks whether an
 ordering is a transposition-variant of an anchor (``Parallel`` with shift
 length 0), and ``jjacobi.monitor_proof_bounds`` asks for the anchor and
-shift that place its cascade windows.  ``anchor_variants`` enumerates the
-parallel class by a transposition search from an anchor, far cheaper than
-classifying all 720; ``parallel_orderings`` is the six cyclic shifts of the
-two anchors' 16 variants, since ``classify`` gives ``Parallel(anchor, l)``
-exactly when the shift by l is a variant of the anchor.  Tier-1 tests pin
-both to ``classify``.  ``catalog`` embeds the reference table of the 120
-orderings that start at pivot (1, 2) together with their recorded reduction
-chains; ``verify_catalog`` replays every chain and cross-checks the
-classifier.
+shift that place its cascade windows.  ``anchor_variants`` reads an
+anchor's variants from the same table; ``parallel_orderings`` is the six
+cyclic shifts of the two anchors' 16 variants, since ``classify`` gives
+``Parallel(anchor, l)`` exactly when the shift by l is a variant of the
+anchor.  Tier-1 tests pin both to ``classify``.  ``catalog`` embeds the
+reference table of the 120 orderings that start at pivot (1, 2) together
+with their recorded reduction chains; ``verify_catalog`` replays every
+chain and cross-checks the classifier.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 from .orderings import (
@@ -60,6 +66,7 @@ from .orderings import (
     _nearest,
     _relabeled_targets,
     _weak_search,
+    _weak_search_from,
     cyclic_shift,
     make_certificate,
     make_ordering,
@@ -128,6 +135,8 @@ PAR_ANCHOR_MIRROR = make_ordering([(1, 4), (2, 3), (1, 3), (2, 4), (1, 2), (3, 4
 _ANCHOR_TARGETS = _relabeled_targets((PAR_ANCHOR, PAR_ANCHOR_MIRROR), False)
 # each anchor's name in the labels and the catalog terminals
 _ANCHOR_NAMES = {PAR_ANCHOR: "par", PAR_ANCHOR_MIRROR: "par2"}
+# the moves of every classifier search; a relabeling is free at one end of a chain
+_WEAK_MOVES = frozenset((TRANSPOSE, SHIFT))
 
 
 # --- labels, bounds, records -------------------------------------------------
@@ -169,8 +178,12 @@ UNIVERSAL_BOUND = Bound(PARALLEL_GAMMA, 3, 1)
 class ClassificationRecord:
     ordering: PivotOrdering
     label: Label
-    certificate: Certificate
     bound: Bound
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        """The replayable chain behind the label, built on first read (see ``_certificate``)."""
+        return _certificate(self.ordering, self.label)
 
 
 def label_text(label: Label) -> str:
@@ -224,48 +237,103 @@ def _relabeled_serial_index():
     return _relabeled_targets(serial_perm_orderings(), True)
 
 
+@lru_cache(maxsize=1)
+def _class_table():
+    """The classifier's table: (generalized-serial d, anchor variants) keyed by pair tuple.
+
+    Built by two multi-source searches of ``orderings._weak_search_from``
+    over all 720 orderings at once.  The first starts from every
+    ``_relabeled_serial_index`` target; since transposes and shifts are
+    reversible at the same cost, an ordering's distance is the fewest
+    shifts on a chain from it to a relabeled serial template, its
+    generalized-serial d.  The second starts from both anchors and makes
+    transposes only; it maps each of the 16 anchor variants (the anchors'
+    distance-0 sets) to its anchor, read off the variant's parent chain.
+    """
+    serial_d, _ = _weak_search_from(_relabeled_serial_index().keys(), _WEAK_MOVES)
+    anchors = {a.pairs: a for a in _ANCHOR_NAMES}
+    reached, parent = _weak_search_from(anchors, frozenset((TRANSPOSE,)))
+    variants = {}
+    for pairs in reached:
+        root = pairs
+        while root in parent:
+            root = parent[root][0]
+        variants[pairs] = anchors[root]
+    return serial_d, variants
+
+
 @lru_cache(maxsize=None)
 def classify(o: PivotOrdering) -> ClassificationRecord:
-    """Assign an ordering its class, certificate, and convergence bound.
+    """Assign an ordering its class and convergence bound; the certificate follows on read.
 
     Precedence: serial template, then generalized serial with the smallest
     shift count d (transpositions and one end relabeling are free), then
-    parallel.  Failure to match any class is a hard error: it would falsify
-    the exhaustive case analysis behind the universal bound.
+    parallel.  The serial class is a lookup into ``serial_perm_orderings``;
+    the other two are lookups into ``_class_table``, so no search runs
+    per ordering: an ordering the serial search reached is
+    ``GeneralizedSerial(d)``, and any other is ``Parallel(anchor, l)`` for
+    the l whose shift ``cyclic_shift(o, l)`` is a variant of that anchor.
+    Failure to match any class is a hard error: it would falsify the
+    exhaustive case analysis behind the universal bound.
     """
     if o.n != 4:
         raise ValueError(f"classification is defined for n=4, got n={o.n}")
     variant = member_serial_perm(o)
     if variant is not None:
         bound = Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
-        return ClassificationRecord(o, SerialPerm(variant), Certificate(o, (), o, 0), bound)
-
-    dist, parent = _weak_search(o, frozenset((TRANSPOSE, SHIFT)))
-    hit = _nearest(o, dist, parent, _relabeled_serial_index())
-    if hit is not None:
-        d, (_, _, target), steps = hit
-        cert = make_certificate(o, steps)
-        if cert.target != target or member_serial_perm(cert.target) is None:
-            raise ClassificationError(f"chain for {o} does not reach a serial template")
+        return ClassificationRecord(o, SerialPerm(variant), bound)
+    serial_d, variants = _class_table()
+    d = serial_d.get(o.pairs)
+    if d is not None:
         bound = Bound(SERIAL_GAMMA, d + 1, 0, SERIAL_GAMMA_SQ)
-        return ClassificationRecord(o, GeneralizedSerial(d), cert, bound)
+        return ClassificationRecord(o, GeneralizedSerial(d), bound)
+    for length in range(len(o.pairs)):
+        anchor = variants.get(o.pairs[length:] + o.pairs[:length])
+        if anchor is not None:
+            return ClassificationRecord(o, Parallel(anchor, length), UNIVERSAL_BOUND)
+    raise ClassificationError(f"ordering {o} matched no class; case analysis falsified")
 
+
+def _certificate(o: PivotOrdering, label: Label) -> Certificate:
+    """The chain behind a label: empty for a serial template, else the chain that
+    ``orderings._nearest`` picks from a forward ``_weak_search`` out of ``o``.
+
+    Raises ``ClassificationError`` when the chain does not land where the
+    label says: in a serial template after d shifts, or in the label's
+    anchor after a shift by its length.
+    """
+    if isinstance(label, SerialPerm):
+        return Certificate(o, (), o, 0)
+    dist, parent = _weak_search(o, _WEAK_MOVES)
+    if isinstance(label, GeneralizedSerial):
+        hit = _nearest(o, dist, parent, _relabeled_serial_index())
+        cert = make_certificate(o, hit[2]) if hit else None
+        if cert is None or cert.target != hit[1][2] or member_serial_perm(cert.target) is None:
+            raise ClassificationError(f"chain for {o} does not reach a serial template")
+        if cert.shift_count != label.d:
+            raise ClassificationError(
+                f"chain for {o} has {cert.shift_count} shifts, not d={label.d}"
+            )
+        return cert
     hit = _nearest(o, dist, parent, _ANCHOR_TARGETS)
-    if hit is None:
-        raise ClassificationError(f"ordering {o} matched no class; case analysis falsified")
-    d, (_, _, anchor), steps = hit
-    if d > 1:
-        raise ClassificationError(f"parallel chain for {o} needs {d} shifts; expected at most one")
-    shift_length = next((s.length for s in steps if isinstance(s, Shift)), 0)
-    return ClassificationRecord(
-        o, Parallel(anchor, shift_length), make_certificate(o, steps), UNIVERSAL_BOUND
-    )
+    cert = make_certificate(o, hit[2]) if hit else None
+    expected = [Shift(label.shift_length)] if label.shift_length else []
+    if cert is None or cert.target != label.anchor or (
+        [s for s in cert.steps if isinstance(s, Shift)] != expected
+    ):
+        raise ClassificationError(f"parallel chain for {o} does not match {label_text(label)}")
+    return cert
 
 
 def anchor_variants(anchor: PivotOrdering) -> tuple[PivotOrdering, ...]:
-    """The orderings reachable from an anchor by admissible transpositions."""
-    dist, _ = _weak_search(anchor, frozenset((TRANSPOSE,)))
-    return tuple(sorted((PivotOrdering(anchor.n, p) for p in dist), key=lambda o: o.pairs))
+    """The orderings reachable from an anchor by admissible transpositions.
+
+    Read off ``_class_table``: the anchor's distance-0 set, sorted by pairs.
+    """
+    if anchor not in _ANCHOR_NAMES:
+        raise ValueError(f"{anchor} is not a parallel anchor")
+    members = sorted(pairs for pairs, a in _class_table()[1].items() if a == anchor)
+    return tuple(PivotOrdering(4, pairs) for pairs in members)
 
 
 @lru_cache(maxsize=1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Pair",
@@ -290,24 +290,35 @@ def _normalize_moves(moves) -> frozenset[str]:
 
 
 def _weak_search(start: PivotOrdering, moves: frozenset[str]):
-    """0/1-weight BFS over orderings: transposes are free, shifts cost one.
+    """0/1-weight BFS over orderings from ``start``: transposes are free, shifts cost one.
+
+    Returns the (dist, parent) maps of ``_weak_search_from((start.pairs,), moves)``.
+    """
+    return _weak_search_from((start.pairs,), moves)
+
+
+def _weak_search_from(starts: Iterable[tuple[Pair, ...]], moves: frozenset[str]):
+    """0/1-weight BFS from every pair tuple of ``starts`` at distance 0.
 
     Returns (dist, parent) maps keyed by pair tuples; parent entries hold
-    (previous pair tuple, step).  Nodes are expanded as raw pair tuples: a
-    transpose swaps two adjacent elements when the pairs are disjoint, a
-    shift rotates the tuple.  Both moves permute the elements of a valid
-    ordering, so every node is a valid ordering of the same pairs as
-    ``start`` (validated once, when it was built) and none is re-validated.
-    Transposes at positions 0..N-2 are expanded first and pushed at the
-    front, then shifts 1..N-1 at the back; this order fixes the contents
-    and the insertion order of both maps, and so every certificate.
+    (previous pair tuple, step), and a start has none.  Nodes are expanded
+    as raw pair tuples: a transpose swaps two adjacent elements when the
+    pairs are disjoint, a shift rotates the tuple.  Both moves permute the
+    elements of a valid ordering, so every node is a valid ordering of the
+    same pairs as the starts (each validated once, when it was built) and
+    none is re-validated.  Transposes at positions 0..N-2 are expanded first
+    and pushed at the front, then shifts 1..N-1 at the back; this order
+    fixes the contents and the insertion order of both maps, and so every
+    certificate.  Both moves are reversible at the same cost (a transpose
+    undoes itself, a shift by l is undone by a shift by N - l), so dist is
+    also the distance from each node back to its nearest start.
     """
-    nn = len(start.pairs)
+    dist: dict[tuple[Pair, ...], int] = dict.fromkeys(starts, 0)
+    nn = len(next(iter(dist)))
     transposes = [Transpose(pos) for pos in range(nn - 1)] if TRANSPOSE in moves else []
     shifts = [Shift(length) for length in range(1, nn)] if SHIFT in moves else []
-    dist: dict[tuple[Pair, ...], int] = {start.pairs: 0}
     parent: dict[tuple[Pair, ...], tuple[tuple[Pair, ...], Step]] = {}
-    queue: deque[tuple[Pair, ...]] = deque([start.pairs])
+    queue: deque[tuple[Pair, ...]] = deque(dist)
     while queue:
         pairs = queue.popleft()
         d = dist[pairs]

@@ -15,16 +15,16 @@ falls into exactly one of three families:
 
 ``classify`` assigns the strongest licensed bound.  The classes are
 closed under transpositions and cyclic shifts, and both moves are
-reversible, so ``_class_table`` labels all 720 orderings from two
-multi-source searches run backward from the class targets: one from every
-relabeled serial template, whose distance (shifts cost one, transpositions
-nothing) is the generalized-serial d, and one by transpositions from the two
-anchors, whose reach is the anchors' variants.  ``classify`` is a lookup
-into that table.  A record's replayable certificate is built on first
-read, from ``orderings._nearest``, the one minimal-shift search and
-tie-break that ``orderings.relate`` uses too: the nearest relabeled serial
-template for the generalized serial class, the nearer anchor for the
-parallel class.
+reversible, so ``_class_table`` labels all 720 orderings at once by
+searches run backward from the class targets: one multi-source search from
+every relabeled serial template, whose distance (shifts cost one,
+transpositions nothing) is the generalized-serial d, and one by
+transpositions from each anchor, whose reach is that anchor's variants.
+``classify`` is a lookup into that table.  A record's replayable
+certificate is built on first read, from ``orderings._nearest``, the one
+minimal-shift search and tie-break that ``orderings.relate`` uses too: the
+nearest relabeled serial template for the generalized serial class, the
+nearer anchor for the parallel class.
 
 ``serial_perm_orderings`` is the one definition of the serial templates:
 its order fixes the classifier's tie-break, and ``member_serial_perm`` is a
@@ -135,7 +135,7 @@ PAR_ANCHOR_MIRROR = make_ordering([(1, 4), (2, 3), (1, 3), (2, 4), (1, 2), (3, 4
 _ANCHOR_TARGETS = _relabeled_targets((PAR_ANCHOR, PAR_ANCHOR_MIRROR), False)
 # each anchor's name in the labels and the catalog terminals
 _ANCHOR_NAMES = {PAR_ANCHOR: "par", PAR_ANCHOR_MIRROR: "par2"}
-# the moves of every classifier search; a relabeling is free at one end of a chain
+# the moves of the chain searches; a relabeling is free at one end of a chain
 _WEAK_MOVES = frozenset((TRANSPOSE, SHIFT))
 
 
@@ -176,6 +176,8 @@ UNIVERSAL_BOUND = Bound(PARALLEL_GAMMA, 3, 1)
 
 @dataclass(frozen=True)
 class ClassificationRecord:
+    """An ordering's class and bound; equality and hashing ignore the certificate."""
+
     ordering: PivotOrdering
     label: Label
     bound: Bound
@@ -241,24 +243,19 @@ def _relabeled_serial_index():
 def _class_table():
     """The classifier's table: (generalized-serial d, anchor variants) keyed by pair tuple.
 
-    Built by two multi-source searches of ``orderings._weak_search_from``
-    over all 720 orderings at once.  The first starts from every
-    ``_relabeled_serial_index`` target; since transposes and shifts are
-    reversible at the same cost, an ordering's distance is the fewest
-    shifts on a chain from it to a relabeled serial template, its
-    generalized-serial d.  The second starts from both anchors and makes
-    transposes only; it maps each of the 16 anchor variants (the anchors'
-    distance-0 sets) to its anchor, read off the variant's parent chain.
+    Transposes and shifts are reversible at the same cost, so searches run
+    backward from the class targets label all 720 orderings at once.  One
+    multi-source search starts from every ``_relabeled_serial_index``
+    target: an ordering's distance is the fewest shifts on a chain from it
+    to a relabeled serial template, its generalized-serial d.  A
+    transposition-only search from each anchor gives that anchor's 8
+    variants, its distance-0 set, each mapped to the anchor.
     """
     serial_d, _ = _weak_search_from(_relabeled_serial_index().keys(), _WEAK_MOVES)
-    anchors = {a.pairs: a for a in _ANCHOR_NAMES}
-    reached, parent = _weak_search_from(anchors, frozenset((TRANSPOSE,)))
     variants = {}
-    for pairs in reached:
-        root = pairs
-        while root in parent:
-            root = parent[root][0]
-        variants[pairs] = anchors[root]
+    for anchor in _ANCHOR_NAMES:
+        reached, _ = _weak_search_from((anchor.pairs,), frozenset((TRANSPOSE,)))
+        variants.update(dict.fromkeys(reached, anchor))
     return serial_d, variants
 
 

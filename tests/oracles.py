@@ -2,6 +2,20 @@
 
 import numpy as np
 
+from cyclic_jacobi.classification import (
+    _ANCHOR_TARGETS,
+    SERIAL_GAMMA,
+    SERIAL_GAMMA_SQ,
+    UNIVERSAL_BOUND,
+    Bound,
+    GeneralizedSerial,
+    Parallel,
+    SerialPerm,
+    _relabeled_serial_index,
+    member_serial_perm,
+)
+from cyclic_jacobi.orderings import SHIFT, TRANSPOSE, Shift, _nearest, _weak_search
+
 
 def spectrum(dense):
     """Sorted eigenvalues of a symmetric matrix, taken at an exact power-of-two scale.
@@ -33,3 +47,30 @@ def replayed_transform(n, records):
         columns[i - 1] = [c * x + s * y for x, y in zip(fi, fj)]
         columns[j - 1] = [c * y + t * x for x, y in zip(fi, fj)]
     return np.array(columns).T
+
+
+def forward_label(o):
+    """(label, bound) of an n = 4 ordering from one forward search out of it.
+
+    The per-ordering classifier: a serial template is ``SerialPerm``;
+    otherwise ``_weak_search`` runs from ``o`` and ``_nearest`` picks the
+    chain with the fewest shifts to a relabeled serial template, giving
+    ``GeneralizedSerial(d)``, or else to an anchor, giving ``Parallel``
+    with the length of the chain's one shift (0 if it has none).
+    Returns None for an ordering that reaches neither, or an anchor only
+    through more than one shift.
+    """
+    variant = member_serial_perm(o)
+    if variant is not None:
+        return SerialPerm(variant), Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
+    dist, parent = _weak_search(o, frozenset((TRANSPOSE, SHIFT)))
+    hit = _nearest(o, dist, parent, _relabeled_serial_index())
+    if hit is not None:
+        d = hit[0]
+        return GeneralizedSerial(d), Bound(SERIAL_GAMMA, d + 1, 0, SERIAL_GAMMA_SQ)
+    hit = _nearest(o, dist, parent, _ANCHOR_TARGETS)
+    if hit is None or hit[0] > 1:
+        return None
+    _, (_, _, anchor), steps = hit
+    shift_length = next((s.length for s in steps if isinstance(s, Shift)), 0)
+    return Parallel(anchor, shift_length), UNIVERSAL_BOUND

@@ -22,7 +22,12 @@ from cyclic_jacobi.classification import (
     verify_catalog,
 )
 import cyclic_jacobi.classification as classification
-from cyclic_jacobi.classification import _relabeled_serial_index
+import cyclic_jacobi.orderings as orderingsmod
+from cyclic_jacobi.classification import (
+    ClassificationError,
+    ClassificationRecord,
+    _relabeled_serial_index,
+)
 from cyclic_jacobi.core import SymMatrix
 from cyclic_jacobi.jjacobi import (
     STANDARD_SIGNS,
@@ -33,6 +38,7 @@ from cyclic_jacobi.jjacobi import (
 from cyclic_jacobi.orderings import (
     SHIFT,
     TRANSPOSE,
+    PivotOrdering,
     _weak_search,
     cyclic_shift,
     enumerate_orderings,
@@ -40,6 +46,7 @@ from cyclic_jacobi.orderings import (
     replay,
     reverse,
 )
+from oracles import forward_label
 
 ENTRY = {e.index: e for e in catalog()}
 
@@ -241,6 +248,99 @@ class TestParallelClassAgreement:
             doubled = o.pairs * 2
             window = [set(doubled[verdict.phase + k:verdict.phase + k + 2]) for k in (0, 2, 4)]
             assert tuple(window) == self.GROUPS[label.anchor], o
+
+
+class TestForwardOracle:
+    """The table-driven ``classify`` against one forward search per ordering."""
+
+    def test_labels_and_bounds_match_the_forward_search_on_all_720(self):
+        for o in enumerate_orderings(4):
+            record = classify(o)
+            assert (record.label, record.bound) == forward_label(o), o
+
+    @pytest.mark.parametrize("anchor", [PAR_ANCHOR, PAR_ANCHOR_MIRROR], ids=["par", "par2"])
+    def test_anchor_variants_are_the_transposition_search(self, anchor):
+        dist, _ = _weak_search(anchor, frozenset((TRANSPOSE,)))
+        expected = tuple(PivotOrdering(4, pairs) for pairs in sorted(dist))
+        assert anchor_variants(anchor) == expected
+
+    def test_anchor_variants_rejects_a_non_anchor(self):
+        with pytest.raises(ValueError, match="not a parallel anchor"):
+            anchor_variants(ENTRY[1].ordering)
+
+
+class TestCertificateOnRead:
+    """``classify`` gives label and bound from the table; the chain is searched when read."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Count forward searches; ``classify`` starts cold and is left cold."""
+        calls = []
+        real = orderingsmod._weak_search
+
+        def counting(start, moves):
+            calls.append(start)
+            return real(start, moves)
+
+        monkeypatch.setattr(orderingsmod, "_weak_search", counting)
+        monkeypatch.setattr(classification, "_weak_search", counting)
+        classify.cache_clear()
+        yield calls
+        classify.cache_clear()
+
+    def test_classify_runs_no_forward_search(self, searches):
+        records = [classify(o) for o in enumerate_orderings(4)]
+        assert searches == []
+        searched = [r.ordering for r in records if not isinstance(r.label, SerialPerm)]
+        certificates = [r.certificate for r in records]
+        assert searches == searched and len(searched) == 672
+        assert all(c.source == r.ordering for c, r in zip(certificates, records))
+
+    def test_reading_twice_builds_once(self, searches):
+        record = classify(ENTRY[55].ordering)
+        cert = record.certificate
+        assert record.certificate is cert
+        assert classify(ENTRY[55].ordering).certificate is cert
+        assert searches == [ENTRY[55].ordering]
+
+    def test_equality_and_hash_do_not_see_the_certificate(self, searches):
+        record = classify(ENTRY[105].ordering)
+        twin = ClassificationRecord(record.ordering, record.label, record.bound)
+        before = hash(record)
+        assert record == twin and hash(twin) == before
+        assert replay(record.certificate) == PAR_ANCHOR
+        assert record == twin and hash(record) == before
+        assert [f.name for f in dataclasses.fields(record)] == ["ordering", "label", "bound"]
+
+    @pytest.mark.parametrize("index, message", [
+        (21, "does not reach a serial template"),
+        (105, "parallel chain .* does not match Parallel"),
+    ])
+    def test_a_chain_that_misses_its_class_raises_on_read(self, searches, monkeypatch,
+                                                          index, message):
+        real = classification._nearest
+
+        def nearest_without_last_step(start, dist, parent, targets):
+            d, value, steps = real(start, dist, parent, targets)
+            return d, value, steps[:-1]
+
+        monkeypatch.setattr(classification, "_nearest", nearest_without_last_step)
+        record = classify(ENTRY[index].ordering)  # the label needs no chain
+        with pytest.raises(ClassificationError, match=message):
+            record.certificate
+
+    @pytest.mark.parametrize("index", [21, 105])
+    def test_a_table_that_drops_an_ordering_raises(self, searches, monkeypatch, index):
+        o = ENTRY[index].ordering
+        serial_d, variants = classification._class_table()
+        shifts = {o.pairs[k:] + o.pairs[:k] for k in range(6)}
+        table = (
+            {p: d for p, d in serial_d.items() if p != o.pairs},
+            {p: a for p, a in variants.items() if p not in shifts},
+        )
+        monkeypatch.setattr(classification, "_class_table", lambda: table)
+        with pytest.raises(ClassificationError, match="matched no class"):
+            classify(o)
 
 
 class TestSearchTables:

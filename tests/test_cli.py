@@ -260,6 +260,39 @@ class TestJsolveCommand:
         assert "input error: factor too large" in err
         assert "Warning" not in err
 
+    def test_huge_diagonal_factor_reports_strict_json(self, tmp_path, capsys):
+        # F = 2**510 I passes solve_factored (S(F^T F) = 0), while the squares
+        # of H = F J F^T, entries +-2**1020, overflow in an unscaled norm
+        big = repr(2.0**510)
+        factor = tmp_path / "factor.txt"
+        factor.write_text("".join(
+            " ".join(big if r == c else "0" for c in range(4)) + "\n" for r in range(4)
+        ))
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1",
+                         "--ordering", "1 3, 2 4, 1 4, 2 3, 1 2, 3 4"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "Warning" not in err
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["matrix_norm"] == 2.0**1021
+        assert payload["residual_norms"] == [0.0] * 4
+
+    def test_factor_report_keeps_numpy_norms(self, tmp_path):
+        ell = drivermod.random_spd_factor(drivermod.default_rng(3))
+        factor = tmp_path / "factor.txt"
+        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        report = tmp_path / "j.json"
+        assert main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1",
+                     "--report", str(report)]) == 0
+        h = ell @ np.diag([1.0, 1.0, -1.0, -1.0]) @ ell.T
+        assert json.loads(report.read_text())["matrix_norm"] == float(np.linalg.norm(h))
+
     def test_underflowed_off_norm_is_input_error(self, tmp_path, capsys):
         # A = L^T L has off-diagonal entries near 1e-200, whose squares underflow
         ell = drivermod.random_spd_factor(drivermod.default_rng(3)) * 1e-100

@@ -10,8 +10,14 @@ entries row by row, then the diagonal), in which ``SymMatrix`` stores its
 entries, the per-pivot positions (``_pivot_plan``), the one plane step
 (``_plane_step``), the scalar sweep (``_sweep``) of ``run_cycles``,
 ``run_parallel_cycle`` and ``run_j_jacobi``, and the one scalar sum of S^2
-(``_off_norm_packed``), behind it and ``off_norm``, live here too; the
+(``_off_norm_packed``), behind ``off_norm`` and the sweep, live here too; the
 vectorized batch kernel is ``driver.batch_sweep``.
+
+The scalar sweep does only the rotation work: it records each step's
+(c, s, t) and tangent and sums S once, at the end of the sweep.  The S
+before and after every step is rebuilt when a report's ``steps`` are read,
+by ``_step_off_norms``, which replays the recorded steps on the input's
+entries; the angles are the arctangents of the recorded tangents.
 
 Everything here is a pure function over immutable values; no locking is
 needed for concurrent use.
@@ -41,6 +47,7 @@ __all__ = [
 MIN_DIM = 2
 MAX_DIM = 16
 SYMMETRY_RTOL = 1e-12
+SWEEP_GROWTH_LIMIT = 2.0**510  # below this, S times a sweep's growth bound keeps every S^2 finite
 
 
 def _packed_size(n: int) -> int:
@@ -211,7 +218,7 @@ class PlaneRotation:
 
 
 def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, float]:
-    """Stable (c, s, phi) annihilating the (i, j) entry, with |phi| <= pi/4.
+    """Stable (c, s, t) annihilating the (i, j) entry, t = tan(phi) with |phi| <= pi/4.
 
     The specification both sweep kernels follow, in IEEE operations only.
     Solves tan(2*phi) = 2*aij / (aii - ajj) via t = tan(phi),
@@ -221,10 +228,10 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     (tau = +-0) gives t = +-1, a quarter turn.  Where tau*tau overflows (a
     subnormal pivot, or |tau| above about 1.3e154) t rounds to 0 and would
     leave the pivot in place; t = aij / (aii - ajj), its limit, is used
-    instead.  The inputs are taken as Python floats, so these overflows
-    raise no numpy warnings.
+    instead.  The inputs are Python floats (``SymMatrix.entry`` and the
+    sweep's list give them), so these overflows raise no numpy warnings.
+    The angle phi = atan(t) is taken only where it is read.
     """
-    aii, ajj, aij = float(aii), float(ajj), float(aij)
     if aij == 0.0:
         return 1.0, 0.0, 0.0
     diff = aii - ajj
@@ -233,7 +240,7 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     if t == 0.0:
         t = aij / diff
     h = math.sqrt(1.0 + t * t)
-    return 1.0 / h, t / h, math.atan(t)
+    return 1.0 / h, t / h, t
 
 
 def _packed_entries(a: SymMatrix) -> list[float]:
@@ -286,27 +293,61 @@ def _off_norm_packed(e: list[float], n_off: int) -> float:
     return math.sqrt(total)
 
 
-def _sweep(e: list[float], n_off: int, plan: list, s: float) -> list[tuple]:
-    """One sweep over the packed entries ``e`` in place, from off-norm ``s``.
+def _step_off_norms(a: SymMatrix, records: list[tuple]) -> list[float]:
+    """S of ``a``, then S after each step of ``records``, replayed on a's packed entries.
 
+    Each record's (c, s, t) is applied with ``_plane_step`` at ``_pivot_plan``
+    (a transform that the run kept beside A is left out), and S is summed
+    after each step: the sweep's operations on the same entries, so the
+    sweep's bits.  Raises ``ValueError`` at the first S^2 that is not finite.
+    """
+    n = a.n
+    n_off = n * (n - 1) // 2
+    e = _packed_entries(a)
+    norms = [_off_norm_packed(e, n_off)]
+    for (i, j), _, c, s, t, _ in records:
+        _plane_step(e, _pivot_plan(n, i, j), c, s, t)
+        norms.append(_off_norm_packed(e, n_off))
+    return norms
+
+
+def _sweep(a: SymMatrix, e: list[float], plan: list, s: float, records: list[tuple]) -> float:
+    """One sweep over the packed entries ``e`` in place, from off-norm ``s``; returns S after it.
+
+    ``e`` holds the run on ``a`` whose steps so far are ``records``.
     ``plan`` holds per step its pivot pair, its ``_pivot_plan``, a function
-    of (a_ii, a_jj, a_ij) giving (c, s, angle), and the sign that makes
+    of (a_ii, a_jj, a_ij) giving (c, s, tangent), and the sign that makes
     t = -s (a rotation) or t = s (a hyperbolic step) in F = [[c, t], [s, c]].
     Every step is applied and its pivot stored as +0.0, even when s = +-0,
-    as in ``driver.batch_sweep``; S is summed afresh after each.  Returns
-    per step (pair, a_ij before, c, s, t, angle, S before, S after).
+    as in ``driver.batch_sweep``, and appended to ``records`` as
+    (pair, a_ij before, c, s, t, tangent).  S is summed once, after the
+    last step; ``_step_off_norms`` rebuilds the S around every step.
+
+    Raises ``ValueError`` when S^2 is not finite after any step.  A step
+    maps each (a_ki, a_kj) by a matrix of 2-norm at most c + |s| and zeroes
+    the pivot, so it raises S by at most that factor.  While S times the
+    product of those factors stays below ``SWEEP_GROWTH_LIMIT``, no S^2 of
+    the sweep can overflow; otherwise, and when a step raises
+    ``ArithmeticError`` (a hyperbolic breakdown), the run is replayed by
+    ``_step_off_norms``, which raises at the first S^2 that is not finite.
     """
-    records = []
-    for pair, pivot, params, t_sign in plan:
-        ii, jj, ij, _ = pivot
-        piv = e[ij]
-        c, sn, angle = params(e[ii], e[jj], piv)
-        t = t_sign * sn
-        _plane_step(e, pivot, c, sn, t)
-        s_new = _off_norm_packed(e, n_off)
-        records.append((pair, piv, c, sn, t, angle, s, s_new))
-        s = s_new
-    return records
+    growth = 1.0
+    try:
+        for pair, pivot, params, t_sign in plan:
+            ii, jj, ij, _ = pivot
+            piv = e[ij]
+            c, sn, tangent = params(e[ii], e[jj], piv)
+            t = t_sign * sn
+            _plane_step(e, pivot, c, sn, t)
+            growth *= c + abs(sn)
+            records.append((pair, piv, c, sn, t, tangent))
+    except ArithmeticError:  # a hyperbolic breakdown, which an earlier overflow takes precedence over
+        if not s * growth < SWEEP_GROWTH_LIMIT:
+            _step_off_norms(a, records)
+        raise
+    if not s * growth < SWEEP_GROWTH_LIMIT:  # also when the product is inf or NaN
+        _step_off_norms(a, records)
+    return _off_norm_packed(e, a.n * (a.n - 1) // 2)
 
 
 def _check_pivot(n: int, i: int, j: int) -> None:
@@ -340,8 +381,8 @@ def off_norm(m) -> float:
 def rotation_for_pivot(m: SymMatrix, i: int, j: int) -> PlaneRotation:
     """Rotation that zeroes the (i, j) entry of ``m`` (1-based, i < j)."""
     _check_pivot(m.n, i, j)
-    c, s, phi = _rotation_params(m.entry(i, i), m.entry(j, j), m.entry(i, j))
-    return PlaneRotation(i, j, c, s, phi)
+    c, s, t = _rotation_params(m.entry(i, i), m.entry(j, j), m.entry(i, j))
+    return PlaneRotation(i, j, c, s, math.atan(t))
 
 
 def apply_two_sided(m: SymMatrix, rot: PlaneRotation) -> SymMatrix:

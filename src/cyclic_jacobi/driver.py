@@ -15,19 +15,21 @@ diagonal.  ``batch_sweep`` holds them entry-major as numpy arrays, one row
 per entry; the single-matrix paths (``run_cycles``, ``run_parallel_cycle``
 and ``jjacobi.run_j_jacobi``) hold them as a list of Python floats and share
 one sweep routine, ``core._sweep``, which steps them with
-``core._plane_step`` and sums S^2 with ``core._off_norm_packed``, so a step
-makes no numpy call.  Both take the rotation of
+``core._plane_step`` and sums S^2 with ``core._off_norm_packed`` once per
+sweep, so a step makes no numpy call.  Both take the rotation of
 ``core._rotation_params``, apply every step (storing the pivot as +0.0 even
 when s = +-0), perform the IEEE operations of the dense row-then-column
 update in its order, and sum S^2 in one order, so ``run_cycles``,
 ``batch_sweep`` and ``core.off_norm`` give the same bits.
 
-``run_cycles`` and ``run_parallel_cycle`` keep the raw per-step records of
-``core._sweep`` in their ``SweepReport`` and build its ``steps``, the
-``StepRecord`` objects, the first time they are read.  ``check_bound`` and
-callers that want only the matrix or the cycle-boundary off-norms never
-build them; ``cjacobi solve`` and ``verify_step_identities`` build them once
-per report.
+``run_cycles`` and ``run_parallel_cycle`` keep the input matrix and the raw
+per-step records of ``core._sweep`` (pair, pivot value, c, s, t, tangent)
+in their ``SweepReport``, and build its ``steps``, the ``StepRecord``
+objects, the first time they are read: ``core._step_off_norms`` replays the
+steps for the S before and after each, and the angles are the arctangents
+of the tangents.  ``check_bound`` and callers that want only the matrix or
+the cycle-boundary off-norms never build them; ``cjacobi solve`` and
+``verify_step_identities`` build them once per report.
 
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
@@ -46,11 +48,12 @@ from .core import (
     SymMatrix,
     _check_cycles,
     _layout_indices,
+    _off_norm_packed,
     _packed_entries,
     _pivot_plan,
     _rotation_params,
+    _step_off_norms,
     _sweep,
-    off_norm,
 )
 from .orderings import PivotOrdering
 # Unused here, but kept bound: perfbench/tracing.py wraps ``driver.relate`` by
@@ -123,26 +126,31 @@ class StepRecord:
 class SweepReport:
     """The cycle-boundary off-norms of a run, and its steps.
 
-    ``steps`` is built from the kernel's raw ``core._sweep`` records the
-    first time it is read, and kept: one ``StepRecord`` per
-    ``_steps_per_group`` records.  Callers that never read it
-    (``check_bound``, a timed ``run_cycles`` or ``run_parallel_cycle``) pay
-    nothing for it; ``cjacobi solve`` and ``verify_step_identities`` pay once.
+    ``steps`` is built from the input matrix and the kernel's raw
+    ``core._sweep`` records the first time it is read, and kept: one
+    ``StepRecord`` per ``_steps_per_group`` records, its S from
+    ``core._step_off_norms``.  Callers that never read it (``check_bound``,
+    a timed ``run_cycles`` or ``run_parallel_cycle``) pay nothing for it;
+    ``cjacobi solve`` and ``verify_step_identities`` pay once.
     """
 
     ordering: PivotOrdering
     cycles_requested: int
     cycles_executed: int
     cycle_off_norms: list[float]  # S at every cycle boundary, starting at t=0
+    _matrix: SymMatrix = field(repr=False)  # the input, from which the steps are replayed
     _records: list[tuple] = field(repr=False)
     _steps_per_group: int = field(default=1, repr=False)  # 2 for run_parallel_cycle
 
     @cached_property
     def steps(self) -> list[StepRecord]:
+        norms = _step_off_norms(self._matrix, self._records)
+        size = self._steps_per_group
         steps = []
-        for group in zip(*[iter(self._records)] * self._steps_per_group):
-            pairs, values, _, _, _, angles, before, after = zip(*group)
-            steps.append(StepRecord(pairs, values, angles, before[0], after[-1]))
+        for k in range(0, len(self._records), size):
+            pairs, values, _, _, _, tangents = zip(*self._records[k:k + size])
+            angles = tuple(map(math.atan, tangents))
+            steps.append(StepRecord(pairs, values, angles, norms[k], norms[k + size]))
         return steps
 
 
@@ -189,14 +197,13 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     n_off = a.n * (a.n - 1) // 2
     e = _packed_entries(a)
     plan = _rotation_plan(ordering)
-    cycle_norms = [off_norm(a)]
+    cycle_norms = [_off_norm_packed(e, n_off)]
     records: list[tuple] = []
     for _ in range(cycles):
         if cycle_norms[-1] < OFF_NORM_FLOOR:
             break
-        records += _sweep(e, n_off, plan, cycle_norms[-1])
-        cycle_norms.append(records[-1][7])
-    report = SweepReport(ordering, cycles, len(cycle_norms) - 1, cycle_norms, records)
+        cycle_norms.append(_sweep(a, e, plan, cycle_norms[-1], records))
+    report = SweepReport(ordering, cycles, len(cycle_norms) - 1, cycle_norms, a, records)
     return SymMatrix(a.n, e), report
 
 
@@ -217,9 +224,10 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     if not (isinstance(label, Parallel) and label.shift_length == 0):
         raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
     e = _packed_entries(a)
-    s = off_norm(a)
-    records = _sweep(e, 6, _rotation_plan(ordering), s)
-    return SymMatrix(4, e), SweepReport(ordering, 1, 1, [s, records[-1][7]], records, 2)
+    s = _off_norm_packed(e, 6)
+    records: list[tuple] = []
+    norms = [s, _sweep(a, e, _rotation_plan(ordering), s, records)]
+    return SymMatrix(4, e), SweepReport(ordering, 1, 1, norms, a, records, 2)
 
 
 # --- batch kernel -------------------------------------------------------------

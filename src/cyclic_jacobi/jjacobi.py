@@ -16,10 +16,12 @@ The accumulated transform F rides in the same list, row by row after A's
 n(n+1)/2 entries: each step's plan (``_transform_plan``) adds the positions
 of F's columns i and j to A's (a_ki, a_kj) pairs, so the one plane step
 updates A and F and a step makes no numpy call.  The report's
-``JJacobiStep`` records (``steps``) are built from the raw ``core._sweep``
-records the first time they are read, and its angle envelope from the steps,
-so ``solve_factored`` and ``eigen_from_factored``, which never read them, do
-not build them, and ``monitor_proof_bounds`` builds the steps once.
+``JJacobiStep`` records (``steps``) are built the first time they are read,
+from the input and the raw ``core._sweep`` records, whose S around each
+step ``core._step_off_norms`` replays; its angle envelope is built from the
+records' tangents alone, with no replay.  ``solve_factored`` and
+``eigen_from_factored``, which read neither, build neither, and
+``monitor_proof_bounds`` builds the steps once.
 
 ``eigen_from_factored`` solves H = L J L^T given its factor: it runs the
 solver on A = L^T L and maps the diagonalization back to eigenpairs of H.
@@ -42,11 +44,12 @@ from .core import (
     SymMatrix,
     _check_cycles,
     _check_pivot,
+    _off_norm_packed,
     _packed_entries,
     _pivot_plan,
     _rotation_params,
+    _step_off_norms,
     _sweep,
-    off_norm,
 )
 from .classification import Parallel, classify
 from .orderings import PivotOrdering
@@ -147,16 +150,17 @@ class JRotation:
 
 
 def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float, float]:
-    """(ch, sh, theta) annihilating the pivot; raises on breakdown.
+    """(ch, sh, th) annihilating the pivot, th = tanh(theta); raises on breakdown.
 
     Solves tanh(2*theta) = -2*aij / (aii + ajj) through the stable form
     th = sign(tau) / (|tau| + sqrt(tau^2 - 1)), tau = -(aii + ajj) / (2*aij).
     Where tau^2 overflows (a tiny or subnormal pivot) the form rounds th to
     0 and would leave the pivot in place; its limit th = -aij / (aii + ajj)
-    is used instead.  The inputs are taken as Python floats, so the
-    overflows handled here raise no numpy warnings.
+    is used instead.  The inputs are Python floats (``SymMatrix.entry`` and
+    the sweep's list give them), so the overflows handled here raise no
+    numpy warnings.  The angle theta = atanh(th) is taken only where it is
+    read.
     """
-    aii, ajj, aij = float(aii), float(ajj), float(aij)
     if aij == 0.0:
         return 1.0, 0.0, 0.0
     total = aii + ajj
@@ -172,7 +176,7 @@ def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float
     else:
         th = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(tau_sq - 1.0))
     ch = 1.0 / math.sqrt((1.0 - th) * (1.0 + th))
-    return ch, th * ch, math.atanh(th)
+    return ch, th * ch, th
 
 
 def j_rotation_for_pivot(a: SymMatrix, signs: Sequence[int], i: int, j: int) -> JRotation:
@@ -183,10 +187,10 @@ def j_rotation_for_pivot(a: SymMatrix, signs: Sequence[int], i: int, j: int) -> 
     _check_pivot(a.n, i, j)
     aii, ajj, aij = a.entry(i, i), a.entry(j, j), a.entry(i, j)
     if signs[i - 1] == signs[j - 1]:
-        c, s, phi = _rotation_params(aii, ajj, aij)
-        return JRotation(i, j, "trigonometric", c, s, phi)
-    ch, sh, theta = _hyperbolic_params(aii, ajj, aij)
-    return JRotation(i, j, "hyperbolic", ch, sh, theta)
+        c, s, t = _rotation_params(aii, ajj, aij)
+        return JRotation(i, j, "trigonometric", c, s, math.atan(t))
+    ch, sh, th = _hyperbolic_params(aii, ajj, aij)
+    return JRotation(i, j, "hyperbolic", ch, sh, math.atanh(th))
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,13 @@ class JJacobiStep:
 class JJacobiReport:
     """The cycle-boundary off-norms and angle envelope of a run, and its steps.
 
-    ``steps`` is built from the kernel's raw ``core._sweep`` records the
-    first time it is read, and ``angle_envelope`` from ``steps``; both are
-    kept.  ``solve_factored`` and ``eigen_from_factored`` read neither and
-    pay nothing for them; ``cjacobi jsolve`` reads the envelope, and so
-    builds the steps once, which ``monitor_proof_bounds`` reuses.
+    ``steps`` is built from the input matrix and the kernel's raw
+    ``core._sweep`` records the first time it is read, its S from
+    ``core._step_off_norms``; ``angle_envelope`` is built from the records'
+    tangents alone.  Both are kept.  ``solve_factored`` and
+    ``eigen_from_factored`` read neither and pay nothing for them;
+    ``cjacobi jsolve`` reads the envelope, and builds the steps only for
+    ``--monitor``.
     """
 
     ordering: PivotOrdering
@@ -218,28 +224,34 @@ class JJacobiReport:
     cycles_executed: int
     initial_norm: float
     covered_by_convergence_theory: bool
+    _matrix: SymMatrix = field(repr=False)  # the input, from which the steps are replayed
     _records: list[tuple] = field(repr=False)
+
+    def _hyperbolic(self, pair: tuple[int, int]) -> bool:
+        return self.signs[pair[0] - 1] != self.signs[pair[1] - 1]
 
     @cached_property
     def angle_envelope(self) -> list[float]:
         """Per cycle: max |tanh theta| over its hyperbolic steps, 0.0 if none."""
-        steps = self.steps
-        per_cycle = len(self.ordering.pairs)
-        return [
-            max([0.0] + [st.tanh for st in steps[k:k + per_cycle]])
-            for k in range(0, len(steps), per_cycle)
+        tanhs = [
+            abs(math.tanh(math.atanh(th))) if self._hyperbolic(pair) else 0.0
+            for pair, *_, th in self._records
         ]
+        per_cycle = len(self.ordering.pairs)
+        return [max([0.0] + tanhs[k:k + per_cycle]) for k in range(0, len(tanhs), per_cycle)]
 
     @cached_property
     def steps(self) -> list[JJacobiStep]:
-        signs = self.signs
+        norms = _step_off_norms(self._matrix, self._records)
         steps = []
-        for pair, piv, _, _, _, angle, s, s_new in self._records:
-            if signs[pair[0] - 1] != signs[pair[1] - 1]:
+        for k, (pair, piv, _, _, _, tangent) in enumerate(self._records):
+            if self._hyperbolic(pair):
+                angle = math.atanh(tangent)
                 kind, th = "hyperbolic", abs(math.tanh(angle))
             else:
+                angle = math.atan(tangent)
                 kind, th = "trigonometric", 0.0
-            steps.append(JJacobiStep(pair, kind, piv, angle, th, s, s_new))
+            steps.append(JJacobiStep(pair, kind, piv, angle, th, norms[k], norms[k + 1]))
         return steps
 
 
@@ -295,7 +307,7 @@ def run_j_jacobi(
     n = a.n
     n_off = n * (n - 1) // 2
     e = _packed_entries(a)
-    cycle_norms = [off_norm(a)]  # raises before the norm below can overflow
+    cycle_norms = [_off_norm_packed(e, n_off)]  # raises before the norm below can overflow
     initial_norm = a.frobenius()
     threshold = tol * initial_norm
     if cycle_norms[0] == 0.0 and math.sqrt(n_off) * max(map(abs, e[:n_off])) > threshold:
@@ -313,10 +325,8 @@ def run_j_jacobi(
     certified = converged
     cycles = 0
     while cycles < max_cycles and not certified:
-        sweep = _sweep(e, n_off, plan, cycle_norms[-1])
-        records += sweep
+        s_new = _sweep(a, e, plan, cycle_norms[-1], records)
         cycles += 1
-        s_new = sweep[-1][7]
         cycle_norms.append(s_new)
         if converged:
             certified = True  # the extra sweep from the converged state ran
@@ -324,7 +334,7 @@ def run_j_jacobi(
             converged = True
     report = JJacobiReport(
         ordering, signs, cycle_norms, converged, cycles, initial_norm,
-        _covered(signs), records,
+        _covered(signs), a, records,
     )
     f = np.array(e[size:]).reshape(n, n)
     return JJacobiResult(SymMatrix(n, e[:size]), f, report)

@@ -1,5 +1,7 @@
 """Reference computations shared by the test modules."""
 
+import math
+
 import numpy as np
 
 from cyclic_jacobi.classification import (
@@ -14,6 +16,14 @@ from cyclic_jacobi.classification import (
     _relabeled_serial_index,
     member_serial_perm,
 )
+from cyclic_jacobi.core import (
+    _off_norm_packed,
+    _packed_entries,
+    _pivot_plan,
+    _plane_step,
+    _rotation_params,
+)
+from cyclic_jacobi.jjacobi import _hyperbolic_params
 from cyclic_jacobi.orderings import SHIFT, TRANSPOSE, Shift, _nearest, _weak_search
 
 
@@ -47,6 +57,41 @@ def replayed_transform(n, records):
         columns[i - 1] = [c * x + s * y for x, y in zip(fi, fj)]
         columns[j - 1] = [c * y + t * x for x, y in zip(fi, fj)]
     return np.array(columns).T
+
+
+def eager_steps(a, ordering, sweeps, signs=None):
+    """The steps of ``sweeps`` sweeps of ``ordering`` on ``a``, with S summed after every step.
+
+    The scalar sweep as it ran before it summed S once per sweep: each step
+    takes its parameters from the current entries, applies them with
+    ``core._plane_step`` and sums S^2 afresh, and its angle is taken at once.
+    A pivot across the blocks of ``signs`` (J-Jacobi) gets a hyperbolic step,
+    angle atanh(th); every other pivot a rotation, angle atan(t).  Returns
+    per step (pair, hyperbolic, a_ij before, angle, S before, S after);
+    raises ``ValueError`` at the first S^2 that is not finite.
+    """
+    n = a.n
+    n_off = n * (n - 1) // 2
+    e = _packed_entries(a)
+    s = _off_norm_packed(e, n_off)
+    steps = []
+    for _ in range(sweeps):
+        for i, j in ordering.pairs:
+            plan = _pivot_plan(n, i, j)
+            ii, jj, ij, _ = plan
+            piv = e[ij]
+            hyperbolic = signs is not None and signs[i - 1] != signs[j - 1]
+            if hyperbolic:
+                c, sn, th = _hyperbolic_params(e[ii], e[jj], piv)
+                t, angle = sn, math.atanh(th)
+            else:
+                c, sn, tangent = _rotation_params(e[ii], e[jj], piv)
+                t, angle = -sn, math.atan(tangent)
+            _plane_step(e, plan, c, sn, t)
+            s_new = _off_norm_packed(e, n_off)
+            steps.append(((i, j), hyperbolic, piv, angle, s, s_new))
+            s = s_new
+    return steps
 
 
 def forward_label(o):

@@ -1,11 +1,15 @@
 """The scalar packed kernel behind run_cycles, run_j_jacobi and run_parallel_cycle."""
 
 import hashlib
+import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import cyclic_jacobi.core as coremod
 import cyclic_jacobi.driver as drivermod
 import cyclic_jacobi.jjacobi as jjacobimod
 from cyclic_jacobi.classification import (
@@ -16,10 +20,19 @@ from cyclic_jacobi.classification import (
     classify,
 )
 from cyclic_jacobi.cli import main
-from cyclic_jacobi.core import SymMatrix, _rotation_params, format_matrix, off_norm
+from cyclic_jacobi.core import (
+    SymMatrix,
+    _off_norm_packed,
+    _rotation_params,
+    _step_off_norms,
+    format_matrix,
+    off_norm,
+    rotation_for_pivot,
+)
 from cyclic_jacobi.driver import (
     IDENTITY_RTOL,
     MONOTONICITY_RTOL,
+    OFF_NORM_FLOOR,
     StepRecord,
     _batch_rotations,
     batch_sweep,
@@ -33,9 +46,16 @@ from cyclic_jacobi.driver import (
     verify_cycle_monotonicity,
     verify_step_identities,
 )
-from cyclic_jacobi.jjacobi import JJacobiStep, eigen_from_factored, run_j_jacobi, solve_factored
+from cyclic_jacobi.jjacobi import (
+    HyperbolicBreakdownError,
+    JJacobiStep,
+    eigen_from_factored,
+    j_rotation_for_pivot,
+    run_j_jacobi,
+    solve_factored,
+)
 from cyclic_jacobi.orderings import enumerate_orderings, make_ordering
-from oracles import replayed_transform
+from oracles import eager_steps, replayed_transform
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -446,6 +466,27 @@ class TestLazySteps:
         assert report.angle_envelope is envelope
         assert counting_math.tanh_calls == hyperbolic
 
+    def test_jsolve_reads_the_envelope_without_steps_or_a_replay(
+        self, built, counting_math, monkeypatch, tmp_path
+    ):
+        replays = []
+
+        def counting_replay(*args):
+            replays.append(args)
+            return _step_off_norms(*args)
+
+        monkeypatch.setattr(jjacobimod, "_step_off_norms", counting_replay)
+        ell = random_spd_factor(default_rng(75))
+        factor, report = tmp_path / "factor.txt", tmp_path / "report.json"
+        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1", "--ordering",
+                     str(PAR_ANCHOR), "--report", str(report)])
+        assert code == 0
+        envelope = json.loads(report.read_text())["angle_envelope"]
+        assert len(envelope) > 1 and max(envelope) > 0.0
+        assert counting_math.tanh_calls > 0
+        assert set(built.values()) == {0} and replays == []
+
     def test_solvers_never_compute_the_angle_envelope(self, counting_math):
         rng = default_rng(74)
         for signs in SIGN_PATTERNS:
@@ -527,3 +568,182 @@ class TestDimensions:
             assert final.to_dense().tobytes() == short.finals[k].tobytes()
         assert sweep.identity_violation <= IDENTITY_RTOL
         assert sweep.monotonicity_excess <= MONOTONICITY_RTOL
+
+
+def _assert_steps_match(steps, expected):
+    """``StepRecord`` groups of a report against the ``eager_steps`` they cover, bit for bit."""
+    size = len(expected) // len(steps)
+    assert len(steps) * size == len(expected) > 0
+    for k, st in enumerate(steps):
+        group = expected[k * size:(k + 1) * size]
+        assert st.pivots == tuple(pair for pair, *_ in group)
+        assert _bits(st.values) == _bits([value for _, _, value, *_ in group])
+        assert _bits(st.angles) == _bits([angle for *_, angle, _, _ in group])
+        assert _bits([st.s_before, st.s_after]) == _bits([group[0][4], group[-1][5]])
+
+
+def _boundaries(expected, per_cycle, initial):
+    return [initial] + [after for *_, after in expected[per_cycle - 1::per_cycle]]
+
+
+class TestEagerSweepOracle:
+    """Steps rebuilt on read are bitwise those of a sweep that sums S after every step."""
+
+    def test_run_cycles(self):
+        rng = default_rng(9090)
+        plain = random_symmetric_batch(rng, 30)
+        orderings = list(enumerate_orderings(4))[::24]
+        stopped = 0
+        for k, ordering in enumerate(orderings):
+            for dense in (plain[k], plain[k] * 1e-140):  # the scaled runs stop at the floor
+                m = SymMatrix.from_dense(dense)
+                _, report = run_cycles(m, ordering, 8)
+                expected = eager_steps(m, ordering, report.cycles_executed)
+                _assert_steps_match(report.steps, expected)
+                assert _bits(report.cycle_off_norms) == _bits(
+                    _boundaries(expected, 6, off_norm(m)))
+                if report.cycles_executed < 8:
+                    stopped += 1
+                    assert report.cycle_off_norms[-1] < OFF_NORM_FLOOR
+        assert stopped >= len(orderings)
+
+    def test_run_parallel_cycle(self):
+        mats = random_symmetric_batch(default_rng(9091), 4)
+        for ordering in anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR):
+            for dense in mats:
+                m = SymMatrix.from_dense(dense)
+                _, report = run_parallel_cycle(m, ordering)
+                expected = eager_steps(m, ordering, 1)
+                assert len(report.steps) == 3
+                _assert_steps_match(report.steps, expected)
+                assert _bits(report.cycle_off_norms) == _bits(
+                    _boundaries(expected, 6, off_norm(m)))
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    def test_run_j_jacobi(self, signs):
+        rng = default_rng(9092)
+        for ordering in list(enumerate_orderings(4))[::40] + [PAR_ANCHOR]:
+            factor = random_spd_factor(rng)
+            m = SymMatrix.from_dense(factor.T @ factor)
+            report = run_j_jacobi(m, signs, ordering, tol=1e-13).report
+            expected = eager_steps(m, ordering, report.cycles_executed, signs)
+            assert len(report.steps) == len(expected) > 0
+            for st, (pair, hyperbolic, value, angle, before, after) in zip(report.steps, expected):
+                assert (st.pivot, st.kind) == (pair, "hyperbolic" if hyperbolic else "trigonometric")
+                tanh = abs(math.tanh(angle)) if hyperbolic else 0.0
+                assert _bits([st.value, st.angle, st.tanh, st.s_before, st.s_after]) == _bits(
+                    [value, angle, tanh, before, after])
+            assert _bits(report.cycle_off_norms) == _bits(_boundaries(expected, 6, off_norm(m)))
+
+
+class TestSweepGrowthGuard:
+    """The sweep sums S once; a bound on its growth decides when the steps are replayed."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """Every call of ``_off_norm_packed`` through ``core``, ``driver`` and ``jjacobi``."""
+        calls = []
+
+        def counting(e, n_off):
+            calls.append(n_off)
+            return _off_norm_packed(e, n_off)
+
+        for module in (coremod, drivermod, jjacobimod):
+            monkeypatch.setattr(module, "_off_norm_packed", counting)
+        return calls
+
+    def test_one_sum_per_sweep_and_one_for_the_initial_s(self, sums):
+        rng = default_rng(9093)
+        m, factor = random_symmetric(rng), random_spd_factor(rng)
+        a = SymMatrix.from_dense(factor.T @ factor)
+        runs = [lambda: run_cycles(m, COLUMN, 10)[1], lambda: run_parallel_cycle(m, PAR_ANCHOR)[1]]
+        runs += [lambda signs=signs: run_j_jacobi(a, signs, PAR_ANCHOR).report
+                 for signs in SIGN_PATTERNS]
+        for run in runs:
+            del sums[:]
+            report = run()
+            assert len(sums) == report.cycles_executed + 1 > 1
+            del sums[:]
+            steps = report.steps  # the replay sums S once more, and after every step
+            assert len(sums) == len(report._records) + 1 >= len(steps) + 1
+
+    @staticmethod
+    def near_max(count):
+        """Seeded matrices with S^2 within 1e-15 of the float maximum and a tiny a_12.
+
+        The first step of ``COLUMN`` barely lowers S, so its rounding can carry S^2
+        past the maximum; the later steps remove large pivots, so S^2 is finite
+        again at the end of the sweep.
+        """
+        rng = default_rng(78)
+        for _ in range(count):
+            dense = random_symmetric_batch(rng, 1)[0]
+            dense[0, 1] = dense[1, 0] = dense[0, 1] * 1e-9
+            s2 = sum(dense[i, j] ** 2 for i in range(4) for j in range(i + 1, 4))
+            dense *= math.sqrt(sys.float_info.max * (1.0 - rng.uniform(0.0, 1e-15))) / math.sqrt(s2)
+            m = SymMatrix.from_dense(dense)
+            try:
+                off_norm(m)
+            except ValueError:  # S^2 rounded past the maximum already
+                continue
+            yield m
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except ValueError as exc:
+            return str(exc)
+
+    def test_rotations_near_the_float_maximum_raise_as_the_eager_sweep(self, monkeypatch):
+        raised = caught_by_replay = 0
+        for m in self.near_max(200):
+            got = self.outcome(lambda: run_cycles(m, COLUMN, 2)[1])
+            expected = self.outcome(lambda: eager_steps(m, COLUMN, 2))
+            if isinstance(expected, str):
+                assert got == expected
+                raised += 1
+                with monkeypatch.context() as patch:  # without the replay, the sweep ends finite
+                    patch.setattr(coremod, "SWEEP_GROWTH_LIMIT", math.inf)
+                    caught_by_replay += not isinstance(self.outcome(
+                        lambda: run_cycles(m, COLUMN, 1)), str)
+            else:
+                _assert_steps_match(got.steps, expected)
+        assert raised > 0 and caught_by_replay > 0
+
+    def test_overflow_before_a_breakdown_is_reported_as_overflow(self, monkeypatch):
+        # S = 1e152 is below the limit, but the (2, 3) step is close to breakdown:
+        # cosh + |sinh| ~ 200 carries S^2 past the maximum, and the (2, 4) step
+        # after it breaks down
+        dense = np.eye(4)
+        dense[1, 2] = dense[2, 1] = 1.0 - 1e-9
+        dense[1, 3] = dense[3, 1] = 1e152
+        m, signs = SymMatrix.from_dense(dense), (1, 1, -1, -1)
+        ordering = make_ordering([(2, 3), (3, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
+        assert off_norm(m) < coremod.SWEEP_GROWTH_LIMIT
+        with pytest.raises(ValueError, match="S\\^2 is not finite"):
+            eager_steps(m, ordering, 1, signs)
+        with pytest.raises(ValueError, match="S\\^2 is not finite"):
+            run_j_jacobi(m, signs, ordering, tol=0.0)
+        monkeypatch.setattr(coremod, "SWEEP_GROWTH_LIMIT", math.inf)
+        with pytest.raises(HyperbolicBreakdownError):
+            run_j_jacobi(m, signs, ordering, tol=0.0)
+
+    @pytest.mark.parametrize("aii, ajj, aij", [
+        (1.5e308, -1.5e308, 1.0),  # a_ii - a_jj overflows
+        (1.5e308, 1.5e308, 1.0),  # a_ii + a_jj overflows
+        (1e300, 0.0, 1e-5),  # tau*tau overflows for the rotation
+        (1.0, 1.0, 1e-160),  # tau*tau overflows for the hyperbolic step
+    ])
+    def test_parameters_of_near_overflow_entries_raise_no_numpy_warning(self, aii, ajj, aij):
+        m = SymMatrix.from_dense([[aii, aij], [aij, ajj]])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            rotations = [rotation_for_pivot(m, 1, 2)]
+            for signs in ((1, 1), (1, -1)):
+                try:
+                    rotations.append(j_rotation_for_pivot(m, signs, 1, 2))
+                except HyperbolicBreakdownError:
+                    pass
+        assert len(rotations) >= 2
+        assert all(math.isfinite(r.c) and math.isfinite(r.s) for r in rotations)

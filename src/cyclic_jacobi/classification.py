@@ -13,37 +13,28 @@ falls into exactly one of three families:
   splits into three pairs of commuting rotations; three consecutive sweeps
   contract S by 1 - 1e-5 from the second cycle on.
 
-``classify`` assigns the strongest licensed bound.  The classes are
+``classify`` assigns the strongest licensed bound.  It is a lookup into
+``_class_table``, which labels all 720 orderings at once: the classes are
 closed under transpositions and cyclic shifts, and both moves are
-reversible, so ``_class_table`` labels all 720 orderings at once by
-searches run backward from the class targets: one multi-source search from
-every relabeled serial template, whose distance (shifts cost one,
-transpositions nothing) is the generalized-serial d, and one by
-transpositions from each anchor, whose reach is that anchor's variants.
-``classify`` is a lookup into that table.  A record's replayable
-certificate is built on first read, from ``orderings._nearest``, the one
-minimal-shift search and tie-break that ``orderings.relate`` uses too: the
-nearest relabeled serial template for the generalized serial class, the
-nearer anchor for the parallel class.
+reversible, so searches run backward from the class targets.  The 48
+serial templates keep their family; one multi-source search from every
+relabeled serial template gives the generalized-serial d as its distance
+(shifts cost one, transpositions nothing); one search by transpositions
+from each anchor gives that anchor's variants, and their cyclic shifts are
+the parallel class.  A record's replayable certificate is built on first
+read, from ``orderings._nearest``, the one minimal-shift search and
+tie-break that ``orderings.relate`` uses too.
 
-``serial_perm_orderings`` is the one definition of the serial templates:
-its order fixes the classifier's tie-break, and ``member_serial_perm`` is a
-lookup into it.  ``_ANCHOR_NAMES`` is the one map from an anchor to its name
-("par", "par2") in the labels and the catalog terminals.
-
-This module is the only one that knows the structure of the classes; code
-elsewhere asks ``classify``.  Besides the labels that ``cjacobi classify``
-and the campaigns print, ``driver.run_parallel_cycle`` asks whether an
-ordering is a transposition-variant of an anchor (``Parallel`` with shift
-length 0), and ``jjacobi.monitor_proof_bounds`` asks for the anchor and
-shift that place its cascade windows.  ``anchor_variants`` reads an
-anchor's variants from the same table; ``parallel_orderings`` is the six
-cyclic shifts of the two anchors' 16 variants, since ``classify`` gives
-``Parallel(anchor, l)`` exactly when the shift by l is a variant of the
-anchor.  Tier-1 tests pin both to ``classify``.  ``catalog`` embeds the
-reference table of the 120 orderings that start at pivot (1, 2) together
-with their recorded reduction chains; ``verify_catalog`` replays every
-chain and cross-checks the classifier.
+``serial_perm_orderings`` is the one definition of the serial templates,
+and ``_ANCHOR_NAMES`` the one map from an anchor to its name ("par",
+"par2") in the labels and the catalog terminals.  Code elsewhere asks
+``classify``: ``driver.run_parallel_cycle`` whether an ordering is
+``Parallel`` with shift length 0, ``jjacobi.monitor_proof_bounds`` for the
+anchor and shift that place its cascade windows.  ``member_serial_perm``,
+``anchor_variants`` and ``parallel_orderings`` read the same table.
+``catalog`` embeds the reference table of the 120 orderings that start at
+pivot (1, 2) with their recorded reduction chains; ``verify_catalog``
+replays every chain and cross-checks the classifier.
 """
 
 from __future__ import annotations
@@ -67,7 +58,6 @@ from .orderings import (
     _relabeled_targets,
     _weak_search,
     _weak_search_from,
-    cyclic_shift,
     make_certificate,
     make_ordering,
     replay,
@@ -218,19 +208,15 @@ def serial_perm_orderings() -> tuple[PivotOrdering, ...]:
 _FAMILIES = ("column", "row", "reverse-column", "reverse-row")
 
 
-@lru_cache(maxsize=1)
-def _serial_families() -> dict[PivotOrdering, str]:
-    return {o: _FAMILIES[k // 12] for k, o in enumerate(serial_perm_orderings())}
-
-
 def member_serial_perm(o: PivotOrdering) -> Optional[str]:
     """The serial template family of an n = 4 ordering, or None if it is in none.
 
-    A lookup into ``serial_perm_orderings``, the one definition of the templates.
+    Read off ``_class_table``, whose serial labels are ``serial_perm_orderings``.
     """
     if o.n != 4:
         raise ValueError(f"serial templates are defined for n=4, got n={o.n}")
-    return _serial_families().get(o)
+    label, _ = _class_table().get(o.pairs, (None, None))
+    return label.variant if isinstance(label, SerialPerm) else None
 
 
 @lru_cache(maxsize=1)
@@ -240,23 +226,39 @@ def _relabeled_serial_index():
 
 
 @lru_cache(maxsize=1)
-def _class_table():
-    """The classifier's table: (generalized-serial d, anchor variants) keyed by pair tuple.
+def _class_table() -> dict[tuple, tuple[Label, Bound]]:
+    """Every n = 4 ordering's (label, bound), keyed by pair tuple.
 
-    Transposes and shifts are reversible at the same cost, so searches run
-    backward from the class targets label all 720 orderings at once.  One
-    multi-source search starts from every ``_relabeled_serial_index``
-    target: an ordering's distance is the fewest shifts on a chain from it
-    to a relabeled serial template, its generalized-serial d.  A
-    transposition-only search from each anchor gives that anchor's 8
-    variants, its distance-0 set, each mapped to the anchor.
+    Each class labels only what a stronger one left unlabelled.  The 48
+    templates of ``serial_perm_orderings`` come first, with their family.
+    One multi-source search backward from every ``_relabeled_serial_index``
+    target gives the rest of its reach their generalized-serial d, the
+    fewest shifts on a chain to a relabeled template.  A transposition-only
+    search from each anchor gives its 8 variants; an ordering is
+    ``Parallel(anchor, l)`` for the smallest l whose cyclic shift by l is a
+    variant, so the variants are shifted back by l = 0, ..., 5 in turn.
     """
+    serial_bound = Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
+    table = {
+        o.pairs: (SerialPerm(_FAMILIES[k // 12]), serial_bound)
+        for k, o in enumerate(serial_perm_orderings())
+    }
     serial_d, _ = _weak_search_from(_relabeled_serial_index().keys(), _WEAK_MOVES)
-    variants = {}
+    by_d = {
+        d: (GeneralizedSerial(d), Bound(SERIAL_GAMMA, d + 1, 0, SERIAL_GAMMA_SQ))
+        for d in set(serial_d.values())
+    }
+    for pairs, d in serial_d.items():
+        table.setdefault(pairs, by_d[d])
+    variants = []
     for anchor in _ANCHOR_NAMES:
         reached, _ = _weak_search_from((anchor.pairs,), frozenset((TRANSPOSE,)))
-        variants.update(dict.fromkeys(reached, anchor))
-    return serial_d, variants
+        variants.extend((anchor, pairs) for pairs in reached)
+    for length in range(6):
+        for anchor, pairs in variants:
+            back = pairs[6 - length:] + pairs[:6 - length]
+            table.setdefault(back, (Parallel(anchor, length), UNIVERSAL_BOUND))
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -265,30 +267,17 @@ def classify(o: PivotOrdering) -> ClassificationRecord:
 
     Precedence: serial template, then generalized serial with the smallest
     shift count d (transpositions and one end relabeling are free), then
-    parallel.  The serial class is a lookup into ``serial_perm_orderings``;
-    the other two are lookups into ``_class_table``, so no search runs
-    per ordering: an ordering the serial search reached is
-    ``GeneralizedSerial(d)``, and any other is ``Parallel(anchor, l)`` for
-    the l whose shift ``cyclic_shift(o, l)`` is a variant of that anchor.
-    Failure to match any class is a hard error: it would falsify the
-    exhaustive case analysis behind the universal bound.
+    parallel with the smallest shift length.  ``_class_table`` holds that
+    answer for every ordering, so no search runs per ordering.  Failure to
+    match any class is a hard error: it would falsify the exhaustive case
+    analysis behind the universal bound.
     """
     if o.n != 4:
         raise ValueError(f"classification is defined for n=4, got n={o.n}")
-    variant = member_serial_perm(o)
-    if variant is not None:
-        bound = Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
-        return ClassificationRecord(o, SerialPerm(variant), bound)
-    serial_d, variants = _class_table()
-    d = serial_d.get(o.pairs)
-    if d is not None:
-        bound = Bound(SERIAL_GAMMA, d + 1, 0, SERIAL_GAMMA_SQ)
-        return ClassificationRecord(o, GeneralizedSerial(d), bound)
-    for length in range(len(o.pairs)):
-        anchor = variants.get(o.pairs[length:] + o.pairs[:length])
-        if anchor is not None:
-            return ClassificationRecord(o, Parallel(anchor, length), UNIVERSAL_BOUND)
-    raise ClassificationError(f"ordering {o} matched no class; case analysis falsified")
+    entry = _class_table().get(o.pairs)
+    if entry is None:
+        raise ClassificationError(f"ordering {o} matched no class; case analysis falsified")
+    return ClassificationRecord(o, *entry)
 
 
 def _certificate(o: PivotOrdering, label: Label) -> Certificate:
@@ -325,20 +314,23 @@ def _certificate(o: PivotOrdering, label: Label) -> Certificate:
 def anchor_variants(anchor: PivotOrdering) -> tuple[PivotOrdering, ...]:
     """The orderings reachable from an anchor by admissible transpositions.
 
-    Read off ``_class_table``: the anchor's distance-0 set, sorted by pairs.
+    Read off ``_class_table``: the orderings labelled ``Parallel(anchor, 0)``,
+    sorted by pairs.
     """
     if anchor not in _ANCHOR_NAMES:
         raise ValueError(f"{anchor} is not a parallel anchor")
-    members = sorted(pairs for pairs, a in _class_table()[1].items() if a == anchor)
+    label = Parallel(anchor, 0)
+    members = sorted(pairs for pairs, (lab, _) in _class_table().items() if lab == label)
     return tuple(PivotOrdering(4, pairs) for pairs in members)
 
 
 @lru_cache(maxsize=1)
 def parallel_orderings() -> tuple[PivotOrdering, ...]:
-    """All 96 parallel orderings for n = 4: the cyclic shifts of the anchors' variants."""
-    variants = anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR)
-    out = {cyclic_shift(v, length) for v in variants for length in range(6)}
-    return tuple(sorted(out, key=lambda o: o.pairs))
+    """All 96 parallel orderings for n = 4, read off ``_class_table``, sorted by pairs."""
+    members = sorted(
+        pairs for pairs, (label, _) in _class_table().items() if isinstance(label, Parallel)
+    )
+    return tuple(PivotOrdering(4, pairs) for pairs in members)
 
 
 # --- reference catalog --------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import _parse_square, format_matrix, read_matrix_file
+from .core import _parse_square, _scaled_norm, format_matrix, read_matrix_file
 from .orderings import PivotOrdering, enumerate_orderings, format_certificate, parse_ordering
 from .classification import (
     GeneralizedSerial,
@@ -162,18 +162,6 @@ def _load_factor(text: str, n: int) -> np.ndarray:
         return _parse_square(fh.read())  # a factor need not be symmetric
 
 
-def _norm(x: np.ndarray) -> float:
-    """2-norm (Frobenius for a matrix), rescaled by the largest |entry| when the
-    squares overflow, as ``SymMatrix.frobenius`` does; otherwise numpy's bits."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    if math.isinf(norm):
-        scale = float(np.abs(x).max())
-        if math.isfinite(scale):  # finite entries whose squares overflow
-            norm = scale * float(np.linalg.norm(x / scale))
-    return norm
-
-
 def cmd_jsolve(args) -> int:
     signs = sign_diagonal(args.J.replace("+", " ").split())
     ordering = parse_ordering(args.ordering)
@@ -185,12 +173,12 @@ def cmd_jsolve(args) -> int:
         )
         h = factor @ np.diag(signs).astype(float) @ factor.T
         residuals = [
-            _norm(h @ eigenvectors[:, k] - eigenvalues[k] * eigenvectors[:, k])
+            _scaled_norm(h @ eigenvectors[:, k] - eigenvalues[k] * eigenvectors[:, k])
             for k in range(len(signs))
         ]
         payload["eigenvalues"] = eigenvalues.tolist()
         payload["residual_norms"] = residuals
-        payload["matrix_norm"] = _norm(h)
+        payload["matrix_norm"] = _scaled_norm(h)
     else:
         matrix = read_matrix_file(args.A)
         result = run_j_jacobi(matrix, signs, ordering, tol=args.tol)

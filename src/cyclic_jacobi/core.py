@@ -90,6 +90,18 @@ def _pivot_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int,
     return pos[i0][i0], pos[j0][j0], pos[i0][j0], others
 
 
+def _scaled_norm(x: np.ndarray) -> float:
+    """2-norm (Frobenius for a matrix) with numpy's bits, rescaled by the largest
+    |entry| when the squares of finite entries overflow, or when that entry is
+    below 2^-511, so its square can underflow."""
+    scale = float(np.abs(x).max())
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if (math.isinf(norm) and math.isfinite(scale)) or 0.0 < scale < 2.0**-511:
+        norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 class SymMatrix:
     """Dense real symmetric matrix with a single stored copy of each entry.
 
@@ -155,15 +167,8 @@ class SymMatrix:
         return self._packed[self.n * (self.n - 1) // 2:].copy()
 
     def frobenius(self) -> float:
-        """Frobenius norm, rescaled by the largest |a_ij| when the squares overflow,
-        or when that entry is below 2^-511, so its square can underflow."""
-        dense = self.to_dense()
-        scale = float(np.abs(dense).max())
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(dense))
-        if math.isinf(norm) or 0.0 < scale < 2.0**-511:  # the entries are finite
-            norm = scale * float(np.linalg.norm(dense / scale))
-        return norm
+        """Frobenius norm, rescaled as ``_scaled_norm`` says."""
+        return _scaled_norm(self.to_dense())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):

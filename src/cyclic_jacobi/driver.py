@@ -97,7 +97,7 @@ __all__ = [
 FP_SLACK = 1e-12          # absolute slack on bound ratios
 IDENTITY_RTOL = 1e-13     # S^2 decrement identity, relative to S^2 before the step
 MONOTONICITY_RTOL = 1e-14  # growth of S across a cycle, relative
-OFF_NORM_FLOOR = 1e-300   # stop sweeping below this off-norm (denormal churn)
+OFF_NORM_FLOOR = 1e-300   # divisor floor of the relative S^2 identity and growth checks
 SPD_FACTOR_MAX_COND = 100.0  # cond(L) cap of random_spd_factor
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -186,10 +186,11 @@ def _rotation_plan(ordering: PivotOrdering) -> list[tuple]:
 def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymMatrix, SweepReport]:
     """Apply ``cycles`` full sweeps of ``ordering`` to ``a``.
 
-    Stops early (reporting the executed count) once the off-norm falls below
-    ``OFF_NORM_FLOOR``.  Raises ``ValueError`` unless ``cycles`` is an integer
-    >= 0, and when S^2 is not finite, before or after any step (entries
-    beyond about 1e154 overflow it).
+    Stops early (reporting the executed count) once S is 0, which is when
+    S^2 underflows: the smallest nonzero S is sqrt(2^-1074), about 2.2e-162.
+    Raises ``ValueError`` unless ``cycles`` is an integer >= 0, and when
+    S^2 is not finite, before or after any step (entries beyond about 1e154
+    overflow it).
     """
     if a.n != ordering.n:
         raise ValueError(f"matrix dimension {a.n} does not match ordering n={ordering.n}")
@@ -200,7 +201,7 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     cycle_norms = [_off_norm_packed(e, n_off)]
     records: list[tuple] = []
     for _ in range(cycles):
-        if cycle_norms[-1] < OFF_NORM_FLOOR:
+        if cycle_norms[-1] == 0.0:
             break
         cycle_norms.append(_sweep(a, e, plan, cycle_norms[-1], records))
     report = SweepReport(ordering, cycles, len(cycle_norms) - 1, cycle_norms, a, records)

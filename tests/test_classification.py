@@ -232,6 +232,10 @@ class TestParallelClassAgreement:
         }
         assert set(parallel_orderings()) == labelled
         assert len(labelled) == 96
+        # derived apart from the table: the six cyclic shifts of the 16 variants
+        variants = anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR)
+        shifts = {cyclic_shift(v, length) for v in variants for length in range(6)}
+        assert parallel_orderings() == tuple(sorted(shifts, key=lambda o: o.pairs))
 
     def test_monitor_window_follows_the_label(self):
         diagonal = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])  # no sweep runs
@@ -332,12 +336,7 @@ class TestCertificateOnRead:
     @pytest.mark.parametrize("index", [21, 105])
     def test_a_table_that_drops_an_ordering_raises(self, searches, monkeypatch, index):
         o = ENTRY[index].ordering
-        serial_d, variants = classification._class_table()
-        shifts = {o.pairs[k:] + o.pairs[:k] for k in range(6)}
-        table = (
-            {p: d for p, d in serial_d.items() if p != o.pairs},
-            {p: a for p, a in variants.items() if p not in shifts},
-        )
+        table = {p: entry for p, entry in classification._class_table().items() if p != o.pairs}
         monkeypatch.setattr(classification, "_class_table", lambda: table)
         with pytest.raises(ClassificationError, match="matched no class"):
             classify(o)

@@ -293,6 +293,18 @@ class TestJsolveCommand:
         h = ell @ np.diag([1.0, 1.0, -1.0, -1.0]) @ ell.T
         assert json.loads(report.read_text())["matrix_norm"] == float(np.linalg.norm(h))
 
+    def test_tiny_factor_reports_nonzero_residuals(self, tmp_path):
+        # H = L J L^T has entries near 1e-150; its residuals, near 1e-166,
+        # have squares that underflow in an unscaled norm
+        ell = drivermod.random_spd_factor(drivermod.default_rng(5)) * 1e-75
+        factor = tmp_path / "factor.txt"
+        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        report = tmp_path / "j.json"
+        assert main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1",
+                     "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert all(0.0 < r < 1e-10 * payload["matrix_norm"] for r in payload["residual_norms"])
+
     def test_underflowed_off_norm_is_input_error(self, tmp_path, capsys):
         # A = L^T L has off-diagonal entries near 1e-200, whose squares underflow
         ell = drivermod.random_spd_factor(drivermod.default_rng(3)) * 1e-100

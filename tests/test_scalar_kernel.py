@@ -248,7 +248,7 @@ class TestScalarEqualsBatch:
                 if report.cycles_executed == 6:
                     complete += 1
                     assert final.to_dense().tobytes() == sweep.finals[k].tobytes(), (ordering, k)
-                else:  # stopped at OFF_NORM_FLOOR; the batch kernel sweeps on
+                else:  # stopped once S was 0; the batch kernel sweeps on
                     stopped += 1
         assert complete > 0 and stopped > 0
 
@@ -559,7 +559,7 @@ class TestDimensions:
             alone = batch_sweep(dense[None], ordering, 12)
             assert sweep.off_norms[:, k].tobytes() == alone.off_norms[:, 0].tobytes()
             assert sweep.finals[k].tobytes() == alone.finals[0].tobytes()
-            # run_cycles stops at OFF_NORM_FLOOR: its norms are a prefix, its
+            # run_cycles stops once S is 0: its norms are a prefix, its
             # final matrix that of the batch swept as many cycles
             final, report = run_cycles(SymMatrix.from_dense(dense), ordering, 12)
             norms = np.array(report.cycle_off_norms)

@@ -237,12 +237,11 @@ def _class_table() -> dict[tuple, tuple[Label, Bound]]:
     search from each anchor gives its 8 variants; an ordering is
     ``Parallel(anchor, l)`` for the smallest l whose cyclic shift by l is a
     variant, so the variants are shifted back by l = 0, ..., 5 in turn.
+    The orderings of one label share one (label, bound) tuple.
     """
-    serial_bound = Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
-    table = {
-        o.pairs: (SerialPerm(_FAMILIES[k // 12]), serial_bound)
-        for k, o in enumerate(serial_perm_orderings())
-    }
+    bound = Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
+    families = [(SerialPerm(family), bound) for family in _FAMILIES]
+    table = {o.pairs: families[k // 12] for k, o in enumerate(serial_perm_orderings())}
     serial_d, _ = _weak_search_from(_relabeled_serial_index().keys(), _WEAK_MOVES)
     by_d = {
         d: (GeneralizedSerial(d), Bound(SERIAL_GAMMA, d + 1, 0, SERIAL_GAMMA_SQ))
@@ -250,14 +249,15 @@ def _class_table() -> dict[tuple, tuple[Label, Bound]]:
     }
     for pairs, d in serial_d.items():
         table.setdefault(pairs, by_d[d])
-    variants = []
-    for anchor in _ANCHOR_NAMES:
-        reached, _ = _weak_search_from((anchor.pairs,), frozenset((TRANSPOSE,)))
-        variants.extend((anchor, pairs) for pairs in reached)
+    variants = {
+        anchor: _weak_search_from((anchor.pairs,), frozenset((TRANSPOSE,)))[0]
+        for anchor in _ANCHOR_NAMES
+    }
     for length in range(6):
-        for anchor, pairs in variants:
-            back = pairs[6 - length:] + pairs[:6 - length]
-            table.setdefault(back, (Parallel(anchor, length), UNIVERSAL_BOUND))
+        for anchor, members in variants.items():
+            entry = (Parallel(anchor, length), UNIVERSAL_BOUND)
+            for pairs in members:
+                table.setdefault(pairs[6 - length:] + pairs[:6 - length], entry)
     return table
 
 

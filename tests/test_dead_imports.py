@@ -11,9 +11,8 @@ import pytest
 
 import cyclic_jacobi
 
-SOURCES = sorted(
-    path for path in Path(cyclic_jacobi.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = Path(cyclic_jacobi.__file__).parent
+SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 # bindings that perfbench/tracing.py rebinds to meter them; the module itself no longer calls them
 REBOUND = {("driver", "relate"), ("cli", "campaign_cells_for_ordering")}
@@ -53,5 +52,5 @@ def test_every_module_level_import_is_used(path):
 def test_the_rebound_names_are_imported_and_unused():
     # an allowance that no longer matches an unused import is stale
     for module, name in REBOUND:
-        tree = ast.parse((SOURCES[0].parent / f"{module}.py").read_text())
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in set(_imported_names(tree)) - _used_names(tree), (module, name)

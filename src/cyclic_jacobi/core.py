@@ -13,6 +13,11 @@ entries, the per-pivot positions (``_pivot_plan``), the one plane step
 (``_off_norm_packed``), behind ``off_norm`` and the sweep, live here too; the
 vectorized batch kernel is ``driver.batch_sweep``.
 
+``SymMatrix`` holds the packed layout as a tuple of Python floats.  The
+single-matrix paths (``annihilate``, ``apply_two_sided``, ``off_norm`` and
+the scalar sweep) copy it into a working list with ``_packed_entries`` and
+build their result from that list, with no numpy round trip.
+
 The scalar sweep does only the rotation work: it records each step's
 (c, s, t) and tangent and sums S once, at the end of the sweep.  The S
 before and after every step is rebuilt when a report's ``steps`` are read,
@@ -93,36 +98,50 @@ def _pivot_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int,
 def _scaled_norm(x: np.ndarray) -> float:
     """2-norm (Frobenius for a matrix) with numpy's bits, rescaled by the largest
     |entry| when the squares of finite entries overflow, or when that entry is
-    below 2^-511, so its square can underflow."""
+    below 2^-511, so its square can underflow.  Only when the sum of squares
+    could overflow does numpy run under ``np.errstate``."""
     scale = float(np.abs(x).max())
+    if 0.0 < scale < 2.0**-511:
+        return scale * float(np.linalg.norm(x / scale))
+    if scale * scale * x.size < 2.0**1023:
+        return float(np.linalg.norm(x))
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
-    if (math.isinf(norm) and math.isfinite(scale)) or 0.0 < scale < 2.0**-511:
+    if math.isinf(norm) and math.isfinite(scale):
         norm = scale * float(np.linalg.norm(x / scale))
     return norm
+
+
+def _check_dimension(n: int) -> None:
+    if not MIN_DIM <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {n}")
 
 
 class SymMatrix:
     """Dense real symmetric matrix with a single stored copy of each entry.
 
     Only the upper triangle (including the diagonal) is stored, in the
-    packed layout of ``_packed_layout``, so symmetry holds by construction.
-    Instances are treated as immutable values.
+    packed layout of ``_packed_layout``, as a tuple of Python floats: the
+    values the scalar kernels read and write, so symmetry holds by
+    construction.  Instances are treated as immutable values.
     """
 
     __slots__ = ("n", "_packed")
 
-    def __init__(self, n: int, packed: np.ndarray):
-        if not MIN_DIM <= n <= MAX_DIM:
-            raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {n}")
-        packed = np.asarray(packed, dtype=float)
-        if packed.shape != (_packed_size(n),):
+    def __init__(self, n: int, packed):
+        _check_dimension(n)
+        if isinstance(packed, np.ndarray):
+            packed = packed.tolist()  # Python floats, or rows (which float() rejects) if not 1-D
+        try:
+            values = tuple(map(float, packed))
+        except TypeError:  # not a flat sequence of numbers
+            values = ()
+        if len(values) != _packed_size(n):
             raise ValueError(f"packed storage must have length {_packed_size(n)}")
-        if not np.all(np.isfinite(packed)):
+        if not all(map(math.isfinite, values)):
             raise ValueError("matrix entries must be finite")
         self.n = n
-        self._packed = packed.copy()
-        self._packed.setflags(write=False)
+        self._packed = values
 
     @classmethod
     def from_dense(cls, arr) -> "SymMatrix":
@@ -131,9 +150,15 @@ class SymMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: rejected as not finite
-            gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        _check_dimension(n)
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        scale = float(np.abs(a).max())
+        if scale < 2.0**1023:  # then |a_ij - a_ji| cannot overflow
+            gap = float(np.abs(a - a.T).max())
+        else:
+            with np.errstate(over="ignore"):
+                gap = float(np.abs(a - a.T).max())
         if gap > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(
                 f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "
@@ -154,7 +179,7 @@ class SymMatrix:
         """Entry at 1-based position (r, s); symmetric lookup."""
         if not (1 <= r <= self.n and 1 <= s <= self.n):
             raise IndexError(f"index ({r}, {s}) out of range for n={self.n}")
-        return float(self._packed[_packed_layout(self.n)[1][r - 1][s - 1]])
+        return self._packed[_packed_layout(self.n)[1][r - 1][s - 1]]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -164,7 +189,7 @@ class SymMatrix:
         return out
 
     def diagonal(self) -> np.ndarray:
-        return self._packed[self.n * (self.n - 1) // 2:].copy()
+        return np.array(self._packed[self.n * (self.n - 1) // 2:])
 
     def frobenius(self) -> float:
         """Frobenius norm, rescaled as ``_scaled_norm`` says."""
@@ -173,7 +198,7 @@ class SymMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self._packed, other._packed))
+        return self.n == other.n and self._packed == other._packed
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -249,8 +274,8 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
 
 
 def _packed_entries(a: SymMatrix) -> list[float]:
-    """The entries of ``a`` as Python floats in the packed layout."""
-    return a._packed.tolist()
+    """A fresh list of the entries of ``a`` in the packed layout."""
+    return list(a._packed)
 
 
 def _plane_step(

@@ -381,7 +381,7 @@ def solve_factored(
             f"{result.report.cycle_off_norms[-1]:.3e}"
         )
     lam = result.diagonalized.diagonal()
-    if np.any(lam <= 0.0):
+    if (lam <= 0.0).any():
         raise HyperbolicBreakdownError("diagonalized A is not positive; pair not definite")
     eigenvalues = np.array(signs, dtype=float) * lam
     eigenvectors = ell @ result.transform / np.sqrt(lam)[None, :]

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from cyclic_jacobi.core import (
     PlaneRotation,
     SymMatrix,
+    _packed_entries,
     annihilate,
     apply_two_sided,
     format_matrix,
@@ -87,6 +88,10 @@ class TestSymMatrix:
             SymMatrix.from_dense([[1.0]])
         with pytest.raises(ValueError):
             SymMatrix.from_dense(np.eye(17))
+        with pytest.raises(ValueError, match="dimension"):
+            SymMatrix.from_dense(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="dimension"):
+            off_norm(np.zeros((0, 0)))
 
     def test_entry_out_of_range(self):
         m = SymMatrix.identity(3)
@@ -94,6 +99,68 @@ class TestSymMatrix:
             m.entry(0, 1)
         with pytest.raises(IndexError):
             m.entry(1, 4)
+
+    @pytest.mark.parametrize("packed", [np.ones((10, 1)), [1.0] * 9, [1.0] * 11, np.ones(9)])
+    def test_packed_storage_length(self, packed):
+        with pytest.raises(ValueError, match="packed storage must have length 10"):
+            SymMatrix(4, packed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_packed_storage_must_be_finite(self, bad):
+        packed = [1.0] * 10
+        packed[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix(4, packed)
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix(4, np.array(packed))
+
+    def test_from_dense_rejects_infinite_before_asymmetry(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SymMatrix.from_dense([[np.inf, 1.0], [2.0, 1.0]])
+
+    def test_huge_asymmetry_is_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                SymMatrix.from_dense([[1.0, 1.7e308], [-1.7e308, 1.0]])
+
+    def test_readers_return_fresh_copies(self):
+        m = SymMatrix.from_dense([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+        for read in (m.to_dense, m.diagonal, lambda: _packed_entries(m)):
+            read()[0] = 99.0
+        assert m.entry(1, 1) == 1.0 and m.entry(1, 2) == 2.0
+        assert np.array_equal(m.to_dense()[0], [1.0, 2.0, 3.0])
+        assert np.array_equal(m.diagonal(), [1.0, 4.0, 6.0])
+        assert _packed_entries(m) == [2.0, 3.0, 5.0, 1.0, 4.0, 6.0]
+
+    def test_negative_zero_keeps_its_sign_but_compares_equal(self):
+        neg = SymMatrix(2, [-0.0, 1.0, 2.0])
+        pos = SymMatrix(2, [0.0, 1.0, 2.0])
+        assert math.copysign(1.0, neg.to_dense()[0, 1]) == -1.0
+        assert math.copysign(1.0, neg.to_dense()[1, 0]) == -1.0
+        assert neg == pos
+        with pytest.raises(TypeError):
+            hash(neg)
+
+    @pytest.mark.parametrize("scale, bits", [
+        (1e-160, "0x1.3b1fef5a3fff3p-529"),
+        (2.0**-511, "0x1.c0491e9ab92bfp-509"),
+        (2.0**499, "0x1.c0491e9ab92bfp+501"),
+        (2.0**500, "0x1.c0491e9ab92bfp+502"),
+        (1e300, "0x1.4eb1e6f39a12bp+999"),
+    ])
+    def test_frobenius_bits_across_scales(self, scale, bits):
+        base = np.array([
+            [3.0, -1.0, 0.5, 2.0],
+            [-1.0, -2.5, 1.25, 0.75],
+            [0.5, 1.25, 1.0, -3.0],
+            [2.0, 0.75, -3.0, 0.25],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SymMatrix.from_dense(base * scale).frobenius().hex() == bits
 
 
 class TestOffNorm:

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from cyclic_jacobi.core import (
     PlaneRotation,
     SymMatrix,
+    _layout_indices,
     _packed_entries,
     annihilate,
     apply_two_sided,
@@ -84,10 +85,12 @@ class TestSymMatrix:
             SymMatrix.from_dense([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_dimension_limits(self):
+        cached = _layout_indices.cache_info().currsize
         with pytest.raises(ValueError):
             SymMatrix.from_dense([[1.0]])
         with pytest.raises(ValueError):
             SymMatrix.from_dense(np.eye(17))
+        assert _layout_indices.cache_info().currsize == cached  # rejected before a layout is built
         with pytest.raises(ValueError, match="dimension"):
             SymMatrix.from_dense(np.zeros((0, 0)))
         with pytest.raises(ValueError, match="dimension"):

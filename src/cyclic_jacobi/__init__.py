@@ -10,7 +10,6 @@ from .core import (
     PlaneRotation,
     SymMatrix,
     annihilate,
-    apply_two_sided,
     format_matrix,
     off_norm,
     parse_matrix,
@@ -62,12 +61,10 @@ from .classification import (
     verify_catalog,
 )
 from .driver import (
-    BoundCheck,
     CampaignReport,
     NotParallelOrderingError,
     SweepReport,
     batch_sweep,
-    check_bound,
     default_rng,
     random_spd_factor,
     random_symmetric,
@@ -82,13 +79,10 @@ from .jjacobi import (
     IllConditionedError,
     JJacobiReport,
     JJacobiResult,
-    JRotation,
     MonitorInapplicableError,
     ProofMonitorVerdict,
     STANDARD_SIGNS,
     cubic_decay_indicator,
-    eigen_from_factored,
-    j_rotation_for_pivot,
     monitor_proof_bounds,
     run_j_jacobi,
     sign_diagonal,

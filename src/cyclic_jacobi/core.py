@@ -14,9 +14,9 @@ entries, the per-pivot positions (``_pivot_plan``), the one plane step
 vectorized batch kernel is ``driver.batch_sweep``.
 
 ``SymMatrix`` holds the packed layout as a tuple of Python floats.  The
-single-matrix paths (``annihilate``, ``apply_two_sided``, ``off_norm`` and
-the scalar sweep) copy it into a working list with ``_packed_entries`` and
-build their result from that list, with no numpy round trip.
+single-matrix paths (``annihilate``, ``off_norm`` and the scalar sweep) copy
+it into a working list with ``_packed_entries`` and build their result from
+that list, with no numpy round trip.
 
 The scalar sweep does only the rotation work: it records each step's
 (c, s, t) and tangent and sums S once, at the end of the sweep.  The S
@@ -42,7 +42,6 @@ __all__ = [
     "PlaneRotation",
     "off_norm",
     "rotation_for_pivot",
-    "apply_two_sided",
     "annihilate",
     "parse_matrix",
     "format_matrix",
@@ -413,22 +412,6 @@ def rotation_for_pivot(m: SymMatrix, i: int, j: int) -> PlaneRotation:
     _check_pivot(m.n, i, j)
     c, s, t = _rotation_params(m.entry(i, i), m.entry(j, j), m.entry(i, j))
     return PlaneRotation(i, j, c, s, math.atan(t))
-
-
-def apply_two_sided(m: SymMatrix, rot: PlaneRotation) -> SymMatrix:
-    """Return R^T M R.  Symmetry and the Frobenius norm are preserved.
-
-    The rotated pivot is c*(c*a_ij + s*a_jj) - s*(c*a_ii + s*a_ij), the
-    dense update's bits, so it is left at rounding level, not zeroed.
-    """
-    _check_pivot(m.n, rot.i, rot.j)
-    c, s = rot.c, rot.s
-    plan = _pivot_plan(m.n, rot.i, rot.j)
-    e = _packed_entries(m)
-    aii, ajj, aij = e[plan[0]], e[plan[1]], e[plan[2]]
-    _plane_step(e, plan, c, s, -s)
-    e[plan[2]] = c * (c * aij + s * ajj) - s * (c * aii + s * aij)
-    return SymMatrix(m.n, e)
 
 
 def annihilate(m: SymMatrix, i: int, j: int) -> tuple[SymMatrix, PlaneRotation]:

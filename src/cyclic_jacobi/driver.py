@@ -3,11 +3,12 @@
 ``run_cycles`` applies full sweeps of a pivot ordering to one matrix and
 returns a step-by-step report.  ``batch_sweep`` runs the same arithmetic
 vectorized across a batch of matrices and is what the seeded verification
-campaigns use.  ``check_bound`` evaluates the contraction ratio
-S(A^[t+tau]) / S(A^[t]) promised by a classification record, and
-``verification_campaign`` sweeps that check across orderings and random
-matrices.  ``cjacobi verify`` is that function plus an executor: its
-``--jobs`` must be at least 1, and above 1 it passes a process pool's ``map``.
+campaigns use.  ``verification_campaign`` checks the contraction ratio
+S(A^[t+tau]) / S(A^[t]) that each ordering's classification record promises
+over a seeded batch of random matrices, every window of every matrix
+(``_window_stats``).  ``cjacobi verify`` is that function plus an executor:
+its ``--jobs`` must be at least 1, and above 1 it passes a process pool's
+``map``.
 
 Both kernels keep the n(n+1)/2 upper-triangle entries packed in the layout
 of ``core._packed_layout``: the strictly upper entries row by row, then the
@@ -27,8 +28,8 @@ per-step records of ``core._sweep`` (pair, pivot value, c, s, t, tangent)
 in their ``SweepReport``, and build its ``steps``, the ``StepRecord``
 objects, the first time they are read: ``core._step_off_norms`` replays the
 steps for the S before and after each, and the angles are the arctangents
-of the tangents.  ``check_bound`` and callers that want only the matrix or
-the cycle-boundary off-norms never build them; ``cjacobi solve`` and
+of the tangents.  Callers that want only the matrix or the cycle-boundary
+off-norms never build them; ``cjacobi solve`` and
 ``verify_step_identities`` build them once per report.
 
 A single run is inherently sequential; distinct runs and campaign cells are
@@ -61,7 +62,6 @@ from .orderings import PivotOrdering
 from .orderings import relate  # noqa: F401
 from .classification import (
     Bound,
-    ClassificationRecord,
     UNIVERSAL_BOUND,
     Parallel,
     classify,
@@ -71,7 +71,6 @@ from .classification import (
 __all__ = [
     "StepRecord",
     "SweepReport",
-    "BoundCheck",
     "BatchSweep",
     "CampaignCell",
     "CampaignReport",
@@ -83,7 +82,6 @@ __all__ = [
     "RNG_ALGORITHM",
     "run_cycles",
     "run_parallel_cycle",
-    "check_bound",
     "batch_sweep",
     "verification_campaign",
     "default_rng",
@@ -129,8 +127,8 @@ class SweepReport:
     ``steps`` is built from the input matrix and the kernel's raw
     ``core._sweep`` records the first time it is read, and kept: one
     ``StepRecord`` per ``_steps_per_group`` records, its S from
-    ``core._step_off_norms``.  Callers that never read it (``check_bound``,
-    a timed ``run_cycles`` or ``run_parallel_cycle``) pay nothing for it;
+    ``core._step_off_norms``.  Callers that never read it (a timed
+    ``run_cycles`` or ``run_parallel_cycle``) pay nothing for it;
     ``cjacobi solve`` and ``verify_step_identities`` pay once.
     """
 
@@ -446,48 +444,17 @@ def _batch_rotations(width: int) -> tuple[Callable[..., None], np.ndarray]:
 
 # --- bound checks -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Worst observed ratio S(A^[t+tau]) / S(A^[t]) against a bound.
-
-    ``passed`` means worst_ratio <= gamma + FP_SLACK; windows with
-    S(A^[t]) = 0 are vacuous and score a ratio of 0.  ``worst_ratio_sq`` is
-    the same statistic for S^2, recorded alongside the primary S-form.
-    """
-
-    gamma: float
-    tau: int
-    t0: int
-    observed_worst_ratio: float
-    worst_ratio_sq: float
-    passed: bool
-    margin: float
-
-
-def _window_stats(offs: np.ndarray, bound: Bound) -> tuple[float, float, int, int]:
+def _window_stats(offs: np.ndarray, bound: Bound) -> tuple[float, int, int]:
     """Over every window t >= t0 of every column of cycle-boundary S values ``offs``: the worst
-    S(A^[t+tau]) / S(A^[t]) and its square, the windows beyond gamma + FP_SLACK, and the
-    vacuous ones, where S(A^[t]) = 0 and the ratio scores 0.
+    S(A^[t+tau]) / S(A^[t]), the windows beyond gamma + FP_SLACK, and the vacuous ones, where
+    S(A^[t]) = 0 and the ratio scores 0.
     """
     starts = offs[bound.t0:offs.shape[0] - bound.tau]
     live = starts > 0.0
     ratios = np.divide(offs[bound.t0 + bound.tau:], starts, out=np.zeros(starts.shape), where=live)
     worst = float(ratios.max(initial=0.0))
     violations = int(np.count_nonzero(ratios > bound.gamma + FP_SLACK))
-    return worst, worst * worst, violations, live.size - int(np.count_nonzero(live))
-
-
-def check_bound(a: SymMatrix, record: ClassificationRecord, cycles: int) -> BoundCheck:
-    """Run the record's ordering on ``a`` and test its contraction bound."""
-    bound = record.bound
-    if cycles < bound.t0 + bound.tau:
-        raise ValueError(f"need at least {bound.t0 + bound.tau} cycles for this bound")
-    _, report = run_cycles(a, record.ordering, cycles)
-    worst, worst_sq, _, _ = _window_stats(np.array(report.cycle_off_norms)[:, None], bound)
-    passed = worst <= bound.gamma + FP_SLACK
-    return BoundCheck(
-        bound.gamma, bound.tau, bound.t0, worst, worst_sq, passed, bound.gamma + FP_SLACK - worst
-    )
+    return worst, violations, live.size - int(np.count_nonzero(live))
 
 
 # --- seeded generators ----------------------------------------------------------
@@ -539,7 +506,6 @@ class CampaignCell:
     tau: int
     t0: int
     worst_ratio: float
-    worst_ratio_sq: float
     violations: int
     vacuous_windows: int
 

@@ -19,12 +19,11 @@ updates A and F and a step makes no numpy call.  The report's
 ``JJacobiStep`` records (``steps``) are built the first time they are read,
 from the input and the raw ``core._sweep`` records, whose S around each
 step ``core._step_off_norms`` replays; its angle envelope is built from the
-records' tangents alone, with no replay.  ``solve_factored`` and
-``eigen_from_factored``, which read neither, build neither, and
-``monitor_proof_bounds`` builds the steps once.
+records' tangents alone, with no replay.  ``solve_factored``, which reads
+neither, builds neither, and ``monitor_proof_bounds`` builds the steps once.
 
-``eigen_from_factored`` solves H = L J L^T given its factor: it runs the
-solver on A = L^T L and maps the diagonalization back to eigenpairs of H.
+``solve_factored`` solves H = L J L^T given its factor: it runs the solver
+on A = L^T L and maps the diagonalization back to eigenpairs of H.
 ``monitor_proof_bounds`` watches a converged run of a parallel ordering and
 checks the epsilon-cascade of off-norm decay windows.  It holds no pivot
 pattern of its own: ``classification.classify`` names the ordering's anchor
@@ -43,7 +42,6 @@ import numpy as np
 from .core import (
     SymMatrix,
     _check_cycles,
-    _check_pivot,
     _off_norm_packed,
     _packed_entries,
     _pivot_plan,
@@ -55,7 +53,6 @@ from .classification import Parallel, classify
 from .orderings import PivotOrdering
 
 __all__ = [
-    "JRotation",
     "JJacobiStep",
     "JJacobiReport",
     "JJacobiResult",
@@ -67,10 +64,8 @@ __all__ = [
     "MonitorInapplicableError",
     "STANDARD_SIGNS",
     "sign_diagonal",
-    "j_rotation_for_pivot",
     "run_j_jacobi",
     "solve_factored",
-    "eigen_from_factored",
     "monitor_proof_bounds",
 ]
 
@@ -106,49 +101,6 @@ def sign_diagonal(values: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class JRotation:
-    """J-orthogonal plane transformation, trigonometric or hyperbolic.
-
-    For a trigonometric rotation ``c``/``s`` are cos/sin of ``angle`` and the
-    embedded (i, j) element is -s; for a hyperbolic one they are cosh/sinh of
-    the hyperbolic angle and the embedded block is symmetric.
-    """
-
-    i: int
-    j: int
-    kind: str  # "trigonometric" | "hyperbolic"
-    c: float
-    s: float
-    angle: float
-
-    def __post_init__(self):
-        if self.kind not in ("trigonometric", "hyperbolic"):
-            raise ValueError(f"unknown rotation kind {self.kind!r}")
-        gram = self.c * self.c + self.s * self.s if self.kind == "trigonometric" else (
-            self.c * self.c - self.s * self.s
-        )
-        if abs(gram - 1.0) > 1e-13:
-            raise ValueError(f"{self.kind} parameters violate their unit relation")
-
-    @property
-    def tanh(self) -> float:
-        return self.s / self.c if self.kind == "hyperbolic" else 0.0
-
-    def embed(self, n: int) -> np.ndarray:
-        out = np.eye(n)
-        i0, j0 = self.i - 1, self.j - 1
-        out[i0, i0] = self.c
-        out[j0, j0] = self.c
-        if self.kind == "trigonometric":
-            out[i0, j0] = -self.s
-            out[j0, i0] = self.s
-        else:
-            out[i0, j0] = self.s
-            out[j0, i0] = self.s
-        return out
-
-
 def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float, float]:
     """(ch, sh, th) annihilating the pivot, th = tanh(theta); raises on breakdown.
 
@@ -179,20 +131,6 @@ def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float
     return ch, th * ch, th
 
 
-def j_rotation_for_pivot(a: SymMatrix, signs: Sequence[int], i: int, j: int) -> JRotation:
-    """The J-orthogonal transformation annihilating the (i, j) entry of ``a``."""
-    signs = sign_diagonal(signs)
-    if len(signs) != a.n:
-        raise ValueError(f"sign diagonal length {len(signs)} does not match n={a.n}")
-    _check_pivot(a.n, i, j)
-    aii, ajj, aij = a.entry(i, i), a.entry(j, j), a.entry(i, j)
-    if signs[i - 1] == signs[j - 1]:
-        c, s, t = _rotation_params(aii, ajj, aij)
-        return JRotation(i, j, "trigonometric", c, s, math.atan(t))
-    ch, sh, th = _hyperbolic_params(aii, ajj, aij)
-    return JRotation(i, j, "hyperbolic", ch, sh, math.atanh(th))
-
-
 @dataclass(frozen=True)
 class JJacobiStep:
     pivot: tuple[int, int]
@@ -211,10 +149,9 @@ class JJacobiReport:
     ``steps`` is built from the input matrix and the kernel's raw
     ``core._sweep`` records the first time it is read, its S from
     ``core._step_off_norms``; ``angle_envelope`` is built from the records'
-    tangents alone.  Both are kept.  ``solve_factored`` and
-    ``eigen_from_factored`` read neither and pay nothing for them;
-    ``cjacobi jsolve`` reads the envelope, and builds the steps only for
-    ``--monitor``.
+    tangents alone.  Both are kept.  ``solve_factored`` reads neither and
+    pays nothing for them; ``cjacobi jsolve`` reads the envelope, and builds
+    the steps only for ``--monitor``.
     """
 
     ordering: PivotOrdering
@@ -386,20 +323,6 @@ def solve_factored(
     eigenvalues = np.array(signs, dtype=float) * lam
     eigenvectors = ell @ result.transform / np.sqrt(lam)[None, :]
     return eigenvalues, eigenvectors, result
-
-
-def eigen_from_factored(
-    factor: np.ndarray,
-    signs: Sequence[int],
-    ordering: PivotOrdering,
-    tol: float = 1e-13,
-    max_cycles: int = 40,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of H = L J L^T; see ``solve_factored``."""
-    eigenvalues, eigenvectors, _ = solve_factored(
-        factor, signs, ordering, tol=tol, max_cycles=max_cycles
-    )
-    return eigenvalues, eigenvectors
 
 
 def cubic_decay_indicator(report: JJacobiReport) -> list[float]:

@@ -14,9 +14,9 @@ from cyclic_jacobi.classification import (
     Parallel,
     SerialPerm,
     _relabeled_serial_index,
-    member_serial_perm,
 )
 from cyclic_jacobi.core import (
+    SymMatrix,
     _off_norm_packed,
     _packed_entries,
     _pivot_plan,
@@ -42,6 +42,23 @@ def spectrum(dense):
     scaled = np.ldexp(dense, -exp)
     scaled[np.abs(scaled) < 2.0**-400] = 0.0
     return np.ldexp(np.sort(np.linalg.eigvalsh(scaled)), exp)
+
+
+def two_sided(m, rot):
+    """R^T M R for the plane rotation ``rot`` of any angle, with the dense update's bits.
+
+    ``core._plane_step`` with t = -s, except at the pivot, which the plane
+    step stores as +0.0: here it is c*(c*a_ij + s*a_jj) - s*(c*a_ii + s*a_ij),
+    as the dense update rounds it, so a rotation that annihilates leaves it
+    at rounding level.
+    """
+    c, s = rot.c, rot.s
+    plan = _pivot_plan(m.n, rot.i, rot.j)
+    e = _packed_entries(m)
+    aii, ajj, aij = e[plan[0]], e[plan[1]], e[plan[2]]
+    _plane_step(e, plan, c, s, -s)
+    e[plan[2]] = c * (c * aij + s * ajj) - s * (c * aii + s * aij)
+    return SymMatrix(m.n, e)
 
 
 def replayed_transform(n, records):
@@ -94,18 +111,33 @@ def eager_steps(a, ordering, sweeps, signs=None):
     return steps
 
 
+def signature_family(o):
+    """The serial family read off the pair signature, independently of the templates.
+
+    Column-wise: (1, 2), then two pivots in column 3, then three in column 4.
+    Row-wise: (3, 4), then two pivots in row 2, then three in row 1.
+    """
+    for prefix, pairs in (("", o.pairs), ("reverse-", o.pairs[::-1])):
+        if [s for _, s in pairs] == [2, 3, 3, 4, 4, 4]:
+            return prefix + "column"
+        if [r for r, _ in pairs] == [3, 2, 2, 1, 1, 1]:
+            return prefix + "row"
+    return None
+
+
 def forward_label(o):
     """(label, bound) of an n = 4 ordering from one forward search out of it.
 
-    The per-ordering classifier: a serial template is ``SerialPerm``;
-    otherwise ``_weak_search`` runs from ``o`` and ``_nearest`` picks the
-    chain with the fewest shifts to a relabeled serial template, giving
-    ``GeneralizedSerial(d)``, or else to an anchor, giving ``Parallel``
-    with the length of the chain's one shift (0 if it has none).
-    Returns None for an ordering that reaches neither, or an anchor only
+    The per-ordering classifier: a serial template is ``SerialPerm``, its
+    family read off the pair signature (``signature_family``), not the
+    class table; otherwise ``_weak_search`` runs from ``o`` and
+    ``_nearest`` picks the chain with the fewest shifts to a relabeled
+    serial template, giving ``GeneralizedSerial(d)``, or else to an
+    anchor, giving ``Parallel`` with the length of the chain's one shift
+    (0 if it has none).  Returns None for an ordering that reaches neither, or an anchor only
     through more than one shift.
     """
-    variant = member_serial_perm(o)
+    variant = signature_family(o)
     if variant is not None:
         return SerialPerm(variant), Bound(SERIAL_GAMMA, 1, 0, SERIAL_GAMMA_SQ)
     dist, parent = _weak_search(o, frozenset((TRANSPOSE, SHIFT)))

@@ -50,8 +50,6 @@ KNOBS = {
     "jjacobi.run_j_jacobi(max_cycles)",      # ConvergenceError and the zero-sweep path
     "jjacobi.solve_factored(tol)",
     "jjacobi.solve_factored(max_cycles)",
-    "jjacobi.eigen_from_factored(tol)",
-    "jjacobi.eigen_from_factored(max_cycles)",
 }
 
 

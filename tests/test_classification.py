@@ -46,7 +46,7 @@ from cyclic_jacobi.orderings import (
     replay,
     reverse,
 )
-from oracles import forward_label
+from oracles import forward_label, signature_family
 
 ENTRY = {e.index: e for e in catalog()}
 
@@ -76,20 +76,6 @@ class TestEta:
     def test_rejects_n_below_two(self):
         with pytest.raises(ValueError):
             compute_eta(1)
-
-
-def signature_family(o):
-    """The serial family read off the pair signature, independently of the templates.
-
-    Column-wise: (1, 2), then two pivots in column 3, then three in column 4.
-    Row-wise: (3, 4), then two pivots in row 2, then three in row 1.
-    """
-    for prefix, pairs in (("", o.pairs), ("reverse-", o.pairs[::-1])):
-        if [s for _, s in pairs] == [2, 3, 3, 4, 4, 4]:
-            return prefix + "column"
-        if [r for r, _ in pairs] == [3, 2, 2, 1, 1, 1]:
-            return prefix + "row"
-    return None
 
 
 class TestMembership:

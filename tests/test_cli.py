@@ -42,6 +42,11 @@ VERIFY_C0 = [
 ]
 # sha256 of the stdout of VERIFY_C0: header and 240 rows.
 VERIFY_C0_SHA256 = "af210e7291bc6a9a51f38c32fcdc5f9432971d1c2b0e1c1e677505d0ec64815f"
+VERIFY_ALL = [
+    "verify", "--seed", "201", "--samples", "200", "--orderings", "all", "--bound", "both",
+]
+# sha256 of the stdout of VERIFY_ALL: header and 1440 rows, both bounds of all 720 orderings.
+VERIFY_ALL_SHA256 = "1a881162754e694c2718e16b079be270524cdf2a9fe94ab202597e7ded9ca88b"
 
 # An unsorted ordering list with a blank line and a duplicate.
 PAR = "1 2, 3 4, 1 3, 2 4, 1 4, 2 3"
@@ -405,10 +410,14 @@ class TestVerifyCommand:
         assert len(out.read_text().splitlines()) == 4
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_c0_report_matches_recorded_digest(self, capsys, jobs):
-        assert main(VERIFY_C0 + ["--jobs", jobs]) == 0
+    @pytest.mark.parametrize("args, digest", [
+        (VERIFY_C0, VERIFY_C0_SHA256),
+        (VERIFY_ALL, VERIFY_ALL_SHA256),
+    ], ids=["c0", "all"])
+    def test_verify_report_matches_recorded_digest(self, capsys, args, digest, jobs):
+        assert main(args + ["--jobs", jobs]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_C0_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_list_rows_in_enumeration_order_with_duplicates(self, tmp_path, capsys, jobs):

@@ -13,13 +13,12 @@ from cyclic_jacobi.core import (
     _layout_indices,
     _packed_entries,
     annihilate,
-    apply_two_sided,
     format_matrix,
     off_norm,
     parse_matrix,
     rotation_for_pivot,
 )
-from oracles import spectrum
+from oracles import spectrum, two_sided
 
 
 EPS = np.finfo(float).eps
@@ -253,14 +252,14 @@ class TestExtremePivots:
         m = SymMatrix.from_dense([[1.0, 1e-310], [1e-310, 0.0]])
         rot = rotation_for_pivot(m, 1, 2)
         assert rot.s == 1e-310
-        assert apply_two_sided(m, rot).entry(1, 2) == 0.0
+        assert two_sided(m, rot).entry(1, 2) == 0.0
 
     def test_underflowing_tau_is_a_quarter_turn(self):
         # tau = 5e-324 / 2 rounds to 0: the diagonals tie to working precision
         m = SymMatrix.from_dense([[5e-324, 1.0], [1.0, 0.0]])
         rot = rotation_for_pivot(m, 1, 2)
         assert rot.phi == pytest.approx(math.pi / 4, abs=0)
-        assert apply_two_sided(m, rot).diagonal() == pytest.approx([1.0, -1.0], rel=1e-15)
+        assert annihilate(m, 1, 2)[0].diagonal() == pytest.approx([1.0, -1.0], rel=1e-15)
 
     @given(pivot=EXTREMES, aii=EXTREMES, ajj=EXTREMES)
     @settings(max_examples=300)
@@ -273,16 +272,20 @@ class TestExtremePivots:
         )
         m = SymMatrix.from_dense(dense)
         rot = rotation_for_pivot(m, 2, 4)
-        out = apply_two_sided(m, rot)
+        out = two_sided(m, rot)
         assert abs(out.entry(2, 4)) <= rotated_pivot_bound(aii, ajj, pivot, rot)
         assert np.all(np.isfinite(out.to_dense()))
 
 
 class TestApplyTwoSided:
+    """The two-sided update R^T M R of ``core._plane_step``: at any angle through
+    ``oracles.two_sided``, which keeps the rotated pivot, and at the annihilating angle
+    through ``annihilate``."""
+
     def test_identity_rotation_is_noop(self):
         m = SymMatrix.from_dense([[1.0, 2.0], [2.0, 3.0]])
         rot = PlaneRotation(1, 2, 1.0, 0.0, 0.0)
-        assert apply_two_sided(m, rot) == m
+        assert two_sided(m, rot) == m
 
     def test_embedded_sign_convention(self):
         rot = PlaneRotation(1, 3, math.cos(0.3), math.sin(0.3), 0.3)
@@ -295,7 +298,7 @@ class TestApplyTwoSided:
     @example(SymMatrix.from_dense(TINY_UNIFORM))  # rotated pivot -7.08e-220, rounding level
     def test_pivot_annihilated(self, m):
         rot = rotation_for_pivot(m, 2, 4)
-        out = apply_two_sided(m, rot)
+        out = two_sided(m, rot)
         assert abs(out.entry(2, 4)) <= 1e-15 * max(m.frobenius(), 1e-300)
 
     @given(symmetric_matrices(), st.floats(min_value=-math.pi / 4, max_value=math.pi / 4))
@@ -303,15 +306,14 @@ class TestApplyTwoSided:
     @example(SymMatrix.from_dense(ALL_SUBNORMAL), 0.3)
     def test_frobenius_preserved(self, m, phi):
         rot = PlaneRotation(1, 3, math.cos(phi), math.sin(phi), phi)
-        out = apply_two_sided(m, rot)
+        out = two_sided(m, rot)
         # a rotated entry is rounded to the subnormal spacing, where it can lose every bit
         assert out.frobenius() == pytest.approx(m.frobenius(), rel=1e-13, abs=8 * SUBNORMAL)
 
     @given(symmetric_matrices())
     @settings(max_examples=50)
     def test_matches_dense_congruence(self, m):
-        rot = rotation_for_pivot(m, 1, 4)
-        out = apply_two_sided(m, rot)
+        out, rot = annihilate(m, 1, 4)
         g = rot.embed(4)
         expected = g.T @ m.to_dense() @ g
         assert np.allclose(out.to_dense(), expected, atol=1e-14 * max(1.0, m.frobenius()))
@@ -320,8 +322,7 @@ class TestApplyTwoSided:
     @settings(max_examples=50)
     @example(SymMatrix.from_dense(PIVOT_AMONG_TINY))
     def test_spectrum_preserved(self, m):
-        rot = rotation_for_pivot(m, 1, 2)
-        out = apply_two_sided(m, rot)
+        out, _ = annihilate(m, 1, 2)
         before = spectrum(m.to_dense())
         after = spectrum(out.to_dense())
         assert np.allclose(before, after, atol=1e-10 * max(1.0, m.frobenius()))

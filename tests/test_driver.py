@@ -21,9 +21,9 @@ from cyclic_jacobi.driver import (
     IDENTITY_RTOL,
     NotParallelOrderingError,
     UNIVERSAL_BOUND,
+    _window_stats,
     batch_sweep,
     campaign_cells_for_ordering,
-    check_bound,
     default_rng,
     random_spd_factor,
     random_symmetric,
@@ -499,15 +499,23 @@ class TestParallelCycle:
         )
 
 
+def window_stats(m, ordering, cycles):
+    """``_window_stats`` of the classified bound of ``ordering`` over one ``run_cycles`` run."""
+    _, report = run_cycles(m, ordering, cycles)
+    return _window_stats(np.array(report.cycle_off_norms)[:, None], classify(ordering).bound)
+
+
 class TestCheckBound:
+    """A classification record's contraction bound on the cycle-boundary S of ``run_cycles``,
+    every window checked as the campaign checks it."""
+
     def test_serial_one_sweep_bound(self):
         rng = default_rng(404)
-        record = classify(COLUMN)
+        gamma = classify(COLUMN).bound.gamma
         for _ in range(20):
-            m = random_symmetric(rng)
-            result = check_bound(m, record, 5)
-            assert result.passed
-            assert result.worst_ratio_sq <= 27.0 / 28.0 + FP_SLACK
+            worst, _, _ = window_stats(random_symmetric(rng), COLUMN, 5)
+            assert worst <= gamma + FP_SLACK
+            assert worst * worst <= 27.0 / 28.0 + FP_SLACK
 
     def test_parallel_shift_two_from_cycle_zero(self):
         # with the (1,2) and (3,4) entries pinned to zero, the two-sweep
@@ -522,19 +530,13 @@ class TestCheckBound:
                 assert s[3] / s[0] <= (1.0 - 1e-5) + FP_SLACK
 
     def test_vacuous_on_diagonal(self):
-        record = classify(COLUMN)
-        result = check_bound(SymMatrix.diag([1.0, 2.0, 3.0, 4.0]), record, 5)
-        assert result.passed
-        assert result.observed_worst_ratio == 0.0
-
-    def test_requires_enough_cycles(self):
-        record = classify(ENTRY[105])
-        with pytest.raises(ValueError):
-            check_bound(SymMatrix.identity(4), record, 2)
+        worst, violations, _ = window_stats(SymMatrix.diag([1.0, 2.0, 3.0, 4.0]), COLUMN, 5)
+        assert violations == 0
+        assert worst == 0.0
 
     def test_rejects_a_parallel_record_for_another_dimension(self):
         with pytest.raises(ValueError, match="does not match ordering n=4"):
-            check_bound(SymMatrix.identity(5), classify(PAR_ANCHOR), 5)
+            run_cycles(SymMatrix.identity(5), classify(PAR_ANCHOR).ordering, 5)
 
 
 class TestGenerators:
@@ -574,19 +576,20 @@ class TestCampaign:
         assert UNIVERSAL_BOUND.tau == 3
         assert UNIVERSAL_BOUND.t0 == 1
 
-    def test_campaign_matches_check_bound(self):
+    def test_campaign_matches_run_cycles_windows(self):
         ordering = ENTRY[44]
-        record = classify(ordering)
+        bound = classify(ordering).bound
         report = verification_campaign(13, 10, [ordering], modes=("classified",))
         cell = report.cells[0]
         rng = default_rng(13)
         mats = random_symmetric_batch(rng, 10)
-        cycles = record.bound.t0 + record.bound.tau + 4
-        worst = max(
-            check_bound(SymMatrix.from_dense(mats[k]), record, cycles).observed_worst_ratio
-            for k in range(10)
-        )
-        assert cell.worst_ratio == pytest.approx(worst, rel=1e-15)
+        cycles = bound.t0 + bound.tau + 4
+        ratios = [0.0]  # a window from S = 0 scores 0
+        for k in range(10):
+            _, run = run_cycles(SymMatrix.from_dense(mats[k]), ordering, cycles)
+            s = run.cycle_off_norms
+            ratios += [s[t + bound.tau] / s[t] for t in range(bound.t0, len(s) - bound.tau) if s[t]]
+        assert cell.worst_ratio == pytest.approx(max(ratios), rel=1e-15)
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):

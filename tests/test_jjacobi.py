@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_jacobi.core import SymMatrix, off_norm, rotation_for_pivot
+from cyclic_jacobi.core import SymMatrix, _rotation_params, off_norm, rotation_for_pivot
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, catalog
 from cyclic_jacobi.driver import default_rng, random_spd_factor, random_symmetric, run_cycles
 from cyclic_jacobi.jjacobi import (
@@ -15,17 +15,19 @@ from cyclic_jacobi.jjacobi import (
     IllConditionedError,
     MonitorInapplicableError,
     STANDARD_SIGNS,
+    _hyperbolic_params,
     cubic_decay_indicator,
-    eigen_from_factored,
     solve_factored,
-    j_rotation_for_pivot,
     monitor_proof_bounds,
     run_j_jacobi,
     sign_diagonal,
 )
+from cyclic_jacobi.orderings import make_ordering
+from oracles import replayed_transform
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
+PAIR = make_ordering([(1, 2)])  # the one ordering of n = 2
 J4 = np.diag([1.0, 1.0, -1.0, -1.0])
 SUBNORMAL = 2.0**-1074
 TINY_PIVOTS = st.builds(
@@ -40,6 +42,19 @@ def spd_matrix(rng):
     return SymMatrix.from_dense(factor.T @ factor), factor
 
 
+def step_transform(dense, signs, i, j):
+    """F of the one J-Jacobi step at the pivot (i, j) of ``dense``, replayed from its record."""
+    i0, j0 = i - 1, j - 1
+    aii, ajj, aij = (float(dense[p, q]) for p, q in ((i0, i0), (j0, j0), (i0, j0)))
+    if signs[i0] != signs[j0]:
+        c, s, tangent = _hyperbolic_params(aii, ajj, aij)
+        t = s
+    else:
+        c, s, tangent = _rotation_params(aii, ajj, aij)
+        t = -s
+    return replayed_transform(len(signs), [((i, j), aij, c, s, t, tangent)])
+
+
 class TestSignDiagonal:
     def test_accepts_signs(self):
         assert sign_diagonal((1, 1, -1, -1)) == (1, 1, -1, -1)
@@ -52,42 +67,52 @@ class TestSignDiagonal:
 
 
 class TestJRotation:
+    """The J-orthogonal step transformation, read from its owners: ``_hyperbolic_params`` and
+    ``_rotation_params``, a run's steps and transform, or a one-record ``replayed_transform``."""
+
     def test_zero_pivot_identity(self):
         a = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])
-        rot = j_rotation_for_pivot(a, STANDARD_SIGNS, 1, 3)
-        assert rot.kind == "hyperbolic"
-        assert (rot.c, rot.s, rot.angle) == (1.0, 0.0, 0.0)
+        assert STANDARD_SIGNS[0] != STANDARD_SIGNS[2]  # (1, 3) is a hyperbolic pivot
+        ch, sh, th = _hyperbolic_params(a.entry(1, 1), a.entry(3, 3), a.entry(1, 3))
+        assert (ch, sh, math.atanh(th)) == (1.0, 0.0, 0.0)
 
     def test_equal_signs_reduce_to_trigonometric(self):
         rng = default_rng(3)
         a, _ = spd_matrix(rng)
-        rot = j_rotation_for_pivot(a, STANDARD_SIGNS, 1, 2)
+        report = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, tol=0.0, max_cycles=1).report
         plain = rotation_for_pivot(a, 1, 2)
-        assert rot.kind == "trigonometric"
-        assert (rot.c, rot.s, rot.angle) == (plain.c, plain.s, plain.phi)
+        step = report.steps[0]
+        assert step.pivot == (1, 2) and step.kind == "trigonometric"
+        assert step.angle == plain.phi
+        assert np.array_equal(replayed_transform(4, report._records[:1]), plain.embed(4))
 
     def test_two_by_two_hyperbolic_oracle(self):
-        # A = [[2, 1], [1, 2]], J = diag(1, -1): tanh(2 theta) = -1/2, and the
-        # annihilating tanh solves t^2 + 4 t + 1 = 0, so t = sqrt(3) - 2; the
-        # transformed matrix is sqrt(3) * I (the pencil eigenvalues are +-sqrt(3))
-        a = SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
-        rot = j_rotation_for_pivot(a, (1, -1), 1, 2)
-        assert rot.kind == "hyperbolic"
-        assert rot.tanh == pytest.approx(math.sqrt(3.0) - 2.0, rel=1e-15)
-        f = rot.embed(2)
+        # A = [[d, x], [x, d]], J = diag(1, -1): tanh(2 theta) = -x/d, and the
+        # annihilating tanh solves x t^2 + 2 d t + x = 0, so t = (r - d) / x with
+        # r = sqrt(d^2 - x^2); the transformed matrix is r * I (the pencil
+        # eigenvalues are +-r).  d = 2, x = 1 gives t = sqrt(3) - 2.  d = 1,
+        # x = 1 - 1e-9 is near breakdown: cosh is about 106, and rounding
+        # tau = -1/x alone moves t by 2e-12 and r by 5e-9, relative.
         j2 = np.diag([1.0, -1.0])
-        assert np.max(np.abs(f.T @ j2 @ f - j2)) <= 1e-13
-        transformed = f.T @ a.to_dense() @ f
-        assert abs(transformed[0, 1]) <= 1e-14 * np.linalg.norm(a.to_dense())
-        assert transformed[0, 0] == pytest.approx(math.sqrt(3.0), rel=1e-14)
-        assert transformed[1, 1] == pytest.approx(math.sqrt(3.0), rel=1e-14)
+        for d, x, tanh_rel, rel in ((2.0, 1.0, 1e-15, 1e-14), (1.0, 1.0 - 1e-9, 1e-11, 1e-7)):
+            a = SymMatrix.from_dense([[d, x], [x, d]])
+            result = run_j_jacobi(a, (1, -1), PAIR, tol=0.0, max_cycles=1)
+            step, f = result.report.steps[0], result.transform
+            r = math.sqrt((d - x) * (d + x))
+            assert step.kind == "hyperbolic"
+            assert math.tanh(step.angle) == pytest.approx((r - d) / x, rel=tanh_rel)
+            assert result.diagonalized.entry(1, 2) == 0.0
+            scale = np.max(np.abs(f)) ** 2
+            assert np.max(np.abs(f.T @ j2 @ f - j2)) <= 1e-15 * scale
+            transformed = f.T @ a.to_dense() @ f
+            assert abs(transformed[0, 1]) <= 1e-14 * np.linalg.norm(a.to_dense()) * scale
+            assert result.diagonalized.diagonal() == pytest.approx([r, r], rel=rel)
 
     def test_embedded_transformations_are_j_orthogonal(self):
         rng = default_rng(4)
         a, _ = spd_matrix(rng)
         for (i, j) in ((1, 3), (2, 4), (1, 4), (2, 3)):
-            rot = j_rotation_for_pivot(a, STANDARD_SIGNS, i, j)
-            f = rot.embed(4)
+            f = step_transform(a.to_dense(), STANDARD_SIGNS, i, j)
             assert np.max(np.abs(f.T @ J4 @ f - J4)) <= 1e-13
             out = f.T @ a.to_dense() @ f
             assert abs(out[i - 1, j - 1]) <= 1e-14 * np.linalg.norm(a.to_dense())
@@ -95,7 +120,9 @@ class TestJRotation:
     def test_breakdown_detected_and_not_clamped(self):
         a = SymMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])  # indefinite pair
         with pytest.raises(HyperbolicBreakdownError):
-            j_rotation_for_pivot(a, (1, -1), 1, 2)
+            _hyperbolic_params(a.entry(1, 1), a.entry(2, 2), a.entry(1, 2))
+        with pytest.raises(HyperbolicBreakdownError):
+            run_j_jacobi(a, (1, -1), PAIR)
 
 
 class TestTinyHyperbolicPivots:
@@ -113,14 +140,13 @@ class TestTinyHyperbolicPivots:
         dense[0, 2] = dense[2, 0] = pivot
         dense[1, 3] = dense[3, 1] = 0.5
         a = SymMatrix.from_dense(dense)
-        rot = j_rotation_for_pivot(a, STANDARD_SIGNS, 1, 3)
-        assert rot.kind == "hyperbolic"
-        assert rot.s == pytest.approx(-pivot / (aii + ajj), rel=1e-15, abs=SUBNORMAL)
+        _, sh, _ = _hyperbolic_params(a.entry(1, 1), a.entry(3, 3), a.entry(1, 3))
+        assert sh == pytest.approx(-pivot / (aii + ajj), rel=1e-15, abs=SUBNORMAL)
         result = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0, max_cycles=1)
         step = result.report.steps[0]
-        assert step.pivot == (1, 3) and step.value == pivot
+        assert step.pivot == (1, 3) and step.value == pivot and step.kind == "hyperbolic"
         final = result.diagonalized
-        if rot.s == 0.0:
+        if sh == 0.0:
             # tanh rounds to 0 only for a pivot below the spacing of the diagonal
             assert abs(pivot) <= SUBNORMAL * (aii + ajj)
         else:
@@ -175,9 +201,8 @@ class TestRunJJacobi:
         a, factor = spd_matrix(default_rng(22))
         with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
             run_j_jacobi(a, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
-        for solve in (solve_factored, eigen_from_factored):
-            with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
-                solve(factor, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
+        with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
+            solve_factored(factor, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
 
     def test_underflowed_off_norm_is_not_taken_as_converged(self):
         # S^2 underflows to 0.0 while max |a_ij| is 6.3e-201: the diagonal
@@ -187,9 +212,8 @@ class TestRunJJacobi:
         assert off_norm(a) == 0.0 and np.max(np.abs(a.to_dense() - np.diag(a.diagonal()))) > 0.0
         with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
             run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR)
-        for solve in (solve_factored, eigen_from_factored):
-            with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
-                solve(factor, STANDARD_SIGNS, PAR_ANCHOR)
+        with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
+            solve_factored(factor, STANDARD_SIGNS, PAR_ANCHOR)
 
     def test_underflowed_off_norm_below_the_threshold_stays_converged(self):
         dense = np.full((4, 4), 1e-170)
@@ -247,8 +271,7 @@ class TestRunJJacobi:
         dense = a.to_dense()
         for step in result.report.steps[:6]:
             i0, j0 = step.pivot[0] - 1, step.pivot[1] - 1
-            rot = j_rotation_for_pivot(SymMatrix.from_dense(dense), STANDARD_SIGNS, *step.pivot)
-            f = rot.embed(4)
+            f = step_transform(dense, STANDARD_SIGNS, *step.pivot)
             dense = f.T @ dense @ f
             dense = (dense + dense.T) / 2
             assert abs(dense[i0, j0]) <= 1e-14 * np.linalg.norm(dense)
@@ -312,41 +335,30 @@ class TestEigenFromFactored:
     def test_eigenvectors_orthonormal(self):
         rng = default_rng(32)
         factor = random_spd_factor(rng)
-        _, vecs = eigen_from_factored(factor, STANDARD_SIGNS, COLUMN)
+        _, vecs, _ = solve_factored(factor, STANDARD_SIGNS, COLUMN)
         assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-10)
-
-    def test_pair_form_matches_full_form(self):
-        rng = default_rng(34)
-        factor = random_spd_factor(rng)
-        vals, vecs = eigen_from_factored(factor, STANDARD_SIGNS, COLUMN)
-        full_vals, full_vecs, result = solve_factored(factor, STANDARD_SIGNS, COLUMN)
-        assert np.array_equal(vals, full_vals)
-        assert np.array_equal(vecs, full_vecs)
-        assert result.report.converged
 
     def test_rejects_singular_factor(self):
         singular = np.zeros((4, 4))
         with pytest.raises(IllConditionedError):
-            eigen_from_factored(singular, STANDARD_SIGNS, COLUMN)
+            solve_factored(singular, STANDARD_SIGNS, COLUMN)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_factor(self, bad):
         factor = random_spd_factor(default_rng(34))
         factor[1, 2] = bad
-        for solve in (solve_factored, eigen_from_factored):
-            with pytest.raises(ValueError, match="factor entries must be finite") as info:
-                solve(factor, STANDARD_SIGNS, COLUMN)
-            assert type(info.value) is ValueError
+        with pytest.raises(ValueError, match="factor entries must be finite") as info:
+            solve_factored(factor, STANDARD_SIGNS, COLUMN)
+        assert type(info.value) is ValueError
 
     def test_rejects_a_factor_whose_square_overflows(self):
         # entries near 1e160: L^T L would overflow, and numpy would warn while forming it
         factor = random_spd_factor(default_rng(3)) * 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for solve in (solve_factored, eigen_from_factored):
-                with pytest.raises(ValueError, match="factor too large") as info:
-                    solve(factor, STANDARD_SIGNS, COLUMN)
-                assert type(info.value) is ValueError
+            with pytest.raises(ValueError, match="factor too large") as info:
+                solve_factored(factor, STANDARD_SIGNS, COLUMN)
+            assert type(info.value) is ValueError
 
     def test_largest_singular_value_limit_is_two_to_the_511(self):
         with pytest.raises(ValueError, match="factor too large"):
@@ -360,7 +372,7 @@ class TestEigenFromFactored:
         rng = default_rng(33)
         factor = random_spd_factor(rng)
         with pytest.raises(ConvergenceError):
-            eigen_from_factored(factor, STANDARD_SIGNS, COLUMN, max_cycles=1)
+            solve_factored(factor, STANDARD_SIGNS, COLUMN, max_cycles=1)
 
 
 class TestProofMonitor:

@@ -17,7 +17,6 @@ from cyclic_jacobi.classification import (
     PAR_ANCHOR_MIRROR,
     anchor_variants,
     catalog,
-    classify,
 )
 from cyclic_jacobi.cli import main
 from cyclic_jacobi.core import (
@@ -36,7 +35,6 @@ from cyclic_jacobi.driver import (
     StepRecord,
     _batch_rotations,
     batch_sweep,
-    check_bound,
     default_rng,
     random_spd_factor,
     random_symmetric,
@@ -49,8 +47,7 @@ from cyclic_jacobi.driver import (
 from cyclic_jacobi.jjacobi import (
     HyperbolicBreakdownError,
     JJacobiStep,
-    eigen_from_factored,
-    j_rotation_for_pivot,
+    _hyperbolic_params,
     run_j_jacobi,
     solve_factored,
 )
@@ -443,8 +440,8 @@ class TestLazySteps:
     def test_solvers_that_never_read_steps_build_none(self, built):
         rng = default_rng(72)
         m, factor = random_symmetric(rng), random_spd_factor(rng)
-        check_bound(m, classify(COLUMN), 3)
-        eigen_from_factored(factor, (1, 1, -1, -1), PAR_ANCHOR)
+        run_cycles(m, COLUMN, 3)
+        solve_factored(factor, (1, 1, -1, -1), PAR_ANCHOR)
         run_j_jacobi(SymMatrix.from_dense(factor.T @ factor), (1, -1, 1, -1), COLUMN)
         assert set(built.values()) == {0}
 
@@ -492,7 +489,7 @@ class TestLazySteps:
         for signs in SIGN_PATTERNS:
             factor = random_spd_factor(rng)
             solve_factored(factor, signs, PAR_ANCHOR)
-            eigen_from_factored(factor, signs, COLUMN)
+            solve_factored(factor, signs, COLUMN)
         assert counting_math.tanh_calls == 0
 
 
@@ -739,11 +736,13 @@ class TestSweepGrowthGuard:
         m = SymMatrix.from_dense([[aii, aij], [aij, ajj]])
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
-            rotations = [rotation_for_pivot(m, 1, 2)]
-            for signs in ((1, 1), (1, -1)):
+            rot = rotation_for_pivot(m, 1, 2)
+            pairs = [(rot.c, rot.s)]
+            # the steps of J-Jacobi at the sign pairs (1, 1) and (1, -1)
+            for params in (_rotation_params, _hyperbolic_params):
                 try:
-                    rotations.append(j_rotation_for_pivot(m, signs, 1, 2))
+                    pairs.append(params(m.entry(1, 1), m.entry(2, 2), m.entry(1, 2))[:2])
                 except HyperbolicBreakdownError:
                     pass
-        assert len(rotations) >= 2
-        assert all(math.isfinite(r.c) and math.isfinite(r.s) for r in rotations)
+        assert len(pairs) >= 2
+        assert all(math.isfinite(c) and math.isfinite(s) for c, s in pairs)

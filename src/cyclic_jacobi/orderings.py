@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -312,6 +313,13 @@ def _weak_search_from(starts: Iterable[tuple[Pair, ...]], moves: frozenset[str])
     certificate.  Both moves are reversible at the same cost (a transpose
     undoes itself, a shift by l is undone by a shift by N - l), so dist is
     also the distance from each node back to its nearest start.
+
+    A rotation class (an ordering's N cyclic shifts) is shifted once, at the
+    first pop of any member; later pops expand transposes only.  The maps
+    and their order stay the same: a 0-1 BFS first pops nodes in
+    nondecreasing order of their final distance, so a class shifted at d'
+    is popped again only at some d >= d', and every rotation already has
+    distance <= d' + 1 <= d + 1, which no second shift can strictly lower.
     """
     dist: dict[tuple[Pair, ...], int] = dict.fromkeys(starts, 0)
     nn = len(next(iter(dist)))
@@ -319,6 +327,7 @@ def _weak_search_from(starts: Iterable[tuple[Pair, ...]], moves: frozenset[str])
     shifts = [Shift(length) for length in range(1, nn)] if SHIFT in moves else []
     parent: dict[tuple[Pair, ...], tuple[tuple[Pair, ...], Step]] = {}
     queue: deque[tuple[Pair, ...]] = deque(dist)
+    shifted: set[tuple[Pair, ...]] = set()  # members of the rotation classes shifted so far
     while queue:
         pairs = queue.popleft()
         d = dist[pairs]
@@ -332,9 +341,13 @@ def _weak_search_from(starts: Iterable[tuple[Pair, ...]], moves: frozenset[str])
                     dist[nxt] = d
                     parent[nxt] = (pairs, step)
                     queue.appendleft(nxt)
+        if not shifts or pairs in shifted:
+            continue
+        shifted.add(pairs)
         for step in shifts:
             length = step.length
             nxt = pairs[length:] + pairs[:length]
+            shifted.add(nxt)
             old = dist.get(nxt)
             if old is None or d + 1 < old:
                 dist[nxt] = d + 1
@@ -361,14 +374,22 @@ def _relabeled_targets(
     tuple X that a relabeling q turns into one of them maps to (rank of q,
     q, that ordering).  q is the identity, or with ``relabel`` every
     permutation in lexicographic order; the first q and ordering giving X win.
+    Each q relabels ``all_pairs(n)`` once, and X is read out of those pair
+    images at the ordering's positions of its pairs.
     """
     n = orderings[0].n
+    base = tuple(all_pairs(n))
+    index = {p: k for k, p in enumerate(base)}
+    getters = [  # itemgetter(k) gives a bare pair, so N = 1 takes a 1-tuple slice
+        itemgetter(*[index[p] for p in o.pairs]) if len(o) > 1 else itemgetter(slice(1))
+        for o in orderings
+    ]
     relabelings = itertools.permutations(range(1, n + 1)) if relabel else [identity_permutation(n)]
     targets: dict[tuple[Pair, ...], tuple[int, tuple[int, ...], PivotOrdering]] = {}
     for k, q in enumerate(relabelings):
-        q_inv = invert(q)
-        for o in orderings:
-            targets.setdefault(_relabel(o.pairs, q_inv), (k, q, o))
+        images = _relabel(base, invert(q))
+        for o, get in zip(orderings, getters):
+            targets.setdefault(get(images), (k, q, o))
     return targets
 
 

@@ -1,6 +1,8 @@
 """Reference computations shared by the test modules."""
 
+import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -24,7 +26,17 @@ from cyclic_jacobi.core import (
     _rotation_params,
 )
 from cyclic_jacobi.jjacobi import _hyperbolic_params
-from cyclic_jacobi.orderings import SHIFT, TRANSPOSE, Shift, _nearest, _weak_search
+from cyclic_jacobi.orderings import (
+    SHIFT,
+    TRANSPOSE,
+    Shift,
+    Transpose,
+    _nearest,
+    _relabel,
+    _weak_search,
+    identity_permutation,
+    invert,
+)
 
 
 def spectrum(dense):
@@ -151,3 +163,53 @@ def forward_label(o):
     _, (_, _, anchor), steps = hit
     shift_length = next((s.length for s in steps if isinstance(s, Shift)), 0)
     return Parallel(anchor, shift_length), UNIVERSAL_BOUND
+
+
+def reference_weak_search_from(starts, moves):
+    """The 0-1 search of ``orderings._weak_search_from`` that expands every pop fully.
+
+    Each node taken off the deque expands all its admissible transposes
+    (pushed at the front) and then all N - 1 shifts (pushed at the back),
+    whether or not a member of its rotation class was expanded before.
+    Returns the (dist, parent) maps, in insertion order.
+    """
+    dist = dict.fromkeys(starts, 0)
+    nn = len(next(iter(dist)))
+    transposes = [Transpose(pos) for pos in range(nn - 1)] if TRANSPOSE in moves else []
+    shifts = [Shift(length) for length in range(1, nn)] if SHIFT in moves else []
+    parent = {}
+    queue = deque(dist)
+    while queue:
+        pairs = queue.popleft()
+        d = dist[pairs]
+        for step in transposes:
+            pos = step.pos
+            a, b = pairs[pos], pairs[pos + 1]
+            if a[0] not in b and a[1] not in b:
+                nxt = pairs[:pos] + (b, a) + pairs[pos + 2:]
+                old = dist.get(nxt)
+                if old is None or d < old:
+                    dist[nxt] = d
+                    parent[nxt] = (pairs, step)
+                    queue.appendleft(nxt)
+        for step in shifts:
+            length = step.length
+            nxt = pairs[length:] + pairs[:length]
+            old = dist.get(nxt)
+            if old is None or d + 1 < old:
+                dist[nxt] = d + 1
+                parent[nxt] = (pairs, step)
+                queue.append(nxt)
+    return dist, parent
+
+
+def reference_relabeled_targets(orderings, relabel):
+    """``orderings._relabeled_targets`` with every ordering relabeled pair by pair."""
+    n = orderings[0].n
+    relabelings = itertools.permutations(range(1, n + 1)) if relabel else [identity_permutation(n)]
+    targets = {}
+    for k, q in enumerate(relabelings):
+        q_inv = invert(q)
+        for o in orderings:
+            targets.setdefault(_relabel(o.pairs, q_inv), (k, q, o))
+    return targets

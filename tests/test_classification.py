@@ -26,6 +26,7 @@ import cyclic_jacobi.orderings as orderingsmod
 from cyclic_jacobi.classification import (
     ClassificationError,
     ClassificationRecord,
+    _WEAK_MOVES,
     _relabeled_serial_index,
 )
 from cyclic_jacobi.core import SymMatrix
@@ -40,6 +41,7 @@ from cyclic_jacobi.orderings import (
     TRANSPOSE,
     PivotOrdering,
     _weak_search,
+    _weak_search_from,
     cyclic_shift,
     enumerate_orderings,
     make_ordering,
@@ -54,6 +56,12 @@ ENTRY = {e.index: e for e in catalog()}
 # all 720 orderings under each move set, followed by the relabeling index;
 # recorded with the search that built and validated an ordering per node.
 SEARCH_DIGEST = "082d414515f49cfe2121abe5ed8660f9bf72e27fb46e028f79c2e19eb74a9e0c"
+
+# sha256 of the (dist, parent) maps, in insertion order, of the one
+# multi-source search from every relabeled serial template that
+# _class_table reads; recorded while every shift was expanded from every
+# member of a rotation class.
+SERIAL_SEARCH_DIGEST = "7e08c7b8822c9b44e4bae8edf6ae7a11a85dd45492a3ef36ce13ce9d761094ea"
 
 
 class TestEta:
@@ -338,6 +346,13 @@ class TestSearchTables:
                 digest.update(repr(list(parent.items())).encode())
         digest.update(repr(list(_relabeled_serial_index().items())).encode())
         assert digest.hexdigest() == SEARCH_DIGEST
+
+    def test_multi_source_serial_search_matches_recorded_digest(self):
+        dist, parent = _weak_search_from(_relabeled_serial_index().keys(), _WEAK_MOVES)
+        digest = hashlib.sha256()
+        digest.update(repr(list(dist.items())).encode())
+        digest.update(repr(list(parent.items())).encode())
+        assert digest.hexdigest() == SERIAL_SEARCH_DIGEST
 
 
 class TestHelpers:

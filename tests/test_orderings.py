@@ -26,11 +26,22 @@ from cyclic_jacobi.orderings import (
     parse_certificate,
     parse_ordering,
     permute,
+    SHIFT,
+    TRANSPOSE,
+    _relabeled_targets,
+    _weak_search_from,
     relate,
     replay,
     reverse,
 )
-from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, catalog
+from cyclic_jacobi.classification import (
+    PAR_ANCHOR,
+    PAR_ANCHOR_MIRROR,
+    _relabeled_serial_index,
+    catalog,
+    serial_perm_orderings,
+)
+from oracles import reference_relabeled_targets, reference_weak_search_from
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 
@@ -157,6 +168,24 @@ class TestRelate:
         assert len(cert.steps) == 1
         assert isinstance(cert.steps[0], Transpose)
         assert replay(cert) == ENTRY[2]
+
+    def test_n2_ordering_relates_to_itself_under_relabeling(self):
+        o = make_ordering([(1, 2)])
+        cert = relate(o, o, {"transpose", "shift", "permute"})
+        assert cert is not None
+        assert cert.steps == ()
+        assert cert.shift_count == 0
+
+    def test_n3_relabeling_is_one_permute(self):
+        for o in enumerate_orderings(3):
+            for q in itertools.permutations((1, 2, 3)):
+                if q == (1, 2, 3):
+                    continue
+                for moves in ({"permute"}, {"transpose", "shift", "permute"}):
+                    cert = relate(o, permute(o, q), moves)
+                    assert cert is not None
+                    assert cert.steps == (Permute(q),)
+                    assert replay(cert) == permute(o, q)
 
     def test_anchors_not_weakly_equivalent(self):
         assert relate(PAR_ANCHOR_MIRROR, PAR_ANCHOR, {"transpose", "shift"}) is None
@@ -291,6 +320,38 @@ class TestRelate:
                     cert = relate(o, b, moves)
                     digest.update((format_certificate(cert) if cert else "None\n").encode())
         assert digest.hexdigest() == RELATE_DIGEST
+
+
+class TestSearchOracle:
+    """The search and the relabeled targets give the references' maps, item for item."""
+
+    @staticmethod
+    def assert_same_search(starts, moves):
+        got = _weak_search_from(starts, moves)
+        want = reference_weak_search_from(starts, moves)
+        for got_map, want_map in zip(got, want):
+            assert list(got_map.items()) == list(want_map.items())
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    @pytest.mark.parametrize("moves", ((TRANSPOSE, SHIFT), (TRANSPOSE,), (SHIFT,)))
+    def test_single_source_searches(self, n, moves):
+        for o in enumerate_orderings(n):
+            self.assert_same_search((o.pairs,), frozenset(moves))
+
+    def test_multi_source_serial_search(self):
+        self.assert_same_search(tuple(_relabeled_serial_index()), frozenset((TRANSPOSE, SHIFT)))
+
+    def test_anchor_transposition_searches(self):
+        for anchor in (PAR_ANCHOR, PAR_ANCHOR_MIRROR):
+            self.assert_same_search((anchor.pairs,), frozenset((TRANSPOSE,)))
+
+    @pytest.mark.parametrize("relabel", (True, False))
+    def test_relabeled_targets(self, relabel):
+        groups = [serial_perm_orderings()]
+        groups += [(o,) for n in (2, 3, 4) for o in enumerate_orderings(n)]
+        for orderings in groups:
+            got = _relabeled_targets(orderings, relabel)
+            assert list(got.items()) == list(reference_relabeled_targets(orderings, relabel).items())
 
 
 class TestCertificates:

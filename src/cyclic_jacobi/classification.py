@@ -261,14 +261,14 @@ def _class_table() -> dict[tuple, tuple[Label, Bound]]:
     return table
 
 
-@lru_cache(maxsize=None)
 def classify(o: PivotOrdering) -> ClassificationRecord:
     """Assign an ordering its class and convergence bound; the certificate follows on read.
 
     Precedence: serial template, then generalized serial with the smallest
     shift count d (transpositions and one end relabeling are free), then
     parallel with the smallest shift length.  ``_class_table`` holds that
-    answer for every ordering, so no search runs per ordering.  Failure to
+    answer for every ordering, so no search runs per ordering, and each call
+    builds a fresh record, which caches its own certificate.  Failure to
     match any class is a hard error: it would falsify the exhaustive case
     analysis behind the universal bound.
     """

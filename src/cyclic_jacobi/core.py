@@ -111,6 +111,15 @@ def _scaled_norm(x: np.ndarray) -> float:
     return norm
 
 
+def _real_array(arr) -> np.ndarray:
+    """``arr`` as a float array; ``ValueError`` for complex or text entries, which the cast
+    would truncate to their real part or parse."""
+    a = np.asarray(arr)
+    if a.dtype.kind in "cSU":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def _check_dimension(n: int) -> None:
     if not MIN_DIM <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {n}")
@@ -129,23 +138,23 @@ class SymMatrix:
 
     def __init__(self, n: int, packed):
         _check_dimension(n)
-        if isinstance(packed, np.ndarray):
-            packed = packed.tolist()  # Python floats, or rows (which float() rejects) if not 1-D
         try:
-            values = tuple(map(float, packed))
-        except TypeError:  # not a flat sequence of numbers
-            values = ()
+            # Python numbers, or rows if an array is not 1-D
+            values = list(packed.tolist() if isinstance(packed, np.ndarray) else packed)
+            finite = all(map(math.isfinite, values))  # unlike float(), rejects text and complex
+        except TypeError:  # not a flat sequence of real numbers
+            values, finite = [], True
         if len(values) != _packed_size(n):
-            raise ValueError(f"packed storage must have length {_packed_size(n)}")
-        if not all(map(math.isfinite, values)):
+            raise ValueError(f"packed storage must have length {_packed_size(n)}, all real numbers")
+        if not finite:
             raise ValueError("matrix entries must be finite")
         self.n = n
-        self._packed = values
+        self._packed = tuple(map(float, values))
 
     @classmethod
     def from_dense(cls, arr) -> "SymMatrix":
         """Build from a full square array, rejecting asymmetry beyond ``SYMMETRY_RTOL``."""
-        a = np.asarray(arr, dtype=float)
+        a = _real_array(arr)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
@@ -164,15 +173,6 @@ class SymMatrix:
                 f"exceeds {SYMMETRY_RTOL:.0e} relative"
             )
         return cls(n, a[_layout_indices(n)])
-
-    @classmethod
-    def diag(cls, values) -> "SymMatrix":
-        values = np.asarray(values, dtype=float)
-        return cls.from_dense(np.diag(values))
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls.from_dense(np.eye(n))
 
     def entry(self, r: int, s: int) -> float:
         """Entry at 1-based position (r, s); symmetric lookup."""
@@ -228,22 +228,6 @@ class PlaneRotation:
             raise ValueError("c^2 + s^2 must equal 1 within 1e-15")
         if abs(self.phi) > math.pi / 4:
             raise ValueError("rotation angle must lie in [-pi/4, pi/4]")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.s == 0.0
-
-    def embed(self, n: int) -> np.ndarray:
-        """Dense n-by-n rotation matrix."""
-        if self.j > n:
-            raise IndexError(f"rotation plane ({self.i}, {self.j}) exceeds n={n}")
-        out = np.eye(n)
-        i0, j0 = self.i - 1, self.j - 1
-        out[i0, i0] = self.c
-        out[j0, j0] = self.c
-        out[i0, j0] = -self.s
-        out[j0, i0] = self.s
-        return out
 
 
 def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, float]:

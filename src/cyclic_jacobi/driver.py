@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .core import (
     _off_norm_packed,
     _packed_entries,
     _pivot_plan,
+    _real_array,
     _rotation_params,
     _step_off_norms,
     _sweep,
@@ -357,11 +358,11 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     dense ``finals`` are built only when read.
 
     Raises ``ValueError`` unless ``cycles`` is an integer >= 0, for
-    non-finite entries, and when S^2 after some step is not finite (entries
-    beyond about 1e154 overflow it).
+    complex, text or non-finite entries, and when S^2 after some step is
+    not finite (entries beyond about 1e154 overflow it).
     """
     cycles = _check_cycles("cycles", cycles)
-    a = np.asarray(mats, dtype=float)
+    a = _real_array(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (m, n, n) stack, got shape {a.shape}")
     n = a.shape[1]
@@ -464,23 +465,14 @@ def default_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_symmetric_batch(
-    rng: np.random.Generator,
-    count: int,
-    n: int = 4,
-    zero_pairs: Iterable[tuple[int, int]] = (),
-) -> np.ndarray:
-    """I.i.d. uniform [-1, 1] entries, symmetrized; optional pinned zeros."""
+def random_symmetric_batch(rng: np.random.Generator, count: int, n: int = 4) -> np.ndarray:
+    """I.i.d. uniform [-1, 1] entries, symmetrized."""
     raw = rng.uniform(-1.0, 1.0, size=(count, n, n))
-    out = (raw + raw.transpose(0, 2, 1)) / 2.0
-    for (r, s) in zero_pairs:
-        out[:, r - 1, s - 1] = 0.0
-        out[:, s - 1, r - 1] = 0.0
-    return out
+    return (raw + raw.transpose(0, 2, 1)) / 2.0
 
 
-def random_symmetric(rng: np.random.Generator, n: int = 4) -> SymMatrix:
-    return SymMatrix.from_dense(random_symmetric_batch(rng, 1, n)[0])
+def random_symmetric(rng: np.random.Generator) -> SymMatrix:
+    return SymMatrix.from_dense(random_symmetric_batch(rng, 1)[0])
 
 
 def random_spd_factor(rng: np.random.Generator, n: int = 4) -> np.ndarray:
@@ -518,11 +510,20 @@ class CampaignReport:
     cells: list[CampaignCell]
     identity_violation: float
     monotonicity_excess: float
-    falsifications: list[str] = field(default_factory=list)
 
     @property
     def total_violations(self) -> int:
         return sum(c.violations for c in self.cells)
+
+    @property
+    def falsifications(self) -> list[str]:
+        """One line per cell with a violation, in cell order."""
+        return [
+            f"{c.mode} bound violated {c.violations}x for {c.ordering}"
+            f" (worst ratio {c.worst_ratio:.17g} > {c.gamma + FP_SLACK:.17g})"
+            for c in self.cells
+            if c.violations
+        ]
 
 
 def campaign_cells_for_ordering(
@@ -574,14 +575,7 @@ def verification_campaign(
         cells.extend(new_cells)
         identity_violation = max(identity_violation, ident)
         monotonicity_excess = max(monotonicity_excess, mono)
-    report = CampaignReport(
+    return CampaignReport(
         seed, samples, f"{RNG_ALGORITHM}({seed})", cells,
         identity_violation, monotonicity_excess,
     )
-    for cell in cells:
-        if cell.violations:
-            report.falsifications.append(
-                f"{cell.mode} bound violated {cell.violations}x for {cell.ordering}"
-                f" (worst ratio {cell.worst_ratio:.17g} > {cell.gamma + FP_SLACK:.17g})"
-            )
-    return report

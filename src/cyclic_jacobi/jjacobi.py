@@ -41,7 +41,6 @@ import numpy as np
 
 from .core import (
     SymMatrix,
-    _check_cycles,
     _off_norm_packed,
     _packed_entries,
     _pivot_plan,
@@ -75,6 +74,7 @@ FACTOR_SV_LIMIT = 2.0**511  # from this largest singular value on, L^T L can ove
 EPSILON_WINDOW = 0.1   # monitor epsilons must satisfy 0 < eps < 0.1
 CUBIC_ONSET = 1e-2     # cubic_decay_indicator reads cycles from S below this
 CUBIC_FLOOR = 1e-200   # and while S stays above this
+MAX_CYCLES = 40        # sweeps run_j_jacobi runs at most; read at call time
 
 
 class HyperbolicBreakdownError(ArithmeticError):
@@ -86,7 +86,7 @@ class IllConditionedError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The solver did not reach the requested tolerance within max_cycles."""
+    """The solver did not reach the requested tolerance within ``MAX_CYCLES`` sweeps."""
 
 
 class MonitorInapplicableError(ValueError):
@@ -94,11 +94,20 @@ class MonitorInapplicableError(ValueError):
 
 
 def sign_diagonal(values: Sequence[int]) -> tuple[int, ...]:
-    """Validate a diagonal of signs: every entry must be +1 or -1."""
-    out = tuple(int(v) for v in values)
-    if not out or any(v not in (1, -1) for v in out):
+    """Validate a diagonal of signs: every entry must be +1 or -1.
+
+    A number must equal +-1 exactly (1.5 is rejected, not truncated); a
+    string, as the command line passes, must spell the integer +-1.
+    """
+    out = tuple(values)
+    if str in map(type, out):
+        try:
+            out = tuple(int(v) if isinstance(v, str) else v for v in out)
+        except ValueError:  # a string that is not an integer
+            out = ()
+    if not out or not {*out} <= {1, -1}:
         raise ValueError(f"sign diagonal entries must be +1 or -1, got {values!r}")
-    return out
+    return tuple(map(int, out))
 
 
 def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float, float]:
@@ -221,23 +230,21 @@ def run_j_jacobi(
     signs: Sequence[int],
     ordering: PivotOrdering,
     tol: float = 1e-13,
-    max_cycles: int = 40,
 ) -> JJacobiResult:
     """Diagonalize ``a`` with J-orthogonal sweeps under ``ordering``.
 
     Sweeps until the off-norm falls to ``tol`` times the initial Frobenius
     norm, then performs one extra certifying sweep from the converged state
     (so the final cycle's angle envelope measures the converged matrix), or
-    stops at ``max_cycles``.  Hyperbolic steps may raise
+    stops after ``MAX_CYCLES`` sweeps.  Hyperbolic steps may raise
     ``HyperbolicBreakdownError`` when the pair is not definite.  Raises
-    ``ValueError`` unless 0 <= tol < inf and max_cycles is an integer >= 0,
-    when S^2 is not finite, before or after any step, and when the initial
-    S^2 underflows to 0 while sqrt(n(n-1)/2) max |a_ij| over the
-    off-diagonal entries, a bound on S, exceeds the threshold.
+    ``ValueError`` unless 0 <= tol < inf, when S^2 is not finite, before or
+    after any step, and when the initial S^2 underflows to 0 while
+    sqrt(n(n-1)/2) max |a_ij| over the off-diagonal entries, a bound on S,
+    exceeds the threshold.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    max_cycles = _check_cycles("max_cycles", max_cycles)
     signs = sign_diagonal(signs)
     if len(signs) != a.n or a.n != ordering.n:
         raise ValueError("matrix, signs, and ordering dimensions must agree")
@@ -261,7 +268,7 @@ def run_j_jacobi(
     converged = cycle_norms[0] <= threshold
     certified = converged
     cycles = 0
-    while cycles < max_cycles and not certified:
+    while cycles < MAX_CYCLES and not certified:
         s_new = _sweep(a, e, plan, cycle_norms[-1], records)
         cycles += 1
         cycle_norms.append(s_new)
@@ -282,7 +289,6 @@ def solve_factored(
     signs: Sequence[int],
     ordering: PivotOrdering,
     tol: float = 1e-13,
-    max_cycles: int = 40,
 ) -> tuple[np.ndarray, np.ndarray, JJacobiResult]:
     """Eigenpairs of H = L J L^T from its factor L, plus the solver run.
 
@@ -311,10 +317,10 @@ def solve_factored(
     if sv[0] >= FACTOR_SV_LIMIT:
         raise ValueError(f"factor too large: singular value {sv[0]:.3e} >= 2**511 overflows L^T L")
     a = SymMatrix.from_dense(ell.T @ ell)
-    result = run_j_jacobi(a, signs, ordering, tol=tol, max_cycles=max_cycles)
+    result = run_j_jacobi(a, signs, ordering, tol=tol)
     if not result.report.converged:
         raise ConvergenceError(
-            f"no convergence within {max_cycles} cycles; final off-norm "
+            f"no convergence within MAX_CYCLES = {MAX_CYCLES} cycles; final off-norm "
             f"{result.report.cycle_off_norms[-1]:.3e}"
         )
     lam = result.diagonalized.diagonal()

@@ -50,7 +50,6 @@ __all__ = [
     "replay",
     "relate",
     "identity_permutation",
-    "compose",
     "invert",
     "parse_ordering",
     "format_ordering",
@@ -170,11 +169,6 @@ def _check_permutation(images: Sequence[int], n: int) -> tuple[int, ...]:
     if sorted(q) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {q}")
     return q
-
-
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(q)))
 
 
 def invert(q: Sequence[int]) -> tuple[int, ...]:

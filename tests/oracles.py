@@ -56,6 +56,24 @@ def spectrum(dense):
     return np.ldexp(np.sort(np.linalg.eigvalsh(scaled)), exp)
 
 
+def embed(rot, n):
+    """The dense n-by-n matrix of the plane rotation ``rot``: the identity with c at
+    (i, i) and (j, j), -s at (i, j) and s at (j, i)."""
+    out = np.eye(n)
+    i0, j0 = rot.i - 1, rot.j - 1
+    out[i0, i0] = out[j0, j0] = rot.c
+    out[i0, j0] = -rot.s
+    out[j0, i0] = rot.s
+    return out
+
+
+def pin_12_34(mats):
+    """The (m, n, n) stack ``mats`` with a_12 and a_34 (and their mirrors) set to 0, in place."""
+    mats[:, 0, 1] = mats[:, 1, 0] = 0.0
+    mats[:, 2, 3] = mats[:, 3, 2] = 0.0
+    return mats
+
+
 def two_sided(m, rot):
     """R^T M R for the plane rotation ``rot`` of any angle, with the dense update's bits.
 

@@ -1,10 +1,13 @@
 """The public API: every exported name resolves, the package re-exports only exported names,
-and the defaulted parameters are the ones listed here."""
+the defaulted parameters are the ones listed here, and program code calls every exported
+callable."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from functools import cached_property
 from pathlib import Path
 from types import FunctionType
 
@@ -42,14 +45,11 @@ def test_the_package_imports_only_exported_names():
 KNOBS = {
     "driver.verification_campaign(modes)",   # cjacobi verify --bound
     "driver.verification_campaign(map_fn)",  # cjacobi verify --jobs
-    "driver.random_symmetric(n)",            # the n = 3 and 5 digest runs
-    "driver.random_symmetric_batch(n)",
-    "driver.random_symmetric_batch(zero_pairs)",  # a12 = a34 = 0 inputs
+    "driver.random_symmetric_batch(n)",      # perfbench/session.py passes n=4
+    # the n = 3 and 5 digest factors; without it the tests would copy its redraw loop
     "driver.random_spd_factor(n)",
     "jjacobi.run_j_jacobi(tol)",             # cjacobi jsolve --tol
-    "jjacobi.run_j_jacobi(max_cycles)",      # ConvergenceError and the zero-sweep path
     "jjacobi.solve_factored(tol)",
-    "jjacobi.solve_factored(max_cycles)",
 }
 
 
@@ -60,10 +60,14 @@ def _public_callables(module):
             yield export, obj
         elif inspect.isclass(obj):
             for attr, member in vars(obj).items():
-                if not attr.startswith("_") and isinstance(
-                    member, (FunctionType, classmethod, staticmethod)
-                ):
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (FunctionType, classmethod, staticmethod)):
                     yield f"{export}.{attr}", getattr(member, "__func__", member)
+                elif isinstance(member, property):
+                    yield f"{export}.{attr}", member.fget
+                elif isinstance(member, cached_property):
+                    yield f"{export}.{attr}", member.func
 
 
 def test_the_defaulted_parameters_are_the_listed_knobs():
@@ -76,3 +80,62 @@ def test_the_defaulted_parameters_are_the_listed_knobs():
                 if p.default is not p.empty
             )
     assert found == KNOBS
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exported callables that no program code calls, each with the reason it stays.
+UNCALLED = {
+    "orderings.parse_certificate": "checks certificate text that comes from outside the program",
+    # the pinned batch digest and the scalar-agreement tests read it; built only when read
+    "driver.BatchSweep.finals": "the only view of the batch kernel's final matrices",
+}
+
+
+class _References(ast.NodeVisitor):
+    """The identifiers a tree reads, as names or attributes, outside a definition of the same
+    name (so recursion is no caller)."""
+
+    def __init__(self):
+        self.names = set()
+        self._inside = []
+
+    def visit_FunctionDef(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id not in self._inside:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self._inside:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def _program_sources():
+    """The package, the demos, the benchmark and README's python blocks: not the tests."""
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield path.read_text(encoding="utf-8")
+    yield from re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_every_exported_callable_has_a_program_caller():
+    """Each function in an ``__all__``, and each public method or property of an exported class,
+    is referenced by name in program code.  Names are matched without their owner, so another
+    owner's name (``np.diag`` for a ``diag`` method) can hide a helper no program code calls."""
+    refs = _References()
+    for source in _program_sources():
+        refs.visit(ast.parse(source))
+    uncalled = {
+        f"{name}.{qualname}"
+        for name in EXPORTING
+        for qualname, _ in _public_callables(importlib.import_module(f"cyclic_jacobi.{name}"))
+        if qualname.rpartition(".")[2] not in refs.names
+    }
+    assert uncalled == set(UNCALLED)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclic_jacobi.classification import (
@@ -232,7 +233,7 @@ class TestParallelClassAgreement:
         assert parallel_orderings() == tuple(sorted(shifts, key=lambda o: o.pairs))
 
     def test_monitor_window_follows_the_label(self):
-        diagonal = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])  # no sweep runs
+        diagonal = SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))  # no sweep runs
         for o in enumerate_orderings(4):
             report = run_j_jacobi(diagonal, STANDARD_SIGNS, o).report
             label = classify(o).label
@@ -272,7 +273,7 @@ class TestCertificateOnRead:
 
     @pytest.fixture
     def searches(self, monkeypatch):
-        """Count forward searches; ``classify`` starts cold and is left cold."""
+        """Count forward searches."""
         calls = []
         real = orderingsmod._weak_search
 
@@ -282,9 +283,7 @@ class TestCertificateOnRead:
 
         monkeypatch.setattr(orderingsmod, "_weak_search", counting)
         monkeypatch.setattr(classification, "_weak_search", counting)
-        classify.cache_clear()
-        yield calls
-        classify.cache_clear()
+        return calls
 
     def test_classify_runs_no_forward_search(self, searches):
         records = [classify(o) for o in enumerate_orderings(4)]
@@ -298,8 +297,10 @@ class TestCertificateOnRead:
         record = classify(ENTRY[55].ordering)
         cert = record.certificate
         assert record.certificate is cert
-        assert classify(ENTRY[55].ordering).certificate is cert
         assert searches == [ENTRY[55].ordering]
+        # classify keeps no records: a second call builds an equal one, whose chain is its own
+        again = classify(ENTRY[55].ordering)
+        assert again == record and again.certificate == cert and again.certificate is not cert
 
     def test_equality_and_hash_do_not_see_the_certificate(self, searches):
         record = classify(ENTRY[105].ordering)

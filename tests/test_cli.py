@@ -20,7 +20,7 @@ from cyclic_jacobi.orderings import enumerate_orderings
 @pytest.fixture
 def diag_matrix_file(tmp_path):
     path = tmp_path / "diag.txt"
-    path.write_text(format_matrix(SymMatrix.diag([1.0, 2.0, 3.0, 4.0])))
+    path.write_text(format_matrix(SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))))
     return str(path)
 
 

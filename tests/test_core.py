@@ -18,7 +18,7 @@ from cyclic_jacobi.core import (
     parse_matrix,
     rotation_for_pivot,
 )
-from oracles import spectrum, two_sided
+from oracles import embed, spectrum, two_sided
 
 
 EPS = np.finfo(float).eps
@@ -96,7 +96,7 @@ class TestSymMatrix:
             off_norm(np.zeros((0, 0)))
 
     def test_entry_out_of_range(self):
-        m = SymMatrix.identity(3)
+        m = SymMatrix.from_dense(np.eye(3))
         with pytest.raises(IndexError):
             m.entry(0, 1)
         with pytest.raises(IndexError):
@@ -115,6 +115,21 @@ class TestSymMatrix:
             SymMatrix(4, packed)
         with pytest.raises(ValueError, match="finite"):
             SymMatrix(4, np.array(packed))
+
+    @pytest.mark.parametrize("packed", ["123", ["1", "2", "3"], [1.0, 2j, 3.0]],
+                             ids=["text", "text-entries", "complex"])
+    def test_packed_storage_must_be_real_numbers(self, packed):
+        with pytest.raises(ValueError, match="packed storage must have length 3, all real numbers"):
+            SymMatrix(2, packed)
+
+    @pytest.mark.parametrize("dense", [
+        [[1.0, 0.5j], [0.5j, 2.0]], np.eye(2, dtype=complex), [["1", "2"], ["2", "3"]],
+    ], ids=["complex", "complex-real-valued", "text"])
+    def test_from_dense_rejects_complex_and_text(self, dense):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no ComplexWarning on the way
+            with pytest.raises(ValueError, match="must be real numbers"):
+                SymMatrix.from_dense(dense)
 
     def test_from_dense_rejects_infinite_before_asymmetry(self):
         with warnings.catch_warnings():
@@ -167,7 +182,7 @@ class TestSymMatrix:
 
 class TestOffNorm:
     def test_diagonal_is_zero(self):
-        assert off_norm(SymMatrix.diag([1.0, 2.0, 3.0, 4.0])) == 0.0
+        assert off_norm(SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))) == 0.0
 
     def test_all_ones_off_diagonal(self):
         dense = np.ones((4, 4))
@@ -204,7 +219,7 @@ class TestOffNorm:
 
 class TestRotationForPivot:
     def test_zero_pivot_gives_identity(self):
-        m = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])
+        m = SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
         rot = rotation_for_pivot(m, 1, 3)
         assert (rot.c, rot.s, rot.phi) == (1.0, 0.0, 0.0)
 
@@ -222,7 +237,7 @@ class TestRotationForPivot:
         assert rot.phi == pytest.approx(math.pi / 8, rel=1e-15)
 
     def test_index_out_of_range(self):
-        m = SymMatrix.identity(3)
+        m = SymMatrix.from_dense(np.eye(3))
         with pytest.raises(IndexError):
             rotation_for_pivot(m, 2, 5)
         with pytest.raises(IndexError):
@@ -289,7 +304,7 @@ class TestApplyTwoSided:
 
     def test_embedded_sign_convention(self):
         rot = PlaneRotation(1, 3, math.cos(0.3), math.sin(0.3), 0.3)
-        embedded = rot.embed(4)
+        embedded = embed(rot, 4)
         assert embedded[0, 2] == -rot.s
         assert embedded[2, 0] == rot.s
 
@@ -314,7 +329,7 @@ class TestApplyTwoSided:
     @settings(max_examples=50)
     def test_matches_dense_congruence(self, m):
         out, rot = annihilate(m, 1, 4)
-        g = rot.embed(4)
+        g = embed(rot, 4)
         expected = g.T @ m.to_dense() @ g
         assert np.allclose(out.to_dense(), expected, atol=1e-14 * max(1.0, m.frobenius()))
 
@@ -330,10 +345,10 @@ class TestApplyTwoSided:
 
 class TestAnnihilate:
     def test_diagonal_is_fixed_point(self):
-        m = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])
+        m = SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
         out, rot = annihilate(m, 1, 2)
         assert out == m
-        assert rot.is_identity
+        assert rot.s == 0.0
 
     def test_two_by_two_eigenvalues(self):
         m = SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from cyclic_jacobi.driver import (
     verify_step_identities,
 )
 from cyclic_jacobi.orderings import TRANSPOSE, enumerate_orderings, make_ordering, relate
-from oracles import spectrum
+from oracles import pin_12_34, spectrum
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -93,7 +94,7 @@ def batch_sweep_digest():
 
     rng = default_rng(2718)
     plain = random_symmetric_batch(rng, 200)
-    pinned = random_symmetric_batch(rng, 200, zero_pairs=((1, 2), (3, 4)))
+    pinned = pin_12_34(random_symmetric_batch(rng, 200))
     orderings = list(enumerate_orderings(4))
     for mats in (plain, pinned):
         for ordering in orderings:
@@ -134,7 +135,7 @@ def independent_sweep_oracle(dense, ordering):
 
 class TestRunCycles:
     def test_diagonal_is_fixed_point(self):
-        m = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])
+        m = SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
         out, report = run_cycles(m, COLUMN, 1)
         assert out == m
         assert report.cycle_off_norms == [0.0]
@@ -199,7 +200,7 @@ class TestRunCycles:
         assert np.allclose(before, after, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        m = SymMatrix.identity(3)
+        m = SymMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             run_cycles(m, COLUMN, 1)
 
@@ -276,6 +277,14 @@ class TestBatchSweep:
             batch_sweep(mats, COLUMN, 2)
         with pytest.raises(ValueError, match="finite"):
             campaign_cells_for_ordering(COLUMN, mats, ("classified", "universal"))
+
+    def test_rejects_complex_entries(self):
+        # a cast to float would keep the real parts, whose S is 0
+        mats = np.array([[[1.0, 0.5j], [0.5j, 2.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no ComplexWarning on the way
+            with pytest.raises(ValueError, match="must be real numbers"):
+                batch_sweep(mats, make_ordering([(1, 2)]), 1)
 
     def test_retired_matrices_keep_the_bits_they_get_alone(self):
         # retirement must only skip work: a diagonal matrix retires at once;
@@ -372,7 +381,7 @@ class TestBatchSweep:
         )
         # the rotation is not skipped: the pivot is zeroed unless it sits
         # below the absolute spacing of the diagonal it is rotated against
-        if rot.is_identity:
+        if rot.s == 0.0:
             assert abs(pivot) <= 2 * SUBNORMAL * (1 + abs(aii) + abs(ajj))
         else:
             assert stepped.entry(1, 2) == 0.0
@@ -459,7 +468,7 @@ class TestKernelMutations:
 
 class TestParallelCycle:
     def test_diagonal_unchanged(self):
-        m = SymMatrix.diag([4.0, 3.0, 2.0, 1.0])
+        m = SymMatrix.from_dense(np.diag([4.0, 3.0, 2.0, 1.0]))
         out, _ = run_parallel_cycle(m, PAR_ANCHOR)
         assert out == m
 
@@ -474,7 +483,7 @@ class TestParallelCycle:
                 assert verify_step_identities(rep) <= 1e-13
 
     def test_rejects_serial_ordering(self):
-        m = SymMatrix.identity(4)
+        m = SymMatrix.from_dense(np.eye(4))
         with pytest.raises(NotParallelOrderingError):
             run_parallel_cycle(m, COLUMN)
 
@@ -521,7 +530,7 @@ class TestCheckBound:
         # with the (1,2) and (3,4) entries pinned to zero, the two-sweep
         # contraction holds from the very first cycle
         rng = default_rng(405)
-        mats = random_symmetric_batch(rng, 50, zero_pairs=((1, 2), (3, 4)))
+        mats = pin_12_34(random_symmetric_batch(rng, 50))
         for k in range(50):
             m = SymMatrix.from_dense(mats[k])
             _, report = run_cycles(m, ENTRY[105], 3)
@@ -530,19 +539,20 @@ class TestCheckBound:
                 assert s[3] / s[0] <= (1.0 - 1e-5) + FP_SLACK
 
     def test_vacuous_on_diagonal(self):
-        worst, violations, _ = window_stats(SymMatrix.diag([1.0, 2.0, 3.0, 4.0]), COLUMN, 5)
+        diagonal = SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
+        worst, violations, _ = window_stats(diagonal, COLUMN, 5)
         assert violations == 0
         assert worst == 0.0
 
     def test_rejects_a_parallel_record_for_another_dimension(self):
         with pytest.raises(ValueError, match="does not match ordering n=4"):
-            run_cycles(SymMatrix.identity(5), classify(PAR_ANCHOR).ordering, 5)
+            run_cycles(SymMatrix.from_dense(np.eye(5)), classify(PAR_ANCHOR).ordering, 5)
 
 
 class TestGenerators:
     def test_zero_pairs_pinned(self):
         rng = default_rng(9)
-        mats = random_symmetric_batch(rng, 10, zero_pairs=((1, 2), (3, 4)))
+        mats = pin_12_34(random_symmetric_batch(rng, 10))
         assert np.all(mats[:, 0, 1] == 0.0)
         assert np.all(mats[:, 2, 3] == 0.0)
         assert np.all(mats == mats.transpose(0, 2, 1))

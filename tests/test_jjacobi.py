@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_jacobi import jjacobi
 from cyclic_jacobi.core import SymMatrix, _rotation_params, off_norm, rotation_for_pivot
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, catalog
 from cyclic_jacobi.driver import default_rng, random_spd_factor, random_symmetric, run_cycles
@@ -23,7 +24,7 @@ from cyclic_jacobi.jjacobi import (
     sign_diagonal,
 )
 from cyclic_jacobi.orderings import make_ordering
-from oracles import replayed_transform
+from oracles import embed, replayed_transform
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -35,6 +36,13 @@ TINY_PIVOTS = st.builds(
     st.one_of(st.floats(SUBNORMAL, 2.0**-1022), st.floats(2.0**-1022, 1e-150)),
     st.booleans(),
 )
+
+
+def run_capped(cycles, a, signs, ordering, tol):
+    """``run_j_jacobi`` with ``jjacobi.MAX_CYCLES`` set to ``cycles`` for this call only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jjacobi, "MAX_CYCLES", cycles)
+        return run_j_jacobi(a, signs, ordering, tol=tol)
 
 
 def spd_matrix(rng):
@@ -65,13 +73,29 @@ class TestSignDiagonal:
         with pytest.raises(ValueError):
             sign_diagonal(())
 
+    @pytest.mark.parametrize("values", [
+        (1.0, 1.0, -1.0, -1.0),
+        tuple(np.array([1, 1, -1, -1])),
+        ("1", "1", "-1", "-1"),  # the tokens cjacobi jsolve --J passes
+    ], ids=["floats", "numpy-ints", "strings"])
+    def test_accepts_exact_signs_as_ints(self, values):
+        out = sign_diagonal(values)
+        assert out == (1, 1, -1, -1) and all(type(v) is int for v in out)
+
+    @pytest.mark.parametrize("values", [
+        (1.5, 1, -1, -1), (1.9, -1.9), (1, -0.999), (1, math.nan), (math.inf, -1), ("1.5", "-1"),
+    ])
+    def test_rejects_signs_that_are_not_exactly_one(self, values):
+        with pytest.raises(ValueError, match="must be \\+1 or -1"):
+            sign_diagonal(values)
+
 
 class TestJRotation:
     """The J-orthogonal step transformation, read from its owners: ``_hyperbolic_params`` and
     ``_rotation_params``, a run's steps and transform, or a one-record ``replayed_transform``."""
 
     def test_zero_pivot_identity(self):
-        a = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])
+        a = SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
         assert STANDARD_SIGNS[0] != STANDARD_SIGNS[2]  # (1, 3) is a hyperbolic pivot
         ch, sh, th = _hyperbolic_params(a.entry(1, 1), a.entry(3, 3), a.entry(1, 3))
         assert (ch, sh, math.atanh(th)) == (1.0, 0.0, 0.0)
@@ -79,12 +103,12 @@ class TestJRotation:
     def test_equal_signs_reduce_to_trigonometric(self):
         rng = default_rng(3)
         a, _ = spd_matrix(rng)
-        report = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, tol=0.0, max_cycles=1).report
+        report = run_capped(1, a, STANDARD_SIGNS, COLUMN, tol=0.0).report
         plain = rotation_for_pivot(a, 1, 2)
         step = report.steps[0]
         assert step.pivot == (1, 2) and step.kind == "trigonometric"
         assert step.angle == plain.phi
-        assert np.array_equal(replayed_transform(4, report._records[:1]), plain.embed(4))
+        assert np.array_equal(replayed_transform(4, report._records[:1]), embed(plain, 4))
 
     def test_two_by_two_hyperbolic_oracle(self):
         # A = [[d, x], [x, d]], J = diag(1, -1): tanh(2 theta) = -x/d, and the
@@ -96,7 +120,7 @@ class TestJRotation:
         j2 = np.diag([1.0, -1.0])
         for d, x, tanh_rel, rel in ((2.0, 1.0, 1e-15, 1e-14), (1.0, 1.0 - 1e-9, 1e-11, 1e-7)):
             a = SymMatrix.from_dense([[d, x], [x, d]])
-            result = run_j_jacobi(a, (1, -1), PAIR, tol=0.0, max_cycles=1)
+            result = run_capped(1, a, (1, -1), PAIR, tol=0.0)
             step, f = result.report.steps[0], result.transform
             r = math.sqrt((d - x) * (d + x))
             assert step.kind == "hyperbolic"
@@ -142,7 +166,7 @@ class TestTinyHyperbolicPivots:
         a = SymMatrix.from_dense(dense)
         _, sh, _ = _hyperbolic_params(a.entry(1, 1), a.entry(3, 3), a.entry(1, 3))
         assert sh == pytest.approx(-pivot / (aii + ajj), rel=1e-15, abs=SUBNORMAL)
-        result = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0, max_cycles=1)
+        result = run_capped(1, a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0)
         step = result.report.steps[0]
         assert step.pivot == (1, 3) and step.value == pivot and step.kind == "hyperbolic"
         final = result.diagonalized
@@ -185,7 +209,7 @@ class TestTinyHyperbolicPivots:
 
 class TestRunJJacobi:
     def test_diagonal_input_returns_immediately(self):
-        a = SymMatrix.diag([3.0, 2.0, 5.0, 7.0])
+        a = SymMatrix.from_dense(np.diag([3.0, 2.0, 5.0, 7.0]))
         result = run_j_jacobi(a, STANDARD_SIGNS, COLUMN)
         assert result.report.cycles_executed == 0
         assert result.diagonalized == a
@@ -194,15 +218,9 @@ class TestRunJJacobi:
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -5e-324])
     def test_rejects_tol_outside_zero_to_inf(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-            run_j_jacobi(SymMatrix.diag([3.0, 2.0, 5.0, 7.0]), STANDARD_SIGNS, COLUMN, tol=tol)
-
-    @pytest.mark.parametrize("max_cycles", [-1, -5, 2.5, math.nan])
-    def test_rejects_negative_max_cycles(self, max_cycles):
-        a, factor = spd_matrix(default_rng(22))
-        with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
-            run_j_jacobi(a, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
-        with pytest.raises(ValueError, match="max_cycles must be nonnegative"):
-            solve_factored(factor, STANDARD_SIGNS, COLUMN, max_cycles=max_cycles)
+            run_j_jacobi(
+                SymMatrix.from_dense(np.diag([3.0, 2.0, 5.0, 7.0])), STANDARD_SIGNS, COLUMN, tol=tol
+            )
 
     def test_underflowed_off_norm_is_not_taken_as_converged(self):
         # S^2 underflows to 0.0 while max |a_ij| is 6.3e-201: the diagonal
@@ -226,12 +244,6 @@ class TestRunJJacobi:
         # tol = 0 leaves no room for a nonzero off-diagonal entry
         with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
             run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0)
-
-    def test_zero_max_cycles_runs_no_sweep(self):
-        a, _ = spd_matrix(default_rng(22))
-        result = run_j_jacobi(a, STANDARD_SIGNS, COLUMN, max_cycles=0)
-        assert not result.report.converged and result.report.cycles_executed == 0
-        assert result.diagonalized == a and result.report.steps == []
 
     def test_zero_tol_sweeps_to_an_exact_zero_off_norm(self):
         a, _ = spd_matrix(default_rng(21))
@@ -267,7 +279,7 @@ class TestRunJJacobi:
     def test_every_step_annihilates_its_pivot(self):
         rng = default_rng(23)
         a, _ = spd_matrix(rng)
-        result = run_j_jacobi(a, STANDARD_SIGNS, ENTRY[13], tol=1e-13, max_cycles=3)
+        result = run_capped(3, a, STANDARD_SIGNS, ENTRY[13], tol=1e-13)
         dense = a.to_dense()
         for step in result.report.steps[:6]:
             i0, j0 = step.pivot[0] - 1, step.pivot[1] - 1
@@ -368,11 +380,12 @@ class TestEigenFromFactored:
             eigenvalues, _, _ = solve_factored(np.eye(4) * 2.0**510, STANDARD_SIGNS, COLUMN)
         assert eigenvalues.tolist() == [2.0**1020, 2.0**1020, -(2.0**1020), -(2.0**1020)]
 
-    def test_convergence_error_when_budget_too_small(self):
+    def test_convergence_error_when_budget_too_small(self, monkeypatch):
         rng = default_rng(33)
         factor = random_spd_factor(rng)
-        with pytest.raises(ConvergenceError):
-            solve_factored(factor, STANDARD_SIGNS, COLUMN, max_cycles=1)
+        monkeypatch.setattr(jjacobi, "MAX_CYCLES", 1)
+        with pytest.raises(ConvergenceError, match="within MAX_CYCLES = 1 cycles"):
+            solve_factored(factor, STANDARD_SIGNS, COLUMN)
 
 
 class TestProofMonitor:
@@ -415,7 +428,7 @@ class TestProofMonitor:
             monitor_proof_bounds(report, 0.05)
 
     def test_diagonal_run_is_vacuous_pass(self):
-        a = SymMatrix.diag([1.0, 2.0, 3.0, 4.0])
+        a = SymMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
         report = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR).report
         verdict = monitor_proof_bounds(report, 0.05)
         assert verdict.attained and verdict.cascade_ok

@@ -52,7 +52,7 @@ from cyclic_jacobi.jjacobi import (
     solve_factored,
 )
 from cyclic_jacobi.orderings import enumerate_orderings, make_ordering
-from oracles import eager_steps, replayed_transform
+from oracles import eager_steps, pin_12_34, replayed_transform
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -112,7 +112,7 @@ def scalar_path_digest():
     for k, ordering in enumerate(orderings):
         feed_cycles(plain[k % 120], ordering, 6)
     spread = orderings[::45]
-    pinned = random_symmetric_batch(rng, 16, zero_pairs=((1, 2), (3, 4)))
+    pinned = pin_12_34(random_symmetric_batch(rng, 16))
     tied = random_symmetric_batch(rng, 16)
     tied[:, range(4), range(4)] = 0.5
     subnormal = random_symmetric_batch(rng, 16)
@@ -341,7 +341,7 @@ class TestParallelCycleOracle:
         """Each step of a parallel cycle is two consecutive steps of one run_cycles sweep."""
         rng = default_rng(6061)
         mats = np.concatenate([random_symmetric_batch(rng, 12),
-                               random_symmetric_batch(rng, 4, zero_pairs=((1, 2), (3, 4)))])
+                               pin_12_34(random_symmetric_batch(rng, 4))])
         for ordering in anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR):
             for dense in mats:
                 m = SymMatrix.from_dense(dense)
@@ -510,7 +510,7 @@ class TestDimensions:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_run_j_jacobi_with_equal_signs_diagonalizes(self, n):
-        a = random_symmetric(default_rng(900 + n), n=n)
+        a = SymMatrix.from_dense(random_symmetric_batch(default_rng(900 + n), 1, n)[0])
         dense = a.to_dense()
         scale = np.linalg.norm(dense)
         result = run_j_jacobi(a, (1,) * n, _row_major(n), tol=1e-14)

@@ -13,10 +13,11 @@ entries, the per-pivot positions (``_pivot_plan``), the one plane step
 (``_off_norm_packed``), behind ``off_norm`` and the sweep, live here too; the
 vectorized batch kernel is ``driver.batch_sweep``.
 
-``SymMatrix`` holds the packed layout as a tuple of Python floats.  The
-single-matrix paths (``annihilate``, ``off_norm`` and the scalar sweep) copy
-it into a working list with ``_packed_entries`` and build their result from
-that list, with no numpy round trip.
+``SymMatrix`` holds the packed layout as a tuple of Python floats, which
+``from_dense`` fills from the rows of ``_read_dense`` and ``SymMatrix._rows``
+writes out.  The single-matrix paths (``annihilate``, ``off_norm`` and the
+scalar sweep) copy it into a working list with ``_packed_entries`` and build
+their result from that list, with no numpy round trip.
 
 The scalar sweep does only the rotation work: it records each step's
 (c, s, t) and tangent and sums S once, at the end of the sweep.  The S
@@ -30,7 +31,9 @@ needed for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,10 +57,6 @@ SYMMETRY_RTOL = 1e-12
 SWEEP_GROWTH_LIMIT = 2.0**510  # below this, S times a sweep's growth bound keeps every S^2 finite
 
 
-def _packed_size(n: int) -> int:
-    return n * (n + 1) // 2
-
-
 # --- packed layout -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -73,15 +72,6 @@ def _packed_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int
     for k, (r, c) in enumerate(entries):
         pos[r][c] = pos[c][r] = k
     return tuple(entries), tuple(map(tuple, pos))
-
-
-@lru_cache(maxsize=None)
-def _layout_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and the columns of the packed entries, as read-only index arrays."""
-    rows, cols = np.array(_packed_layout(n)[0]).T
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
 
 
 @lru_cache(maxsize=None)
@@ -111,18 +101,33 @@ def _scaled_norm(x: np.ndarray) -> float:
     return norm
 
 
-def _real_array(arr) -> np.ndarray:
-    """``arr`` as a float array; ``ValueError`` for complex or text entries, which the cast
-    would truncate to their real part or parse."""
+def _real_array(arr, what: str) -> np.ndarray:
+    """``arr`` as a float array; ``ValueError`` naming ``what`` for entries that are not real
+    numbers (complex, text, or an object array holding either), which the cast would
+    truncate to their real part or parse."""
     a = np.asarray(arr)
-    if a.dtype.kind in "cSU":
-        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
+    kind = a.dtype.kind
+    if kind not in "biufO" or kind == "O" and not all(isinstance(x, numbers.Real) for x in a.flat):
+        raise ValueError(f"{what} entries must be real numbers, got dtype {a.dtype}")
     return a.astype(float, copy=False)
 
 
 def _check_dimension(n: int) -> None:
     if not MIN_DIM <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}], got {n}")
+
+
+def _read_dense(arr, what: str) -> tuple[np.ndarray, list[list[float]]]:
+    """The one reader of dense input: ``arr`` as a float array and as rows of Python floats;
+    ``ValueError`` naming ``what`` unless it is real, square, of a legal dimension and finite."""
+    a = _real_array(arr, what)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square {what}, got shape {a.shape}")
+    _check_dimension(a.shape[0])
+    rows = a.tolist()
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        raise ValueError(f"{what} entries must be finite")
+    return a, rows
 
 
 class SymMatrix:
@@ -138,14 +143,15 @@ class SymMatrix:
 
     def __init__(self, n: int, packed):
         _check_dimension(n)
+        size = n * (n + 1) // 2
         try:
             # Python numbers, or rows if an array is not 1-D
             values = list(packed.tolist() if isinstance(packed, np.ndarray) else packed)
             finite = all(map(math.isfinite, values))  # unlike float(), rejects text and complex
         except TypeError:  # not a flat sequence of real numbers
             values, finite = [], True
-        if len(values) != _packed_size(n):
-            raise ValueError(f"packed storage must have length {_packed_size(n)}, all real numbers")
+        if len(values) != size:
+            raise ValueError(f"packed storage must have length {size}, all real numbers")
         if not finite:
             raise ValueError("matrix entries must be finite")
         self.n = n
@@ -154,25 +160,18 @@ class SymMatrix:
     @classmethod
     def from_dense(cls, arr) -> "SymMatrix":
         """Build from a full square array, rejecting asymmetry beyond ``SYMMETRY_RTOL``."""
-        a = _real_array(arr)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        _check_dimension(n)
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        scale = float(np.abs(a).max())
-        if scale < 2.0**1023:  # then |a_ij - a_ji| cannot overflow
-            gap = float(np.abs(a - a.T).max())
-        else:
-            with np.errstate(over="ignore"):
-                gap = float(np.abs(a - a.T).max())
+        _, rows = _read_dense(arr, "matrix")
+        n = len(rows)
+        entries = _packed_layout(n)[0]
+        scale = max(map(abs, itertools.chain.from_iterable(rows)))
+        # Python floats: an overflowing a_ij - a_ji is inf, with no warning
+        gap = max(abs(rows[r][c] - rows[c][r]) for r, c in entries[:n * (n - 1) // 2])
         if gap > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(
                 f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "
                 f"exceeds {SYMMETRY_RTOL:.0e} relative"
             )
-        return cls(n, a[_layout_indices(n)])
+        return cls(n, [rows[r][c] for r, c in entries])
 
     def entry(self, r: int, s: int) -> float:
         """Entry at 1-based position (r, s); symmetric lookup."""
@@ -180,12 +179,12 @@ class SymMatrix:
             raise IndexError(f"index ({r}, {s}) out of range for n={self.n}")
         return self._packed[_packed_layout(self.n)[1][r - 1][s - 1]]
 
+    def _rows(self) -> list[list[float]]:
+        """The one writer of dense output: the rows, as lists of the stored floats."""
+        return [[self._packed[k] for k in row] for row in _packed_layout(self.n)[1]]
+
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rows, cols = _layout_indices(self.n)
-        out[rows, cols] = self._packed
-        out[cols, rows] = self._packed
-        return out
+        return np.array(self._rows())
 
     def diagonal(self) -> np.ndarray:
         return np.array(self._packed[self.n * (self.n - 1) // 2:])
@@ -200,10 +199,7 @@ class SymMatrix:
         return self.n == other.n and self._packed == other._packed
 
     def __repr__(self) -> str:
-        rows = ", ".join(
-            "[" + " ".join(f"{self.entry(r, s):.6g}" for s in range(1, self.n + 1)) + "]"
-            for r in range(1, self.n + 1)
-        )
+        rows = ", ".join("[" + " ".join(f"{v:.6g}" for v in row) + "]" for row in self._rows())
         return f"SymMatrix({self.n}, {rows})"
 
 
@@ -433,9 +429,7 @@ def parse_matrix(text: str) -> SymMatrix:
 
 
 def format_matrix(m: SymMatrix) -> str:
-    dense = m.to_dense()
-    lines = [" ".join(repr(v) for v in row) for row in dense.tolist()]
-    return "\n".join(lines) + "\n"
+    return "".join(" ".join(map(repr, row)) + "\n" for row in m._rows())
 
 
 def read_matrix_file(path) -> SymMatrix:

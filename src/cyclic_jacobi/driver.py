@@ -48,9 +48,10 @@ import numpy as np
 from .core import (
     SymMatrix,
     _check_cycles,
-    _layout_indices,
+    _check_dimension,
     _off_norm_packed,
     _packed_entries,
+    _packed_layout,
     _pivot_plan,
     _real_array,
     _rotation_params,
@@ -232,6 +233,15 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
 
 # --- batch kernel -------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _layout_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns of the packed entries, as read-only index arrays."""
+    rows, cols = np.array(_packed_layout(n)[0]).T
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 @dataclass
 class BatchSweep:
     """Vectorized sweep result for a batch of matrices.
@@ -362,10 +372,11 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     not finite (entries beyond about 1e154 overflow it).
     """
     cycles = _check_cycles("cycles", cycles)
-    a = _real_array(mats)
+    a = _real_array(mats, "matrix")
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (m, n, n) stack, got shape {a.shape}")
     n = a.shape[1]
+    _check_dimension(n)
     if n != ordering.n:
         raise ValueError(f"matrix dimension {n} does not match ordering n={ordering.n}")
     if not np.isfinite(a).all():

@@ -44,6 +44,7 @@ from .core import (
     _off_norm_packed,
     _packed_entries,
     _pivot_plan,
+    _read_dense,
     _rotation_params,
     _step_off_norms,
     _sweep,
@@ -297,17 +298,10 @@ def solve_factored(
     eigenvector basis is L F Lambda^{-1/2} (up to column signs).  Returns
     (eigenvalues, eigenvectors, solver result) in position order.  Raises
     ``IllConditionedError`` for a singular L or cond(L) above
-    ``CONDITION_LIMIT``, and ``ValueError`` for entries that are not finite
-    or a largest singular value of 2**511 or more, before L^T L is formed.
+    ``CONDITION_LIMIT``, and ``ValueError`` for a factor ``core._read_dense``
+    rejects or a largest singular value of 2**511 or more, before L^T L is formed.
     """
-    ell = np.asarray(factor, dtype=float)
-    if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
-        raise ValueError(f"factor must be square, got shape {ell.shape}")
-    signs = sign_diagonal(signs)
-    if len(signs) != ell.shape[0]:
-        raise ValueError("sign diagonal length must match the factor size")
-    if not np.isfinite(ell).all():
-        raise ValueError("factor entries must be finite")
+    ell, _ = _read_dense(factor, "factor")
     sv = np.linalg.svd(ell, compute_uv=False).tolist()  # the one SVD of np.linalg.cond
     cond = sv[0] / sv[-1] if sv[-1] else math.inf
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -326,7 +320,7 @@ def solve_factored(
     lam = result.diagonalized.diagonal()
     if (lam <= 0.0).any():
         raise HyperbolicBreakdownError("diagonalized A is not positive; pair not definite")
-    eigenvalues = np.array(signs, dtype=float) * lam
+    eigenvalues = np.array(result.report.signs, dtype=float) * lam
     eigenvectors = ell @ result.transform / np.sqrt(lam)[None, :]
     return eigenvalues, eigenvectors, result
 

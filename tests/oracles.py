@@ -18,6 +18,7 @@ from cyclic_jacobi.classification import (
     _relabeled_serial_index,
 )
 from cyclic_jacobi.core import (
+    SYMMETRY_RTOL,
     SymMatrix,
     _off_norm_packed,
     _packed_entries,
@@ -64,6 +65,39 @@ def embed(rot, n):
     out[i0, i0] = out[j0, j0] = rot.c
     out[i0, j0] = -rot.s
     out[j0, i0] = rot.s
+    return out
+
+
+def layout_indices(n):
+    """The rows and the columns of the packed layout (strictly upper entries row by row,
+    then the diagonal), from numpy's triangle indices."""
+    upper_rows, upper_cols = np.triu_indices(n, 1)
+    diagonal = np.arange(n)
+    return np.concatenate([upper_rows, diagonal]), np.concatenate([upper_cols, diagonal])
+
+
+def numpy_from_dense(a):
+    """(packed entries, None) for a finite square float array within ``SYMMETRY_RTOL`` of
+    symmetric, gathered as ``a[rows, cols]``; else (None, the ``ValueError`` message of
+    ``SymMatrix.from_dense``).  The checks are numpy's, over the whole array."""
+    if not np.isfinite(a).all():
+        return None, "matrix entries must be finite"
+    scale = float(np.abs(a).max())
+    with np.errstate(over="ignore"):
+        gap = float(np.abs(a - a.T).max())
+    if gap > SYMMETRY_RTOL * max(scale, 1e-300):
+        return None, (f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "
+                      f"exceeds {SYMMETRY_RTOL:.0e} relative")
+    return a[layout_indices(len(a))], None
+
+
+def numpy_to_dense(n, packed):
+    """The dense n-by-n array of ``packed``, scattered as ``out[rows, cols] = p`` and
+    ``out[cols, rows] = p``."""
+    rows, cols = layout_indices(n)
+    out = np.zeros((n, n))
+    out[rows, cols] = packed
+    out[cols, rows] = packed
     return out
 
 

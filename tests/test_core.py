@@ -10,15 +10,15 @@ from hypothesis.extra.numpy import arrays
 from cyclic_jacobi.core import (
     PlaneRotation,
     SymMatrix,
-    _layout_indices,
     _packed_entries,
+    _packed_layout,
     annihilate,
     format_matrix,
     off_norm,
     parse_matrix,
     rotation_for_pivot,
 )
-from oracles import embed, spectrum, two_sided
+from oracles import embed, numpy_from_dense, numpy_to_dense, spectrum, two_sided
 
 
 EPS = np.finfo(float).eps
@@ -47,6 +47,30 @@ PIVOT_AMONG_TINY[0, 1] = PIVOT_AMONG_TINY[1, 0] = 1.5
 
 # subnormal, moderate and huge magnitudes, each in either sign
 EXTREMES = st.one_of(signed(SUBNORMAL, 2.0**-1022), signed(1e-3, 1e3), signed(1e200, 1e300))
+
+
+# entries for the dense conversions: signed zeros, subnormals, moderate values and
+# +-1.7e308, whose asymmetric pairs overflow a_ij - a_ji
+CONVERSION_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308]), signed(SUBNORMAL, 2.0**-1022), signed(1e-3, 1e3),
+)
+
+
+@st.composite
+def dense_inputs(draw):
+    """A square array of ``CONVERSION_ENTRIES``, mirrored but for up to two drawn lower
+    entries (each redrawn or one ulp from its mirror) and perhaps one non-finite entry."""
+    n = draw(st.integers(2, 16))
+    a = draw(arrays(np.float64, (n, n), elements=CONVERSION_ENTRIES))
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    index = st.integers(0, n - 1)
+    for r, c in draw(st.lists(st.tuples(index, index), max_size=2)):
+        a[r, c] = draw(st.one_of(CONVERSION_ENTRIES, st.just(np.nextafter(a[c, r], np.inf))))
+    bad = draw(st.sampled_from([None, None, None, np.inf, -np.inf, np.nan]))
+    if bad is not None:
+        a[draw(index), draw(index)] = bad
+    return a
 
 
 def rotated_pivot_bound(aii, ajj, aij, rot):
@@ -84,12 +108,12 @@ class TestSymMatrix:
             SymMatrix.from_dense([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_dimension_limits(self):
-        cached = _layout_indices.cache_info().currsize
+        cached = _packed_layout.cache_info().currsize
         with pytest.raises(ValueError):
             SymMatrix.from_dense([[1.0]])
         with pytest.raises(ValueError):
             SymMatrix.from_dense(np.eye(17))
-        assert _layout_indices.cache_info().currsize == cached  # rejected before a layout is built
+        assert _packed_layout.cache_info().currsize == cached  # rejected before a layout is built
         with pytest.raises(ValueError, match="dimension"):
             SymMatrix.from_dense(np.zeros((0, 0)))
         with pytest.raises(ValueError, match="dimension"):
@@ -124,12 +148,37 @@ class TestSymMatrix:
 
     @pytest.mark.parametrize("dense", [
         [[1.0, 0.5j], [0.5j, 2.0]], np.eye(2, dtype=complex), [["1", "2"], ["2", "3"]],
-    ], ids=["complex", "complex-real-valued", "text"])
+        np.array([["1", "0.5"], ["0.5", "1"]], dtype=object),
+        np.array([[1.0, 0.5j], [0.5j, 2.0]], dtype=object),
+    ], ids=["complex", "complex-real-valued", "text", "object-text", "object-complex"])
     def test_from_dense_rejects_complex_and_text(self, dense):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no ComplexWarning on the way
             with pytest.raises(ValueError, match="must be real numbers"):
                 SymMatrix.from_dense(dense)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_inputs())
+    @example(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
+    @example(np.array([[-0.0, 1.7e308], [np.nextafter(1.7e308, 0.0), SUBNORMAL]]))
+    @example(np.array([[-0.0, -0.0, 1.0], [-0.0, 2.0, -SUBNORMAL], [1.0, -SUBNORMAL, -0.0]]))
+    def test_conversion_matches_numpy_oracle(self, dense):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            packed, message = numpy_from_dense(dense)
+            if message is not None:
+                with pytest.raises(ValueError) as info:
+                    SymMatrix.from_dense(dense)
+                assert str(info.value) == message
+                return
+            m = SymMatrix.from_dense(dense)
+            scattered = numpy_to_dense(m.n, packed)
+            assert np.array(_packed_entries(m)).tobytes() == packed.tobytes()
+            assert m.to_dense().tobytes() == scattered.tobytes()
+            rows = scattered.tolist()
+            assert format_matrix(m) == "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+            assert repr(m) == f"SymMatrix({m.n}, " + ", ".join(
+                "[" + " ".join(f"{v:.6g}" for v in row) + "]" for row in rows) + ")"
 
     def test_from_dense_rejects_infinite_before_asymmetry(self):
         with warnings.catch_warnings():

@@ -279,12 +279,16 @@ class TestBatchSweep:
             campaign_cells_for_ordering(COLUMN, mats, ("classified", "universal"))
 
     def test_rejects_complex_entries(self):
-        # a cast to float would keep the real parts, whose S is 0
-        mats = np.array([[[1.0, 0.5j], [0.5j, 2.0]]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # and no ComplexWarning on the way
-            with pytest.raises(ValueError, match="must be real numbers"):
-                batch_sweep(mats, make_ordering([(1, 2)]), 1)
+        # a cast to float would keep the real parts, whose S is 0, or parse the text
+        for mats in (
+            np.array([[[1.0, 0.5j], [0.5j, 2.0]]]),
+            np.array([[[1.0, 0.5j], [0.5j, 2.0]]], dtype=object),
+            np.array([[["1", "0.5"], ["0.5", "2"]]], dtype=object),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # and no ComplexWarning on the way
+                with pytest.raises(ValueError, match="must be real numbers"):
+                    batch_sweep(mats, make_ordering([(1, 2)]), 1)
 
     def test_retired_matrices_keep_the_bits_they_get_alone(self):
         # retirement must only skip work: a diagonal matrix retires at once;
@@ -345,6 +349,11 @@ class TestBatchSweep:
             assert sweep.finals[k].tobytes() == single.finals[0].tobytes(), k
         assert sweep.identity_violation == max(single.identity_violation for single in alone)
         assert sweep.monotonicity_excess == max(single.monotonicity_excess for single in alone)
+
+    def test_rejects_dimension_above_16(self):
+        ordering = make_ordering([(r, c) for r in range(1, 18) for c in range(r + 1, 18)])
+        with pytest.raises(ValueError, match=r"dimension must be in \[2, 16\], got 17"):
+            batch_sweep(np.eye(17)[None], ordering, 1)
 
     def test_rejects_empty_stack(self):
         with pytest.raises(ValueError, match="at least one matrix"):

@@ -363,6 +363,17 @@ class TestEigenFromFactored:
             solve_factored(factor, STANDARD_SIGNS, COLUMN)
         assert type(info.value) is ValueError
 
+    @pytest.mark.parametrize("factor, signs, ordering", [
+        (random_spd_factor(default_rng(3)) + np.eye(4, k=1) * 0.5j, STANDARD_SIGNS, COLUMN),
+        (np.array([["1", "0"], ["0", "1"]]), (1, -1), PAIR),
+        (np.array([["2", 0.0], [0.0, 1.0]], dtype=object), (1, -1), PAIR),
+    ], ids=["complex", "text", "object-text"])
+    def test_rejects_complex_and_text_factors(self, factor, signs, ordering):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no ComplexWarning on the way
+            with pytest.raises(ValueError, match="factor entries must be real numbers"):
+                solve_factored(factor, signs, ordering)
+
     def test_rejects_a_factor_whose_square_overflows(self):
         # entries near 1e160: L^T L would overflow, and numpy would warn while forming it
         factor = random_spd_factor(default_rng(3)) * 1e160

@@ -164,13 +164,22 @@ class Bound:
 UNIVERSAL_BOUND = Bound(PARALLEL_GAMMA, 3, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassificationRecord:
     """An ordering's class and bound; equality and hashing ignore the certificate."""
 
     ordering: PivotOrdering
     label: Label
     bound: Bound
+
+    def __init__(self, ordering: PivotOrdering, label: Label, bound: Bound) -> None:
+        # The generated frozen __init__ makes one object.__setattr__ call per
+        # field, most of a classify call; writing the instance dict directly
+        # keeps the record frozen (assignment still raises FrozenInstanceError).
+        fields = self.__dict__
+        fields["ordering"] = ordering
+        fields["label"] = label
+        fields["bound"] = bound
 
     @cached_property
     def certificate(self) -> Certificate:
@@ -277,7 +286,8 @@ def classify(o: PivotOrdering) -> ClassificationRecord:
     entry = _class_table().get(o.pairs)
     if entry is None:
         raise ClassificationError(f"ordering {o} matched no class; case analysis falsified")
-    return ClassificationRecord(o, *entry)
+    label, bound = entry
+    return ClassificationRecord(o, label, bound)
 
 
 def _certificate(o: PivotOrdering, label: Label) -> Certificate:

@@ -104,12 +104,20 @@ def _scaled_norm(x: np.ndarray) -> float:
 def _real_array(arr, what: str) -> np.ndarray:
     """``arr`` as a float array; ``ValueError`` naming ``what`` for entries that are not real
     numbers (complex, text, or an object array holding either), which the cast would
-    truncate to their real part or parse."""
+    truncate to their real part or parse, and for a Python int beyond the float range.
+    A wider float beyond the float64 range becomes inf without a warning, for the
+    caller's finiteness check to reject."""
     a = np.asarray(arr)
     kind = a.dtype.kind
     if kind not in "biufO" or kind == "O" and not all(isinstance(x, numbers.Real) for x in a.flat):
         raise ValueError(f"{what} entries must be real numbers, got dtype {a.dtype}")
-    return a.astype(float, copy=False)
+    if kind == "f" and a.dtype.itemsize > 8:
+        with np.errstate(over="ignore"):
+            return a.astype(float)
+    try:
+        return a.astype(float, copy=False)
+    except OverflowError:  # an object array holding an int that no float can hold
+        raise ValueError(f"{what} entries must be finite") from None
 
 
 def _check_dimension(n: int) -> None:
@@ -150,6 +158,8 @@ class SymMatrix:
             finite = all(map(math.isfinite, values))  # unlike float(), rejects text and complex
         except TypeError:  # not a flat sequence of real numbers
             values, finite = [], True
+        except OverflowError:  # an int that no float can hold
+            finite = False
         if len(values) != size:
             raise ValueError(f"packed storage must have length {size}, all real numbers")
         if not finite:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,7 @@ from cyclic_jacobi.orderings import (
     cyclic_shift,
     enumerate_orderings,
     make_ordering,
+    permute,
     replay,
     reverse,
 )
@@ -185,6 +187,16 @@ class TestClassify:
                 counts["parallel"] += 1
         assert counts == {"serial": 48, "generalized": 576, "parallel": 96}
 
+    def test_bounds_survive_relabeling_and_reversal(self):
+        # the label kind may change (a serial template's relabeling is
+        # generalized serial), so only the bound is compared
+        relabelings = list(itertools.permutations(range(1, 5)))
+        for o in enumerate_orderings(4):
+            bound = classify(o).bound
+            assert classify(reverse(o)).bound == bound, o
+            for q in relabelings:
+                assert classify(permute(o, q)).bound == bound, (o, q)
+
     def test_every_ordering_is_one_shift_from_a_first_pivot_12_start(self):
         c0 = {o.pairs for o in c0_orderings()}
         for o in enumerate_orderings(4):
@@ -310,6 +322,17 @@ class TestCertificateOnRead:
         assert replay(record.certificate) == PAR_ANCHOR
         assert record == twin and hash(record) == before
         assert [f.name for f in dataclasses.fields(record)] == ["ordering", "label", "bound"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.label = GeneralizedSerial(1)
+        assert record == twin
+        # a replaced record reads its own certificate, not the one cached on the original
+        mislabeled = dataclasses.replace(record, label=GeneralizedSerial(1))
+        assert mislabeled != record and mislabeled.ordering == record.ordering
+        with pytest.raises(ClassificationError, match="does not reach a serial template"):
+            mislabeled.certificate
+        again = dataclasses.replace(record)
+        assert again == record and again.certificate == record.certificate
+        assert again.certificate is not record.certificate
 
     @pytest.mark.parametrize("index, message", [
         (21, "does not reach a serial template"),

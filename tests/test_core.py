@@ -131,7 +131,8 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="packed storage must have length 10"):
             SymMatrix(4, packed)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int-beyond-float"])
     def test_packed_storage_must_be_finite(self, bad):
         packed = [1.0] * 10
         packed[3] = bad
@@ -179,6 +180,16 @@ class TestSymMatrix:
             assert format_matrix(m) == "".join(" ".join(map(repr, row)) + "\n" for row in rows)
             assert repr(m) == f"SymMatrix({m.n}, " + ", ".join(
                 "[" + " ".join(f"{v:.6g}" for v in row) + "]" for row in rows) + ")"
+
+    @pytest.mark.parametrize("dense", [
+        [[1, 10**400], [10**400, 1]],
+        np.array([[1, 2], [2, 1]], dtype=np.longdouble) * np.longdouble("1e400"),
+    ], ids=["int", "longdouble"])
+    def test_from_dense_rejects_entries_beyond_the_float_range(self, dense):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "overflow encountered in cast"
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                SymMatrix.from_dense(dense)
 
     def test_from_dense_rejects_infinite_before_asymmetry(self):
         with warnings.catch_warnings():

@@ -290,6 +290,16 @@ class TestBatchSweep:
                 with pytest.raises(ValueError, match="must be real numbers"):
                     batch_sweep(mats, make_ordering([(1, 2)]), 1)
 
+    @pytest.mark.parametrize("mats", [
+        np.array([[[1, 10**400], [10**400, 1]]], dtype=object),
+        np.array([[[1, 2], [2, 1]]], dtype=np.longdouble) * np.longdouble("1e400"),
+    ], ids=["int", "longdouble"])
+    def test_rejects_entries_beyond_the_float_range(self, mats):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "overflow encountered in cast"
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                batch_sweep(mats, make_ordering([(1, 2)]), 1)
+
     def test_retired_matrices_keep_the_bits_they_get_alone(self):
         # retirement must only skip work: a diagonal matrix retires at once;
         # a -0.0 on the diagonal must still be swept to +0.0; entries near

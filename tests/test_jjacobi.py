@@ -374,6 +374,13 @@ class TestEigenFromFactored:
             with pytest.raises(ValueError, match="factor entries must be real numbers"):
                 solve_factored(factor, signs, ordering)
 
+    def test_rejects_a_longdouble_factor_beyond_the_float_range(self):
+        factor = np.eye(2, dtype=np.longdouble) * np.longdouble("1e400")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "overflow encountered in cast"
+            with pytest.raises(ValueError, match="factor entries must be finite"):
+                solve_factored(factor, (1, -1), PAIR)
+
     def test_rejects_a_factor_whose_square_overflows(self):
         # entries near 1e160: L^T L would overflow, and numpy would warn while forming it
         factor = random_spd_factor(default_rng(3)) * 1e160

@@ -154,25 +154,47 @@ class SweepReport:
         return steps
 
 
+def _decrement_error(s2: np.ndarray, pivots_sq) -> float:
+    """The largest relative gap of S^2 after a step (``s2[1:]``) from S^2 before it less pivot^2."""
+    gap = np.abs(s2[1:] - (s2[:-1] - pivots_sq)) / np.maximum(s2[:-1], OFF_NORM_FLOOR)
+    return float(gap.max(initial=0.0))
+
+
+def _cycle_growth(norms: np.ndarray) -> float:
+    """The largest relative growth of S from one cycle boundary to the next; -inf with none."""
+    growth = (norms[1:] - norms[:-1]) / np.maximum(norms[:-1], OFF_NORM_FLOOR)
+    return float(growth.max(initial=-np.inf))
+
+
+def _s2_checks(identity: float, growth: float) -> tuple[bool, str]:
+    """Whether both of a run's S^2 checks pass their limits, and the stderr text reporting them."""
+    ok = identity <= IDENTITY_RTOL and growth <= MONOTONICITY_RTOL
+    text = (f"S^2 checks: decrement identity {identity:.3g} (limit {IDENTITY_RTOL:.0e}),"
+            f" cycle growth {growth:.3g} (limit {MONOTONICITY_RTOL:.0e})\n")
+    return ok, text if ok else text + "S^2 checks failed: the sweep arithmetic is not trustworthy\n"
+
+
+def _report_checks(report: SweepReport) -> tuple[float, float]:
+    """The decrement-identity error over the steps of a single-matrix run, and its cycle growth."""
+    steps = report.steps
+    s2 = np.square([[st.s_before for st in steps], [st.s_after for st in steps]])
+    identity = _decrement_error(s2, [sum(v * v for v in st.values) for st in steps])
+    return identity, _cycle_growth(np.array(report.cycle_off_norms))
+
+
 def verify_step_identities(report: SweepReport) -> float:
     """Largest relative violation of S^2 drop == sum of squared pivots, at most IDENTITY_RTOL."""
-    worst = 0.0
-    for rec in report.steps:
-        expected = rec.s_before**2 - sum(v * v for v in rec.values)
-        scale = max(rec.s_before**2, OFF_NORM_FLOOR)
-        worst = max(worst, abs(rec.s_after**2 - expected) / scale)
-    if worst > IDENTITY_RTOL:
+    worst = _report_checks(report)[0]
+    if not _s2_checks(worst, 0.0)[0]:
         raise AssertionError(f"step decrement identity violated: {worst:.3e} > {IDENTITY_RTOL}")
     return worst
 
 
-def verify_cycle_monotonicity(report: SweepReport) -> None:
-    norms = report.cycle_off_norms
-    for t in range(len(norms) - 1):
-        if norms[t + 1] > norms[t] * (1.0 + MONOTONICITY_RTOL):
-            raise AssertionError(
-                f"off-norm grew across cycle {t}: {norms[t]:.17g} -> {norms[t + 1]:.17g}"
-            )
+def verify_cycle_monotonicity(report) -> None:
+    """``AssertionError`` when S grows across a cycle of ``report`` beyond MONOTONICITY_RTOL."""
+    growth = _cycle_growth(np.array(report.cycle_off_norms))
+    if not _s2_checks(0.0, growth)[0]:
+        raise AssertionError(f"off-norm grew across a cycle: {growth:.3e} > {MONOTONICITY_RTOL}")
 
 
 # --- scalar kernel ------------------------------------------------------------
@@ -334,8 +356,7 @@ def _batch_sweeper(n: int, plan: list, e: np.ndarray) -> tuple[Callable[[], floa
             pivot.fill(0.0)
             after[...] = e_off
         np.add.reduce(np.square(offs, out=offs), axis=1, out=s2)  # offs[pivots] are squares now
-        dev = np.abs(s2[1:] - (s2[:-1] - offs[pivots])) / np.maximum(s2[:-1], OFF_NORM_FLOOR)
-        return float(dev.max())
+        return _decrement_error(s2, offs[pivots])
 
     return sweep, s2
 
@@ -407,9 +428,7 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
             identity_violation = max(identity_violation, deviation)
             off[t + 1] = s2[-1, :m]
     np.sqrt(off, out=off)
-    growth = (off[1:] - off[:-1]) / np.maximum(off[:-1], OFF_NORM_FLOOR)
-    monotonicity_excess = float(growth.max()) if cycles else -np.inf
-    return BatchSweep(off, identity_violation, monotonicity_excess, e[:, :m])
+    return BatchSweep(off, identity_violation, _cycle_growth(off), e[:, :m])
 
 
 def _check_finite_s2(s2: np.ndarray, cycle: int) -> None:
@@ -578,15 +597,9 @@ def verification_campaign(
         raise ValueError("need at least one ordering")
     rng = default_rng(seed)
     mats = random_symmetric_batch(rng, samples, n=4)
-    cells: list[CampaignCell] = []
-    identity_violation = 0.0
-    monotonicity_excess = -np.inf
     per_ordering = partial(campaign_cells_for_ordering, mats=mats, modes=modes)
-    for new_cells, ident, mono in map_fn(per_ordering, orderings):
-        cells.extend(new_cells)
-        identity_violation = max(identity_violation, ident)
-        monotonicity_excess = max(monotonicity_excess, mono)
+    cell_lists, identity, growth = zip(*map_fn(per_ordering, orderings))
+    cells = [cell for new_cells in cell_lists for cell in new_cells]
     return CampaignReport(
-        seed, samples, f"{RNG_ALGORITHM}({seed})", cells,
-        identity_violation, monotonicity_excess,
+        seed, samples, f"{RNG_ALGORITHM}({seed})", cells, max(identity), max(growth)
     )

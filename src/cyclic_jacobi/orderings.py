@@ -137,16 +137,12 @@ def reverse(o: PivotOrdering) -> PivotOrdering:
     return PivotOrdering(o.n, tuple(reversed(o.pairs)))
 
 
-def _disjoint(a: Pair, b: Pair) -> bool:
-    return not (set(a) & set(b))
-
-
 def admissible_transpose(o: PivotOrdering, r: int) -> PivotOrdering:
     """Swap elements r and r+1 (0-based); the two pairs must be disjoint."""
     if not 0 <= r < len(o.pairs) - 1:
         raise IndexError(f"transpose position {r} out of range")
     a, b = o.pairs[r], o.pairs[r + 1]
-    if not _disjoint(a, b):
+    if a[0] in b or a[1] in b:
         raise NotAdmissibleError(f"pairs {a} and {b} share an index; transpose not admissible")
     seq = list(o.pairs)
     seq[r], seq[r + 1] = b, a

@@ -47,6 +47,10 @@ VERIFY_ALL = [
 ]
 # sha256 of the stdout of VERIFY_ALL: header and 1440 rows, both bounds of all 720 orderings.
 VERIFY_ALL_SHA256 = "1a881162754e694c2718e16b079be270524cdf2a9fe94ab202597e7ded9ca88b"
+# The stderr of VERIFY_ALL: the worst S^2 check values of the batch kernel over the campaign.
+VERIFY_ALL_STDERR = (
+    "S^2 checks: decrement identity 9.53e-16 (limit 1e-13), cycle growth 0 (limit 1e-14)\n"
+)
 
 # An unsorted ordering list with a blank line and a duplicate.
 PAR = "1 2, 3 4, 1 3, 2 4, 1 4, 2 3"
@@ -62,6 +66,10 @@ VERIFY_LIST_ROWS_SHA256 = "5495e0eebff4ccdf60ca011af13ca5419b5110f99e300b8d94d6d
 # on JSOLVE_MONITOR_ARGS: the two commands that read every step of their reports.
 SOLVE_ARGS = ["--ordering", "1 2, 1 3, 2 3, 1 4, 2 4, 3 4", "--cycles", "4"]
 SOLVE_REPORT_SHA256 = "e95f1844da5a86cce5900c1326dd3c2a48802433870d0554a82e3d0b45ad791b"
+# and the stderr of that `cjacobi solve`: S shrinks by at least 76.8 % each cycle
+SOLVE_STDERR = (
+    "S^2 checks: decrement identity 4.67e-16 (limit 1e-13), cycle growth -0.768 (limit 1e-14)\n"
+)
 JSOLVE_MONITOR_ARGS = [
     "--J", "+1 +1 -1 -1", "--ordering", "1 3, 2 4, 1 4, 2 3, 1 2, 3 4", "--monitor", "0.05",
 ]
@@ -182,11 +190,12 @@ class TestSolveCommand:
         assert all(v == 0.0 for v in payload["cycle_off_norms"])
         assert payload["final_diagonal"] == [1.0, 2.0, 3.0, 4.0]
 
-    def test_report_matches_recorded_digest(self, random_matrix_file, tmp_path):
+    def test_report_matches_recorded_digest(self, random_matrix_file, tmp_path, capsys):
         report = tmp_path / "run.json"
         assert main(["solve", "--matrix", random_matrix_file, *SOLVE_ARGS,
                      "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == SOLVE_REPORT_SHA256
+        assert capsys.readouterr().err == SOLVE_STDERR
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(
@@ -410,14 +419,16 @@ class TestVerifyCommand:
         assert len(out.read_text().splitlines()) == 4
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("args, digest", [
-        (VERIFY_C0, VERIFY_C0_SHA256),
-        (VERIFY_ALL, VERIFY_ALL_SHA256),
+    @pytest.mark.parametrize("args, digest, err", [
+        (VERIFY_C0, VERIFY_C0_SHA256, None),
+        (VERIFY_ALL, VERIFY_ALL_SHA256, VERIFY_ALL_STDERR),
     ], ids=["c0", "all"])
-    def test_verify_report_matches_recorded_digest(self, capsys, args, digest, jobs):
+    def test_verify_report_matches_recorded_digest(self, capsys, args, digest, err, jobs):
         assert main(args + ["--jobs", jobs]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        if err is not None:
+            assert captured.err == err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_list_rows_in_enumeration_order_with_duplicates(self, tmp_path, capsys, jobs):
@@ -462,6 +473,16 @@ class TestVerifyCommand:
         assert captured.err.startswith(
             f"input error: --orderings {selection[0]} takes no further tokens"
         )
+
+    @pytest.mark.parametrize("selection, message", [
+        (["list"], "--orderings list needs a file path"),
+        (["bogus"], "unknown ordering selection ['bogus']"),
+    ], ids=["list-without-path", "unknown"])
+    def test_bad_ordering_selection_is_input_error(self, capsys, selection, message):
+        assert main(["verify", "--seed", "1", "--samples", "2", "--orderings", *selection]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n"
+        assert captured.out == ""
 
     def test_missing_seed_is_usage_error(self):
         assert main(["verify", "--samples", "5"]) == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cyclic_jacobi.driver as drivermod
 from cyclic_jacobi.cli import main
-from cyclic_jacobi.core import SymMatrix, annihilate, off_norm
+from cyclic_jacobi.core import SymMatrix, annihilate, format_matrix, off_norm
 from cyclic_jacobi.classification import (
     PAR_ANCHOR,
     PAR_ANCHOR_MIRROR,
@@ -203,6 +203,10 @@ class TestRunCycles:
         m = SymMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             run_cycles(m, COLUMN, 1)
+        with pytest.raises(ValueError, match="does not match ordering n=4"):
+            batch_sweep(m.to_dense()[None], COLUMN, 1)
+        with pytest.raises(ValueError, match="parallel execution is defined for n=4"):
+            run_parallel_cycle(m, make_ordering([(1, 2), (1, 3), (2, 3)]))
 
     @pytest.mark.parametrize("cycles", [2.5, math.nan, -1])
     def test_rejects_a_cycle_count_that_is_not_a_nonnegative_integer(self, cycles):
@@ -365,6 +369,11 @@ class TestBatchSweep:
         with pytest.raises(ValueError, match=r"dimension must be in \[2, 16\], got 17"):
             batch_sweep(np.eye(17)[None], ordering, 1)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3), (1, 2, 4, 4)])
+    def test_rejects_a_stack_that_is_not_m_n_n(self, shape):
+        with pytest.raises(ValueError, match=r"expected a \(m, n, n\) stack"):
+            batch_sweep(np.zeros(shape), COLUMN, 1)
+
     def test_rejects_empty_stack(self):
         with pytest.raises(ValueError, match="at least one matrix"):
             batch_sweep(np.zeros((0, 4, 4)), COLUMN, 1)
@@ -483,6 +492,44 @@ class TestKernelMutations:
         wrap_rotations(monkeypatch, MUTATIONS["scaled-c"])
         assert main(args) == 3
         assert "S^2 checks failed" in capsys.readouterr().err
+
+    def test_scalar_checks_catch_a_scaled_cosine(self, monkeypatch, tmp_path, capsys):
+        # the "scaled-c" mutation, in the rotation of the single-matrix kernel
+        rotation = drivermod._rotation_params
+
+        def scaled(aii, ajj, aij):
+            c, s, t = rotation(aii, ajj, aij)
+            return c * (1.0 + 1e-4), s, t
+
+        matrix = random_symmetric(default_rng(38))
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(matrix))
+        args = ["solve", "--matrix", str(path), "--ordering", str(COLUMN), "--cycles", "3",
+                "--report", str(tmp_path / "run.json")]
+        assert main(args) == 0
+        assert "S^2 checks failed" not in capsys.readouterr().err
+        monkeypatch.setattr(drivermod, "_rotation_params", scaled)
+        _, report = run_cycles(matrix, COLUMN, 3)
+        with pytest.raises(AssertionError, match="step decrement identity violated"):
+            verify_step_identities(report)
+        assert main(args) == 3
+        assert "S^2 checks failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("norms, grows", [
+        ([1.0, 0.5, 0.5 * (1.0 + 1e-13)], True),
+        ([1.0, 1.0 + 4 * EPS], False),  # growth of 8.9e-16, within MONOTONICITY_RTOL
+        ([0.0, 2.2e-162], True),  # the smallest nonzero S, from S = 0
+        ([0.0, 0.0], False),
+    ])
+    def test_monotonicity_check_catches_a_growing_s(self, norms, grows):
+        _, report = run_cycles(random_symmetric(default_rng(38)), COLUMN, len(norms) - 1)
+        verify_cycle_monotonicity(report)
+        report.cycle_off_norms[:] = norms
+        if grows:
+            with pytest.raises(AssertionError, match="off-norm grew across a cycle"):
+                verify_cycle_monotonicity(report)
+        else:
+            verify_cycle_monotonicity(report)
 
 
 class TestParallelCycle:

@@ -48,6 +48,7 @@ from .driver import (
 from .jjacobi import (
     ConvergenceError,
     HyperbolicBreakdownError,
+    _check_converged,
     monitor_proof_bounds,
     run_j_jacobi,
     sign_diagonal,
@@ -205,8 +206,7 @@ def cmd_jsolve(args) -> int:
             "failures": verdict.failures,
         }
     _write_json(args.report, payload)
-    if not report.converged:
-        return EXIT_NUMERIC
+    _check_converged(report)  # main prints why and exits 3
     if args.monitor is not None and verdict.attained and not verdict.cascade_ok:
         return EXIT_VIOLATION
     return EXIT_OK

@@ -13,8 +13,8 @@ its ``--jobs`` must be at least 1, and above 1 it passes a process pool's
 Both kernels keep the n(n+1)/2 upper-triangle entries packed in the layout
 of ``core._packed_layout``: the strictly upper entries row by row, then the
 diagonal.  ``batch_sweep`` holds them entry-major as numpy arrays, one row
-per entry; the single-matrix paths (``run_cycles``, ``run_parallel_cycle``
-and ``jjacobi.run_j_jacobi``) hold them as a list of Python floats and share
+per entry; the single-matrix paths (``run_cycles`` and
+``jjacobi.run_j_jacobi``) hold them as a list of Python floats and share
 one sweep routine, ``core._sweep``, which steps them with
 ``core._plane_step`` and sums S^2 with ``core._off_norm_packed`` once per
 sweep, so a step makes no numpy call.  Both take the rotation of
@@ -23,14 +23,14 @@ when s = +-0), perform the IEEE operations of the dense row-then-column
 update in its order, and sum S^2 in one order, so ``run_cycles``,
 ``batch_sweep`` and ``core.off_norm`` give the same bits.
 
-``run_cycles`` and ``run_parallel_cycle`` keep the input matrix and the raw
-per-step records of ``core._sweep`` (pair, pivot value, c, s, t, tangent)
-in their ``SweepReport``, and build its ``steps``, the ``StepRecord``
-objects, the first time they are read: ``core._step_off_norms`` replays the
-steps for the S before and after each, and the angles are the arctangents
-of the tangents.  Callers that want only the matrix or the cycle-boundary
-off-norms never build them; ``cjacobi solve`` and
-``verify_step_identities`` build them once per report.
+A single-matrix run is its input, the raw per-step records of
+``core._sweep`` (pair, pivot value, c, s, t, tangent) and the S at every
+cycle boundary; ``run_parallel_cycle`` is one ``run_cycles`` sweep.  Its
+``SweepReport`` builds ``steps`` (``StepRecord`` objects) when first read,
+and the S^2 checks of any single-matrix report (``_report_checks``) read
+the same replay: ``core._step_off_norms`` gives the S around each step,
+and the angles are the arctangents of the tangents.  Callers that want
+only the matrix or the cycle-boundary off-norms never replay.
 
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
@@ -130,8 +130,8 @@ class SweepReport:
     ``core._sweep`` records the first time it is read, and kept: one
     ``StepRecord`` per ``_steps_per_group`` records, its S from
     ``core._step_off_norms``.  Callers that never read it (a timed
-    ``run_cycles`` or ``run_parallel_cycle``) pay nothing for it;
-    ``cjacobi solve`` and ``verify_step_identities`` pay once.
+    ``run_cycles`` or ``run_parallel_cycle``, and the S^2 checks) pay
+    nothing for it; ``cjacobi solve`` pays once.
     """
 
     ordering: PivotOrdering
@@ -174,16 +174,21 @@ def _s2_checks(identity: float, growth: float) -> tuple[bool, str]:
     return ok, text if ok else text + "S^2 checks failed: the sweep arithmetic is not trustworthy\n"
 
 
-def _report_checks(report: SweepReport) -> tuple[float, float]:
-    """The decrement-identity error over the steps of a single-matrix run, and its cycle growth."""
-    steps = report.steps
-    s2 = np.square([[st.s_before for st in steps], [st.s_after for st in steps]])
-    identity = _decrement_error(s2, [sum(v * v for v in st.values) for st in steps])
+def _report_checks(report) -> tuple[float, float]:
+    """The decrement-identity error over the steps of a single-matrix run, and its cycle growth.
+
+    Replays the input and ``core._sweep`` records that a ``SweepReport`` or a
+    ``jjacobi.JJacobiReport`` keeps.  A hyperbolic step keeps neither check:
+    S^2 need not drop by its squared pivot, and S may grow across a cycle.
+    """
+    s2 = np.square(_step_off_norms(report._matrix, report._records))
+    identity = _decrement_error(s2, [pivot * pivot for _, pivot, *_ in report._records])
     return identity, _cycle_growth(np.array(report.cycle_off_norms))
 
 
-def verify_step_identities(report: SweepReport) -> float:
-    """Largest relative violation of S^2 drop == sum of squared pivots, at most IDENTITY_RTOL."""
+def verify_step_identities(report) -> float:
+    """Largest relative violation of S^2 drop == squared pivot in any single-matrix report,
+    at most IDENTITY_RTOL (``AssertionError`` above)."""
     worst = _report_checks(report)[0]
     if not _s2_checks(worst, 0.0)[0]:
         raise AssertionError(f"step decrement identity violated: {worst:.3e} > {IDENTITY_RTOL}")
@@ -199,12 +204,6 @@ def verify_cycle_monotonicity(report) -> None:
 
 # --- scalar kernel ------------------------------------------------------------
 
-def _rotation_plan(ordering: PivotOrdering) -> list[tuple]:
-    """The ``_sweep`` plan of plain rotations, F = [[c, -s], [s, c]], over ``ordering``."""
-    n = ordering.n
-    return [(pair, _pivot_plan(n, *pair), _rotation_params, -1.0) for pair in ordering.pairs]
-
-
 def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymMatrix, SweepReport]:
     """Apply ``cycles`` full sweeps of ``ordering`` to ``a``.
 
@@ -219,7 +218,8 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     cycles = _check_cycles("cycles", cycles)
     n_off = a.n * (a.n - 1) // 2
     e = _packed_entries(a)
-    plan = _rotation_plan(ordering)
+    # plain rotations, F = [[c, -s], [s, c]]
+    plan = [(pair, _pivot_plan(a.n, *pair), _rotation_params, -1.0) for pair in ordering.pairs]
     cycle_norms = [_off_norm_packed(e, n_off)]
     records: list[tuple] = []
     for _ in range(cycles):
@@ -238,19 +238,18 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     holds for exactly those 16 orderings.  Then each consecutive pair of its
     pivots is disjoint: neither rotation of a group touches an entry the
     other reads, and computing both from the same iterate gives bitwise the
-    one sweep of ``run_cycles``, which is how it runs.  S is reported once
-    per group; ``ValueError`` when S^2 is not finite.
+    one sweep of ``run_cycles``.  So it is ``run_cycles(a, ordering, 1)``,
+    its steps read in groups of two: no sweep runs when S is 0, and
+    ``ValueError`` when S^2 is not finite.
     """
     if a.n != ordering.n or ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
     label = classify(ordering).label
     if not (isinstance(label, Parallel) and label.shift_length == 0):
         raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
-    e = _packed_entries(a)
-    s = _off_norm_packed(e, 6)
-    records: list[tuple] = []
-    norms = [s, _sweep(a, e, _rotation_plan(ordering), s, records)]
-    return SymMatrix(4, e), SweepReport(ordering, 1, 1, norms, a, records, 2)
+    final, report = run_cycles(a, ordering, 1)
+    report._steps_per_group = 2
+    return final, report
 
 
 # --- batch kernel -------------------------------------------------------------

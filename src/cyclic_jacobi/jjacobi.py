@@ -157,11 +157,11 @@ class JJacobiReport:
     """The cycle-boundary off-norms and angle envelope of a run, and its steps.
 
     ``steps`` is built from the input matrix and the kernel's raw
-    ``core._sweep`` records the first time it is read, its S from
-    ``core._step_off_norms``; ``angle_envelope`` is built from the records'
-    tangents alone.  Both are kept.  ``solve_factored`` reads neither and
-    pays nothing for them; ``cjacobi jsolve`` reads the envelope, and builds
-    the steps only for ``--monitor``.
+    ``core._sweep`` records when first read, its S from
+    ``core._step_off_norms``; ``angle_envelope`` from the records' tangents
+    alone.  Both are kept.  ``solve_factored`` reads neither; ``cjacobi
+    jsolve`` reads the envelope, and the steps only for ``--monitor``.  The
+    S^2 checks of ``driver`` replay the records; a hyperbolic step keeps neither.
     """
 
     ordering: PivotOrdering
@@ -200,6 +200,15 @@ class JJacobiReport:
                 kind, th = "trigonometric", 0.0
             steps.append(JJacobiStep(pair, kind, piv, angle, th, norms[k], norms[k + 1]))
         return steps
+
+
+def _check_converged(report: JJacobiReport) -> None:
+    """``ConvergenceError`` saying why, unless ``report`` converged within ``MAX_CYCLES`` sweeps."""
+    if not report.converged:
+        raise ConvergenceError(
+            f"no convergence within MAX_CYCLES = {MAX_CYCLES} cycles; final off-norm "
+            f"{report.cycle_off_norms[-1]:.3e}"
+        )
 
 
 class JJacobiResult(NamedTuple):
@@ -312,11 +321,7 @@ def solve_factored(
         raise ValueError(f"factor too large: singular value {sv[0]:.3e} >= 2**511 overflows L^T L")
     a = SymMatrix.from_dense(ell.T @ ell)
     result = run_j_jacobi(a, signs, ordering, tol=tol)
-    if not result.report.converged:
-        raise ConvergenceError(
-            f"no convergence within MAX_CYCLES = {MAX_CYCLES} cycles; final off-norm "
-            f"{result.report.cycle_off_norms[-1]:.3e}"
-        )
+    _check_converged(result.report)
     lam = result.diagonalized.diagonal()
     if (lam <= 0.0).any():
         raise HyperbolicBreakdownError("diagonalized A is not positive; pair not definite")
@@ -394,10 +399,7 @@ def monitor_proof_bounds(report: JJacobiReport, epsilon: float) -> ProofMonitorV
     variant = f"{a}{b}-{c}{d} first"
 
     norms = [report.cycle_off_norms[0]] + [st.s_after for st in report.steps]
-    total_steps = len(report.steps)
-    window_count = 0
-    while phase + 6 * window_count + 8 <= total_steps:
-        window_count += 1
+    window_count = max(0, (len(report.steps) - phase - 2) // 6)  # r with phase + 6r + 8 <= steps
 
     def premises(r: int) -> bool:
         base = phase + 6 * r

@@ -107,9 +107,6 @@ class PivotOrdering:
         if set(self.pairs) != set(expected):
             raise ValueError("pairs must be distinct and cover every position")
 
-    def __iter__(self) -> Iterator[Pair]:
-        return iter(self.pairs)
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -8,12 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
+import cyclic_jacobi.classification as classmod
 import cyclic_jacobi.cli as climod
 import cyclic_jacobi.driver as drivermod
-from cyclic_jacobi.classification import c0_orderings
+import cyclic_jacobi.jjacobi as jjacobimod
+from cyclic_jacobi.classification import Bound, c0_orderings, classify, parallel_orderings
 from cyclic_jacobi.cli import CSV_HEADER, _cell_rows, main, worker_count
 from cyclic_jacobi.core import SymMatrix, format_matrix
-from cyclic_jacobi.driver import verification_campaign
+from cyclic_jacobi.driver import FP_SLACK, verification_campaign
+from cyclic_jacobi.jjacobi import ProofMonitorVerdict
 from cyclic_jacobi.orderings import enumerate_orderings
 
 
@@ -74,6 +79,9 @@ JSOLVE_MONITOR_ARGS = [
     "--J", "+1 +1 -1 -1", "--ordering", "1 3, 2 4, 1 4, 2 3, 1 2, 3 4", "--monitor", "0.05",
 ]
 JSOLVE_MONITOR_REPORT_SHA256 = "3d8aa18674d7abe93cedbe7885e86aee05262755539f70eebee6f01d1c91c09c"
+# sha256 of the report of `cjacobi jsolve --A spd_matrix_file --J "+1 +1 -1 -1"` with
+# jjacobi.MAX_CYCLES = 1: one sweep, not converged
+JSOLVE_UNCONVERGED_SHA256 = "e29844c50a974cec870ff46ff157449b637a6342cf299d85fdf8ae72563ba9e9"
 
 
 @pytest.fixture
@@ -171,6 +179,33 @@ class TestClassifyCommand:
         code = main(["classify", "--catalog"])
         capsys.readouterr()
         assert code == 1
+
+
+    @pytest.mark.parametrize("index, field, value, failure", [
+        (17, 2, "O3", "entry 17: chain lands at 1 2, 1 3, 2 3, 1 4, 3 4, 2 4, not entry 3"),
+        (105, 2, "par2", "entry 105: chain misses anchor par2"),
+        (21, 2, "Cc", "entry 21: endpoint 3 4, 2 3, 2 4, 1 2, 1 3, 1 4 not in family Cc"),
+        (2, 0, "12 13 23 14 24 34", "catalog orderings are not all distinct"),
+    ], ids=["reference", "anchor", "serial family", "duplicate"])
+    def test_corrupted_catalog_names_its_failure(self, capsys, index, field, value, failure):
+        """One corrupted ``_CATALOG_SRC`` entry: its terminal tag, or its ordering (a copy of
+        entry 1's)."""
+        src = list(classmod._CATALOG_SRC)
+        entry = list(src[index - 1])
+        entry[field] = value
+        src[index - 1] = tuple(entry)
+        classmod.catalog.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(classmod, "_CATALOG_SRC", src)
+                code = main(["classify", "--catalog"])
+        finally:
+            classmod.catalog.cache_clear()
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"\nFAIL: {failure}\n" in out
+        assert out.endswith("\ncatalog verification FAILED\n")
+        assert main(["classify", "--catalog"]) == 0
 
 
 class TestSolveCommand:
@@ -353,6 +388,44 @@ class TestJsolveCommand:
         code = main(["jsolve", "--A", str(bad), "--J", "+1 -1", "--ordering", "1 2"])
         assert code == 3
 
+    @pytest.mark.parametrize("source", ["--A", "--L"])
+    def test_no_convergence_says_why(self, spd_matrix_file, tmp_path, monkeypatch, capsys,
+                                     source):
+        """Both input paths exit 3 and print why; ``--A`` writes its report first."""
+        monkeypatch.setattr(jjacobimod, "MAX_CYCLES", 1)
+        if source == "--A":
+            path = spd_matrix_file
+        else:  # the factor of spd_matrix_file, so both paths sweep the same A
+            factor = np.random.default_rng(8).uniform(-1, 1, (4, 4))
+            path = tmp_path / "factor.txt"
+            path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in factor.tolist()))
+        report = tmp_path / "j.json"
+        assert main(["jsolve", source, str(path), "--J", "+1 +1 -1 -1",
+                     "--report", str(report)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: no convergence within MAX_CYCLES = 1 cycles;"
+            " final off-norm 2.224e-01\n"
+        )
+        if source == "--A":  # the bytes the report had before the line was printed
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == JSOLVE_UNCONVERGED_SHA256
+        else:
+            assert not report.exists()
+
+    @pytest.mark.parametrize("attained, code", [(True, 1), (False, 0)])
+    def test_failed_cascade_exits_one_once_attained(self, spd_matrix_file, tmp_path, monkeypatch,
+                                                    attained, code):
+        verdict = ProofMonitorVerdict(
+            0.05, 4, "13-24 first", 0 if attained else None, 2, attained, False,
+            ["window 1: S(A^(12)) = 1e-01 >= 5e-02"] if attained else [],
+        )
+        monkeypatch.setattr(climod, "monitor_proof_bounds", lambda report, epsilon: verdict)
+        report = tmp_path / "j.json"
+        assert main(["jsolve", "--A", spd_matrix_file, *JSOLVE_MONITOR_ARGS,
+                     "--report", str(report)]) == code
+        monitor = json.loads(report.read_text())["monitor"]
+        assert (monitor["attained"], monitor["cascade_ok"]) == (attained, False)
+        assert monitor["failures"] == verdict.failures
+
     def test_monitor_on_serial_ordering_is_input_error(self, spd_matrix_file):
         code = main(
             [
@@ -518,6 +591,27 @@ class TestVerifyCommand:
         assert main(base + ["--out", str(bad)]) == 3
         assert "S^2 checks failed" in capsys.readouterr().err
         assert bad.read_bytes() == clean.read_bytes()
+
+    def test_violated_bound_exits_one_and_names_every_cell(self, tmp_path, monkeypatch, capsys):
+        """A bound of 0.5 for every parallel ordering, below what one sweep achieves."""
+        def tight(ordering):
+            return dataclasses.replace(classify(ordering), bound=Bound(0.5, 1, 0))
+
+        monkeypatch.setattr(drivermod, "classify", tight)
+        args = ["verify", "--seed", "1", "--samples", "20", "--orderings", "parallel",
+                "--bound", "classified", "--jobs", "1", "--out", str(tmp_path / "v.csv")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.endswith("\n128 bound violations beyond fp slack\n")
+        orderings = sorted(parallel_orderings(), key=lambda o: o.pairs)
+        report = verification_campaign(1, 20, orderings, ("classified",))
+        violated = [c for c in report.cells if c.violations]
+        assert report.total_violations == sum(c.violations for c in violated) == 128
+        assert len(report.falsifications) == len(violated) > 0
+        line = re.compile(r"classified bound violated (\d+)x for (.+) \(worst ratio (\S+) > (\S+)\)")
+        for text, cell in zip(report.falsifications, violated):
+            count, ordering, worst, limit = line.fullmatch(text).groups()
+            assert (int(count), ordering) == (cell.violations, str(cell.ordering))
+            assert float(worst) == cell.worst_ratio > float(limit) == 0.5 + FP_SLACK
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_bad_jobs_is_input_error(self, capsys, jobs):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from cyclic_jacobi import jjacobi
 from cyclic_jacobi.core import SymMatrix, _rotation_params, off_norm, rotation_for_pivot
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, catalog
-from cyclic_jacobi.driver import default_rng, random_spd_factor, random_symmetric, run_cycles
+from cyclic_jacobi.driver import (
+    default_rng,
+    random_spd_factor,
+    random_symmetric,
+    run_cycles,
+    verify_step_identities,
+)
 from cyclic_jacobi.jjacobi import (
     ConvergenceError,
     HyperbolicBreakdownError,
@@ -306,6 +312,15 @@ class TestRunJJacobi:
         assert all(b <= a_ * (1 + 1e-14) for a_, b in zip(norms, norms[1:]))
         assert result.report.covered_by_convergence_theory
 
+    def test_only_rotations_keep_the_decrement_identity(self):
+        """``verify_step_identities`` reads a J-Jacobi report: a rotation-only run passes, and a
+        hyperbolic step, which need not lower S^2 by its squared pivot, fails it."""
+        a, _ = spd_matrix(default_rng(26))
+        assert verify_step_identities(run_j_jacobi(a, (1, 1, 1, 1), COLUMN).report) < 1e-15
+        for signs in (STANDARD_SIGNS, (1, -1, 1, -1)):
+            with pytest.raises(AssertionError, match="step decrement identity violated"):
+                verify_step_identities(run_j_jacobi(a, signs, COLUMN).report)
+
     def test_huge_entry_keeps_a_finite_threshold(self):
         # squaring 1e155 overflows, which once made the stopping threshold inf
         dense = np.diag([1e155, 1.0, 2.0, 3.0])
@@ -451,6 +466,17 @@ class TestProofMonitor:
         verdict = monitor_proof_bounds(report, 0.05)
         assert verdict.attained and verdict.cascade_ok
         assert verdict.r0 == 0 and verdict.windows_checked == 0
+
+    @pytest.mark.parametrize("ordering", [PAR_ANCHOR, ENTRY[105]], ids=["phase 4", "phase 0"])
+    def test_windows_are_those_that_fit_in_the_run(self, ordering):
+        """Window r is checked when its last conclusion, step phase + 6r + 8, was run."""
+        a, _ = spd_matrix(default_rng(45))
+        for cycles in range(1, 6):
+            report = run_capped(cycles, a, STANDARD_SIGNS, ordering, 0.0).report
+            verdict = monitor_proof_bounds(report, 0.05)
+            fits = [r for r in range(cycles) if verdict.phase + 6 * r + 8 <= len(report.steps)]
+            assert len(report.steps) == 6 * cycles
+            assert verdict.windows_checked == len(fits)
 
     def test_cubic_terminal_decay_on_seeded_fixtures(self):
         for seed in (51, 52, 53, 54):

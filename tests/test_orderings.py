@@ -411,6 +411,23 @@ class TestTextFormats:
         assert lines[1] == "S 2"
         assert lines[-1].startswith("target: 1 3, 2 4")
 
+    def test_every_catalog_chain_survives_its_text(self):
+        chains = [e.chain for e in catalog()]
+        assert len(chains) == 120
+        for chain in chains:
+            assert parse_certificate(format_certificate(chain)) == chain
+        tags = {line.split()[0] for c in chains for line in format_certificate(c).splitlines()}
+        assert tags == {"source:", "target:", "T", "S", "P"}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[1:], "needs 'source:' and 'target:' lines"),
+        (lambda lines: lines[:1] + ["X 1"] + lines[1:], "unknown certificate step 'X 1'"),
+    ], ids=["no source", "unknown tag"])
+    def test_parse_certificate_rejects_malformed_text(self, edit, message):
+        lines = format_certificate(make_certificate(ENTRY[105], (Shift(2),))).splitlines()
+        with pytest.raises(ValueError, match=message):
+            parse_certificate("\n".join(edit(lines)))
+
     def test_parse_certificate_checks_target(self):
         cert = make_certificate(ENTRY[105], (Shift(2),))
         lines = format_certificate(cert).splitlines()

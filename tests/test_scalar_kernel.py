@@ -356,6 +356,24 @@ class TestParallelCycleOracle:
                         [first.s_before, second.s_after])
                 assert _bits(par.cycle_off_norms) == _bits(seq.cycle_off_norms)
 
+    def test_is_one_run_cycles_sweep_bitwise(self):
+        """Final matrix and cycle-boundary S are those of ``run_cycles(a, o, 1)``, also where S^2
+        underflows to 0 and ``run_cycles`` runs no sweep."""
+        tiny = np.diag([1.0, 2.0, 3.0, 4.0])
+        for (i, j), x in (((0, 1), 1e-170), ((0, 2), 2e-170), ((2, 3), 3e-170)):
+            tiny[i, j] = tiny[j, i] = x
+        mats = list(random_symmetric_batch(default_rng(6062), 8)) + [tiny]
+        for ordering in anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR):
+            for dense in mats:
+                m = SymMatrix.from_dense(dense)
+                par, par_report = run_parallel_cycle(m, ordering)
+                seq, seq_report = run_cycles(m, ordering, 1)
+                assert _bits(par._packed) == _bits(seq._packed)
+                assert _bits(par_report.cycle_off_norms) == _bits(seq_report.cycle_off_norms)
+                assert par_report.cycles_executed == seq_report.cycles_executed
+        # the last run is the tiny matrix's: S^2 underflows, and no sweep runs
+        assert par == m and par_report.cycle_off_norms == [0.0] and par_report.steps == []
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
@@ -445,6 +463,16 @@ class TestLazySteps:
         run_j_jacobi(SymMatrix.from_dense(factor.T @ factor), (1, -1, 1, -1), COLUMN)
         assert set(built.values()) == {0}
 
+    def test_s2_checks_build_no_steps(self, built):
+        """The S^2 checks replay the records of any single-matrix report, not its step objects."""
+        rng = default_rng(74)
+        m, factor = random_symmetric(rng), random_spd_factor(rng)
+        reports = [run_cycles(m, COLUMN, 3)[1], run_parallel_cycle(m, PAR_ANCHOR)[1],
+                   solve_factored(factor, (1, 1, 1, 1), PAR_ANCHOR)[2].report]
+        for report in reports:
+            assert verify_step_identities(report) <= IDENTITY_RTOL
+        assert set(built.values()) == {0}
+
     @pytest.fixture
     def counting_math(self, monkeypatch):
         """The ``math`` that ``jjacobi`` sees, counting its ``tanh`` calls."""
@@ -522,10 +550,7 @@ class TestDimensions:
         f = result.transform
         assert np.allclose(f.T @ f, np.eye(n), rtol=0.0, atol=1e-13)
         assert np.allclose(f.T @ dense @ f, np.diag(diag), rtol=0.0, atol=1e-12 * scale)
-        for st in report.steps:
-            expected = st.s_before**2 - st.value**2
-            gap = abs(st.s_after**2 - expected) / max(st.s_before**2, 1e-300)
-            assert gap <= IDENTITY_RTOL
+        assert verify_step_identities(report) <= IDENTITY_RTOL
         verify_cycle_monotonicity(report)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])

@@ -17,7 +17,8 @@ vectorized batch kernel is ``driver.batch_sweep``.
 ``from_dense`` fills from the rows of ``_read_dense`` and ``SymMatrix._rows``
 writes out.  The single-matrix paths (``annihilate``, ``off_norm`` and the
 scalar sweep) copy it into a working list with ``_packed_entries`` and build
-their result from that list, with no numpy round trip.
+their result from that list with ``SymMatrix._of_floats``, with no numpy
+round trip; ``SymMatrix(n, packed)`` is the constructor that validates.
 
 The scalar sweep does only the rotation work: it records each step's
 (c, s, t) and tangent and sums S once, at the end of the sweep.  The S
@@ -85,20 +86,37 @@ def _pivot_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int,
 
 
 def _scaled_norm(x: np.ndarray) -> float:
-    """2-norm (Frobenius for a matrix) with numpy's bits, rescaled by the largest
-    |entry| when the squares of finite entries overflow, or when that entry is
-    below 2^-511, so its square can underflow.  Only when the sum of squares
-    could overflow does numpy run under ``np.errstate``."""
-    scale = float(np.abs(x).max())
+    """2-norm (Frobenius for a matrix) with numpy's bits: ``_rescaled_norm`` of the
+    entries of ``x`` read in memory order, and the largest |entry|.
+
+    ``np.linalg.norm(x)`` computes sqrt(v.dot(v)) with v = ``x.ravel(order="K")``,
+    and so does the common branch of ``_rescaled_norm``, so the two results are
+    equal.  Order "K" matters: for a non-contiguous ``x`` (a transpose, a strided
+    view) a plain ``ravel()`` lists the entries in another order, and the dot
+    product sums their squares in that order.
+    """
+    return _rescaled_norm(x.ravel(order="K"), float(np.abs(x).max()))
+
+
+def _rescaled_norm(flat: np.ndarray, scale: float) -> float:
+    """sqrt(flat . flat), rescaled by ``scale``, the largest |entry| of ``flat``, when
+    the squares of finite entries overflow, or when that entry is below 2^-511, so
+    its square can underflow.  Only when the sum of squares could overflow does the
+    dot product run under ``np.errstate``."""
     if 0.0 < scale < 2.0**-511:
-        return scale * float(np.linalg.norm(x / scale))
-    if scale * scale * x.size < 2.0**1023:
-        return float(np.linalg.norm(x))
+        return scale * _norm_of(flat / scale)
+    if scale * scale * flat.size < 2.0**1023:
+        return _norm_of(flat)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
+        norm = _norm_of(flat)
     if math.isinf(norm) and math.isfinite(scale):
-        norm = scale * float(np.linalg.norm(x / scale))
+        norm = scale * _norm_of(flat / scale)
     return norm
+
+
+def _norm_of(flat: np.ndarray) -> float:
+    """The 2-norm of a 1-D array as ``np.linalg.norm`` computes it, without its wrapper."""
+    return math.sqrt(flat.dot(flat))
 
 
 def _real_array(arr, what: str) -> np.ndarray:
@@ -168,6 +186,18 @@ class SymMatrix:
         self._packed = tuple(map(float, values))
 
     @classmethod
+    def _of_floats(cls, n: int, values: list[float]) -> "SymMatrix":
+        """A matrix of Python floats that the package built, ``values`` in the packed
+        layout of dimension ``n``: the finiteness check of ``__init__`` without its
+        conversions and length and dimension checks, which such values pass."""
+        if not all(map(math.isfinite, values)):
+            raise ValueError("matrix entries must be finite")
+        m = object.__new__(cls)
+        m.n = n
+        m._packed = tuple(values)
+        return m
+
+    @classmethod
     def from_dense(cls, arr) -> "SymMatrix":
         """Build from a full square array, rejecting asymmetry beyond ``SYMMETRY_RTOL``."""
         _, rows = _read_dense(arr, "matrix")
@@ -181,7 +211,7 @@ class SymMatrix:
                 f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e} "
                 f"exceeds {SYMMETRY_RTOL:.0e} relative"
             )
-        return cls(n, [rows[r][c] for r, c in entries])
+        return cls._of_floats(n, [rows[r][c] for r, c in entries])
 
     def entry(self, r: int, s: int) -> float:
         """Entry at 1-based position (r, s); symmetric lookup."""
@@ -200,8 +230,11 @@ class SymMatrix:
         return np.array(self._packed[self.n * (self.n - 1) // 2:])
 
     def frobenius(self) -> float:
-        """Frobenius norm, rescaled as ``_scaled_norm`` says."""
-        return _scaled_norm(self.to_dense())
+        """Frobenius norm with the bits of ``_scaled_norm(self.to_dense())``: the n^2
+        entries in row order, with no dense array built, and the largest |entry|."""
+        p = self._packed
+        flat = np.array([p[k] for row in _packed_layout(self.n)[1] for k in row])
+        return _rescaled_norm(flat, max(map(abs, p)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
@@ -415,7 +448,7 @@ def annihilate(m: SymMatrix, i: int, j: int) -> tuple[SymMatrix, PlaneRotation]:
     rot = rotation_for_pivot(m, i, j)
     e = _packed_entries(m)
     _plane_step(e, _pivot_plan(m.n, i, j), rot.c, rot.s, -rot.s)
-    return SymMatrix(m.n, e), rot
+    return SymMatrix._of_floats(m.n, e), rot
 
 
 def _parse_square(text: str) -> np.ndarray:

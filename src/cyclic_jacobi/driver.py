@@ -227,7 +227,7 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
             break
         cycle_norms.append(_sweep(a, e, plan, cycle_norms[-1], records))
     report = SweepReport(ordering, cycles, len(cycle_norms) - 1, cycle_norms, a, records)
-    return SymMatrix(a.n, e), report
+    return SymMatrix._of_floats(a.n, e), report
 
 
 def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix, SweepReport]:

@@ -87,7 +87,12 @@ class IllConditionedError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The solver did not reach the requested tolerance within ``MAX_CYCLES`` sweeps."""
+    """The solver did not reach the requested tolerance within ``MAX_CYCLES`` sweeps;
+    ``report`` is the run's ``JJacobiReport``."""
+
+    def __init__(self, message: str, report: "JJacobiReport"):
+        super().__init__(message)
+        self.report = report
 
 
 class MonitorInapplicableError(ValueError):
@@ -207,7 +212,8 @@ def _check_converged(report: JJacobiReport) -> None:
     if not report.converged:
         raise ConvergenceError(
             f"no convergence within MAX_CYCLES = {MAX_CYCLES} cycles; final off-norm "
-            f"{report.cycle_off_norms[-1]:.3e}"
+            f"{report.cycle_off_norms[-1]:.3e}",
+            report,
         )
 
 
@@ -233,6 +239,12 @@ def _transform_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[
     base = n * (n + 1) // 2
     columns = tuple((base + k * n + i - 1, base + k * n + j - 1) for k in range(n))
     return ii, jj, ij, others + columns
+
+
+@lru_cache(maxsize=None)
+def _identity_entries(n: int) -> tuple[float, ...]:
+    """The n-by-n identity, row by row, as Python floats: F before the first step."""
+    return tuple(float(r == k) for r in range(n) for k in range(n))
 
 
 def run_j_jacobi(
@@ -267,7 +279,7 @@ def run_j_jacobi(
     if cycle_norms[0] == 0.0 and math.sqrt(n_off) * max(map(abs, e[:n_off])) > threshold:
         raise ValueError("S^2 underflows to 0: off-diagonal entries too small for float64 squares")
     size = len(e)
-    e += [float(r == k) for r in range(n) for k in range(n)]  # F, row by row, after A
+    e += _identity_entries(n)  # F, row by row, after A
     plan = [
         (pair, _transform_plan(n, *pair), _hyperbolic_params, 1.0)
         if signs[pair[0] - 1] != signs[pair[1] - 1]
@@ -291,7 +303,7 @@ def run_j_jacobi(
         _covered(signs), a, records,
     )
     f = np.array(e[size:]).reshape(n, n)
-    return JJacobiResult(SymMatrix(n, e[:size]), f, report)
+    return JJacobiResult(SymMatrix._of_floats(n, e[:size]), f, report)
 
 
 def solve_factored(
@@ -322,9 +334,10 @@ def solve_factored(
     a = SymMatrix.from_dense(ell.T @ ell)
     result = run_j_jacobi(a, signs, ordering, tol=tol)
     _check_converged(result.report)
-    lam = result.diagonalized.diagonal()
-    if (lam <= 0.0).any():
+    diagonal = result.diagonalized._packed[a.n * (a.n - 1) // 2:]
+    if min(diagonal) <= 0.0:
         raise HyperbolicBreakdownError("diagonalized A is not positive; pair not definite")
+    lam = np.array(diagonal)
     eigenvalues = np.array(result.report.signs, dtype=float) * lam
     eigenvectors = ell @ result.transform / np.sqrt(lam)[None, :]
     return eigenvalues, eigenvectors, result

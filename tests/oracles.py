@@ -101,6 +101,52 @@ def numpy_to_dense(n, packed):
     return out
 
 
+def numpy_scaled_norm(x):
+    """``core._scaled_norm`` written with ``np.linalg.norm``: the 2-norm of ``x``, rescaled by
+    its largest |entry| when the squares of finite entries overflow or that entry is below
+    2**-511.  ``_scaled_norm`` and ``SymMatrix.frobenius`` must give these bits."""
+    scale = float(np.abs(x).max())
+    if 0.0 < scale < 2.0**-511:
+        return scale * float(np.linalg.norm(x / scale))
+    if scale * scale * x.size < 2.0**1023:
+        return float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm) and math.isfinite(scale):
+        norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
+def validated(m):
+    """``m`` rebuilt by the public constructor ``SymMatrix(n, list)``, which checks the
+    dimension, the length and finiteness and converts every entry with ``float``."""
+    return SymMatrix(m.n, list(m._packed))
+
+
+def same_matrix(m, ref):
+    """Whether ``m`` and ``ref`` are both ``SymMatrix`` of one dimension whose entries are
+    Python floats with equal bits (``==`` would equate -0.0 and +0.0)."""
+    return (
+        type(m) is type(ref) is SymMatrix and m.n == ref.n
+        and all(type(v) is float for v in m._packed + ref._packed)
+        and [v.hex() for v in m._packed] == [v.hex() for v in ref._packed]
+    )
+
+
+def relabeled(dense, q):
+    """P A P^T for the relabeling ``q`` of ``orderings.permute``: entry (r, s) of the
+    square array ``dense`` moves to (q(r), q(s))."""
+    inv = np.array(invert(q)) - 1
+    return np.asarray(dense)[np.ix_(inv, inv)]
+
+
+def sign_similar(dense, d):
+    """D A D for D = diag(``d``), d = +-1: entry (r, s) of the square array ``dense`` times
+    d_r d_s, an exact change of sign (which turns +0.0 into -0.0)."""
+    d = np.asarray(d, dtype=float)
+    return d[:, None] * np.asarray(dense) * d[None, :]
+
+
 def pin_12_34(mats):
     """The (m, n, n) stack ``mats`` with a_12 and a_34 (and their mirrors) set to 0, in place."""
     mats[:, 0, 1] = mats[:, 1, 0] = 0.0

@@ -82,6 +82,8 @@ JSOLVE_MONITOR_REPORT_SHA256 = "3d8aa18674d7abe93cedbe7885e86aee05262755539f70ee
 # sha256 of the report of `cjacobi jsolve --A spd_matrix_file --J "+1 +1 -1 -1"` with
 # jjacobi.MAX_CYCLES = 1: one sweep, not converged
 JSOLVE_UNCONVERGED_SHA256 = "e29844c50a974cec870ff46ff157449b637a6342cf299d85fdf8ae72563ba9e9"
+# the same run through --L: the run fields of that report, and no eigenvalues
+JSOLVE_L_UNCONVERGED_SHA256 = "aad290a68624c751d2ed9e3d9654d102e8b0a5031eb4e0da8ba3a4ac1a2c72b2"
 
 
 @pytest.fixture
@@ -391,7 +393,7 @@ class TestJsolveCommand:
     @pytest.mark.parametrize("source", ["--A", "--L"])
     def test_no_convergence_says_why(self, spd_matrix_file, tmp_path, monkeypatch, capsys,
                                      source):
-        """Both input paths exit 3 and print why; ``--A`` writes its report first."""
+        """Both input paths write their report, then exit 3 and print why."""
         monkeypatch.setattr(jjacobimod, "MAX_CYCLES", 1)
         if source == "--A":
             path = spd_matrix_file
@@ -406,10 +408,8 @@ class TestJsolveCommand:
             "numerical failure: no convergence within MAX_CYCLES = 1 cycles;"
             " final off-norm 2.224e-01\n"
         )
-        if source == "--A":  # the bytes the report had before the line was printed
-            assert hashlib.sha256(report.read_bytes()).hexdigest() == JSOLVE_UNCONVERGED_SHA256
-        else:
-            assert not report.exists()
+        digest = JSOLVE_UNCONVERGED_SHA256 if source == "--A" else JSOLVE_L_UNCONVERGED_SHA256
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("attained, code", [(True, 1), (False, 0)])
     def test_failed_cascade_exits_one_once_attained(self, spd_matrix_file, tmp_path, monkeypatch,

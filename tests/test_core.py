@@ -18,7 +18,7 @@ from cyclic_jacobi.core import (
     parse_matrix,
     rotation_for_pivot,
 )
-from oracles import embed, numpy_from_dense, numpy_to_dense, spectrum, two_sided
+from oracles import embed, numpy_from_dense, numpy_to_dense, same_matrix, spectrum, two_sided
 
 
 EPS = np.finfo(float).eps
@@ -175,6 +175,7 @@ class TestSymMatrix:
             m = SymMatrix.from_dense(dense)
             scattered = numpy_to_dense(m.n, packed)
             assert np.array(_packed_entries(m)).tobytes() == packed.tobytes()
+            assert same_matrix(m, SymMatrix(m.n, packed))  # as the validating constructor builds it
             assert m.to_dense().tobytes() == scattered.tobytes()
             rows = scattered.tolist()
             assert format_matrix(m) == "".join(" ".join(map(repr, row)) + "\n" for row in rows)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyclic_jacobi.core as coremod
 import cyclic_jacobi.driver as drivermod
 from cyclic_jacobi.cli import main
 from cyclic_jacobi.core import SymMatrix, annihilate, format_matrix, off_norm
@@ -35,8 +36,8 @@ from cyclic_jacobi.driver import (
     verify_cycle_monotonicity,
     verify_step_identities,
 )
-from cyclic_jacobi.orderings import TRANSPOSE, enumerate_orderings, make_ordering, relate
-from oracles import pin_12_34, spectrum
+from cyclic_jacobi.orderings import TRANSPOSE, enumerate_orderings, make_ordering, permute, relate
+from oracles import pin_12_34, relabeled, spectrum
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -514,6 +515,33 @@ class TestKernelMutations:
             verify_step_identities(report)
         assert main(args) == 3
         assert "S^2 checks failed" in capsys.readouterr().err
+
+    def test_relabeling_catches_a_wrong_way_pair(self, monkeypatch):
+        """The first (a_ki, a_kj) pair of every step of the scalar kernel rotated the other
+        way.  Each pair keeps its norm and the pivot is still zeroed, so S^2 still drops by
+        the squared pivot; but which pair is first depends on the labels."""
+        plane_step = coremod._plane_step
+
+        def wrong_way(e, plan, c, s, t):
+            ii, jj, ij, ((p, q), *rest) = plan
+            plane_step(e, (ii, jj, ij, tuple(rest)), c, s, t)
+            u, v = e[p], e[q]
+            e[p] = c * u - s * v
+            e[q] = c * v - t * u
+
+        def relabeling_holds(matrix, images=(2, 4, 1, 3)):
+            final, report = run_cycles(matrix, COLUMN, 3)
+            verify_step_identities(report)
+            moved, _ = run_cycles(
+                SymMatrix.from_dense(relabeled(matrix.to_dense(), images)),
+                permute(COLUMN, images), 3,
+            )
+            return moved.to_dense().tobytes() == relabeled(final.to_dense(), images).tobytes()
+
+        matrices = [random_symmetric(default_rng(seed)) for seed in range(8)]
+        assert all(map(relabeling_holds, matrices))
+        monkeypatch.setattr(coremod, "_plane_step", wrong_way)
+        assert not any(map(relabeling_holds, matrices))
 
     @pytest.mark.parametrize("norms, grows", [
         ([1.0, 0.5, 0.5 * (1.0 + 1e-13)], True),

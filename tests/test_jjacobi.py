@@ -417,8 +417,12 @@ class TestEigenFromFactored:
         rng = default_rng(33)
         factor = random_spd_factor(rng)
         monkeypatch.setattr(jjacobi, "MAX_CYCLES", 1)
-        with pytest.raises(ConvergenceError, match="within MAX_CYCLES = 1 cycles"):
+        with pytest.raises(ConvergenceError, match="within MAX_CYCLES = 1 cycles") as info:
             solve_factored(factor, STANDARD_SIGNS, COLUMN)
+        report = info.value.report  # the run's, for the caller to write out
+        expected = run_j_jacobi(SymMatrix.from_dense(factor.T @ factor), STANDARD_SIGNS, COLUMN)
+        assert (report.converged, report.cycles_executed) == (False, 1)
+        assert report.cycle_off_norms == expected.report.cycle_off_norms
 
 
 class TestProofMonitor:

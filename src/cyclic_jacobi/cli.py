@@ -165,17 +165,6 @@ def _load_factor(text: str, n: int) -> np.ndarray:
         return _parse_square(fh.read())  # a factor need not be symmetric
 
 
-def _run_fields(report) -> dict:
-    """The fields of a ``jsolve`` report that describe the run, converged or not."""
-    return {
-        "converged": report.converged,
-        "cycles_executed": report.cycles_executed,
-        "cycle_off_norms": report.cycle_off_norms,
-        "angle_envelope": report.angle_envelope,
-        "covered_by_convergence_theory": report.covered_by_convergence_theory,
-    }
-
-
 def cmd_jsolve(args) -> int:
     signs = sign_diagonal(args.J.replace("+", " ").split())
     ordering = parse_ordering(args.ordering)
@@ -186,24 +175,29 @@ def cmd_jsolve(args) -> int:
             eigenvalues, eigenvectors, result = solve_factored(
                 factor, signs, ordering, tol=args.tol
             )
-        except ConvergenceError as exc:  # the run's report, then main prints why and exits 3
-            _write_json(args.report, {**payload, **_run_fields(exc.report)})
-            raise
-        h = factor @ np.diag(signs).astype(float) @ factor.T
-        residuals = [
-            _scaled_norm(h @ eigenvectors[:, k] - eigenvalues[k] * eigenvectors[:, k])
-            for k in range(len(signs))
-        ]
-        payload["eigenvalues"] = eigenvalues.tolist()
-        payload["residual_norms"] = residuals
-        payload["matrix_norm"] = _scaled_norm(h)
+        except ConvergenceError as exc:  # no eigenpairs; the run's fields are written below
+            report = exc.report
+        else:
+            h = factor @ np.diag(signs).astype(float) @ factor.T
+            residuals = [
+                _scaled_norm(h @ eigenvectors[:, k] - eigenvalues[k] * eigenvectors[:, k])
+                for k in range(len(signs))
+            ]
+            payload["eigenvalues"] = eigenvalues.tolist()
+            payload["residual_norms"] = residuals
+            payload["matrix_norm"] = _scaled_norm(h)
+            report = result.report
     else:
         matrix = read_matrix_file(args.A)
         result = run_j_jacobi(matrix, signs, ordering, tol=args.tol)
         lam = result.diagonalized.diagonal()
         payload["eigenvalues"] = (np.array(signs, dtype=float) * lam).tolist()
-    report = result.report
-    payload.update(_run_fields(report))
+        report = result.report
+    payload["converged"] = report.converged
+    payload["cycles_executed"] = report.cycles_executed
+    payload["cycle_off_norms"] = report.cycle_off_norms
+    payload["angle_envelope"] = report.angle_envelope
+    payload["covered_by_convergence_theory"] = report.covered_by_convergence_theory
     if args.monitor is not None:
         verdict = monitor_proof_bounds(report, args.monitor)
         payload["monitor"] = {

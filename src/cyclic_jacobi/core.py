@@ -227,14 +227,16 @@ class SymMatrix:
         return np.array(self._rows())
 
     def diagonal(self) -> np.ndarray:
-        return np.array(self._packed[self.n * (self.n - 1) // 2:])
+        return np.array(self._diagonal_floats())
+
+    def _diagonal_floats(self) -> tuple[float, ...]:
+        """The diagonal as the stored Python floats, for checks that need no array."""
+        return self._packed[self.n * (self.n - 1) // 2:]
 
     def frobenius(self) -> float:
-        """Frobenius norm with the bits of ``_scaled_norm(self.to_dense())``: the n^2
-        entries in row order, with no dense array built, and the largest |entry|."""
-        p = self._packed
-        flat = np.array([p[k] for row in _packed_layout(self.n)[1] for k in row])
-        return _rescaled_norm(flat, max(map(abs, p)))
+        """Frobenius norm with the bits of ``_scaled_norm(self.to_dense())``, taking the
+        largest |entry| from the stored floats rather than through numpy."""
+        return _rescaled_norm(self.to_dense().ravel(), max(map(abs, self._packed)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):

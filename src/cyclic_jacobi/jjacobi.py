@@ -94,6 +94,9 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.report = report
 
+    def __reduce__(self):
+        return type(self), (str(self), self.report)
+
 
 class MonitorInapplicableError(ValueError):
     """The run's sign pattern or ordering is not one the monitor applies to."""
@@ -334,7 +337,7 @@ def solve_factored(
     a = SymMatrix.from_dense(ell.T @ ell)
     result = run_j_jacobi(a, signs, ordering, tol=tol)
     _check_converged(result.report)
-    diagonal = result.diagonalized._packed[a.n * (a.n - 1) // 2:]
+    diagonal = result.diagonalized._diagonal_floats()
     if min(diagonal) <= 0.0:
         raise HyperbolicBreakdownError("diagonalized A is not positive; pair not definite")
     lam = np.array(diagonal)

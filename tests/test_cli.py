@@ -84,6 +84,13 @@ JSOLVE_MONITOR_REPORT_SHA256 = "3d8aa18674d7abe93cedbe7885e86aee05262755539f70ee
 JSOLVE_UNCONVERGED_SHA256 = "e29844c50a974cec870ff46ff157449b637a6342cf299d85fdf8ae72563ba9e9"
 # the same run through --L: the run fields of that report, and no eigenvalues
 JSOLVE_L_UNCONVERGED_SHA256 = "aad290a68624c751d2ed9e3d9654d102e8b0a5031eb4e0da8ba3a4ac1a2c72b2"
+# and both runs on JSOLVE_MONITOR_ARGS, which add the monitor block
+JSOLVE_MONITOR_UNCONVERGED_SHA256 = (
+    "a22bcc77205c2dcc530ef2bf86680f9fb6254973cfcbaadaee2756ced0b386d7"
+)
+JSOLVE_L_MONITOR_UNCONVERGED_SHA256 = (
+    "1b3697c8b7c1613436373a9afe3884495ba3de9e6102961c1b10842be031ddf6"
+)
 
 
 @pytest.fixture
@@ -390,9 +397,18 @@ class TestJsolveCommand:
         code = main(["jsolve", "--A", str(bad), "--J", "+1 -1", "--ordering", "1 2"])
         assert code == 3
 
-    @pytest.mark.parametrize("source", ["--A", "--L"])
+    @pytest.mark.parametrize("source, args, off_norm, digest", [
+        pytest.param("--A", ["--J", "+1 +1 -1 -1"], "2.224e-01", JSOLVE_UNCONVERGED_SHA256,
+                     id="--A"),
+        pytest.param("--L", ["--J", "+1 +1 -1 -1"], "2.224e-01", JSOLVE_L_UNCONVERGED_SHA256,
+                     id="--L"),
+        pytest.param("--A", JSOLVE_MONITOR_ARGS, "2.022e-01", JSOLVE_MONITOR_UNCONVERGED_SHA256,
+                     id="--A-monitor"),
+        pytest.param("--L", JSOLVE_MONITOR_ARGS, "2.022e-01", JSOLVE_L_MONITOR_UNCONVERGED_SHA256,
+                     id="--L-monitor"),
+    ])
     def test_no_convergence_says_why(self, spd_matrix_file, tmp_path, monkeypatch, capsys,
-                                     source):
+                                     source, args, off_norm, digest):
         """Both input paths write their report, then exit 3 and print why."""
         monkeypatch.setattr(jjacobimod, "MAX_CYCLES", 1)
         if source == "--A":
@@ -402,13 +418,11 @@ class TestJsolveCommand:
             path = tmp_path / "factor.txt"
             path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in factor.tolist()))
         report = tmp_path / "j.json"
-        assert main(["jsolve", source, str(path), "--J", "+1 +1 -1 -1",
-                     "--report", str(report)]) == 3
+        assert main(["jsolve", source, str(path), *args, "--report", str(report)]) == 3
         assert capsys.readouterr().err == (
             "numerical failure: no convergence within MAX_CYCLES = 1 cycles;"
-            " final off-norm 2.224e-01\n"
+            f" final off-norm {off_norm}\n"
         )
-        digest = JSOLVE_UNCONVERGED_SHA256 if source == "--A" else JSOLVE_L_UNCONVERGED_SHA256
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("attained, code", [(True, 1), (False, 0)])

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -423,6 +425,14 @@ class TestEigenFromFactored:
         expected = run_j_jacobi(SymMatrix.from_dense(factor.T @ factor), STANDARD_SIGNS, COLUMN)
         assert (report.converged, report.cycles_executed) == (False, 1)
         assert report.cycle_off_norms == expected.report.cycle_off_norms
+
+    def test_convergence_error_pickles_with_its_report(self, monkeypatch):
+        monkeypatch.setattr(jjacobi, "MAX_CYCLES", 1)
+        with pytest.raises(ConvergenceError) as info:
+            solve_factored(random_spd_factor(default_rng(33)), STANDARD_SIGNS, COLUMN)
+        for copied in (pickle.loads(pickle.dumps(info.value)), copy.copy(info.value)):
+            assert type(copied) is ConvergenceError and str(copied) == str(info.value)
+            assert copied.report.cycle_off_norms == info.value.report.cycle_off_norms
 
 
 class TestProofMonitor:

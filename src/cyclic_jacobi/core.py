@@ -14,8 +14,8 @@ entries, the per-pivot positions (``_pivot_plan``), the one plane step
 vectorized batch kernel is ``driver.batch_sweep``.
 
 ``SymMatrix`` holds the packed layout as a tuple of Python floats, which
-``from_dense`` fills from the rows of ``_read_dense`` and ``SymMatrix._rows``
-writes out.  The single-matrix paths (``annihilate``, ``off_norm`` and the
+``from_dense`` fills from the rows of ``_read_dense`` and
+``SymMatrix._dense_entries`` writes out, row by row.  The single-matrix paths (``annihilate``, ``off_norm`` and the
 scalar sweep) copy it into a working list with ``_packed_entries`` and build
 their result from that list with ``SymMatrix._of_floats``, with no numpy
 round trip; ``SymMatrix(n, packed)`` is the constructor that validates.
@@ -73,6 +73,13 @@ def _packed_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int
     for k, (r, c) in enumerate(entries):
         pos[r][c] = pos[c][r] = k
     return tuple(entries), tuple(map(tuple, pos))
+
+
+@lru_cache(maxsize=None)
+def _dense_order(n: int) -> operator.itemgetter:
+    """Reads the n^2 entries of a packed tuple row by row, as one tuple (n >= 2,
+    so ``itemgetter`` always gets several positions and returns a tuple)."""
+    return operator.itemgetter(*(k for row in _packed_layout(n)[1] for k in row))
 
 
 @lru_cache(maxsize=None)
@@ -219,12 +226,16 @@ class SymMatrix:
             raise IndexError(f"index ({r}, {s}) out of range for n={self.n}")
         return self._packed[_packed_layout(self.n)[1][r - 1][s - 1]]
 
-    def _rows(self) -> list[list[float]]:
-        """The one writer of dense output: the rows, as lists of the stored floats."""
-        return [[self._packed[k] for k in row] for row in _packed_layout(self.n)[1]]
+    def _dense_entries(self) -> tuple[float, ...]:
+        """The one writer of dense output: the n^2 stored floats, row by row."""
+        return _dense_order(self.n)(self._packed)
+
+    def _rows(self) -> list[tuple[float, ...]]:
+        flat, n = self._dense_entries(), self.n
+        return [flat[k:k + n] for k in range(0, n * n, n)]
 
     def to_dense(self) -> np.ndarray:
-        return np.array(self._rows())
+        return np.array(self._dense_entries()).reshape(self.n, self.n)
 
     def diagonal(self) -> np.ndarray:
         return np.array(self._diagonal_floats())
@@ -236,7 +247,7 @@ class SymMatrix:
     def frobenius(self) -> float:
         """Frobenius norm with the bits of ``_scaled_norm(self.to_dense())``, taking the
         largest |entry| from the stored floats rather than through numpy."""
-        return _rescaled_norm(self.to_dense().ravel(), max(map(abs, self._packed)))
+        return _rescaled_norm(np.array(self._dense_entries()), max(map(abs, self._packed)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):

@@ -15,10 +15,11 @@ vectorized batch kernel is ``driver.batch_sweep``.
 
 ``SymMatrix`` holds the packed layout as a tuple of Python floats, which
 ``from_dense`` fills from the rows of ``_read_dense`` and
-``SymMatrix._dense_entries`` writes out, row by row.  The single-matrix paths (``annihilate``, ``off_norm`` and the
-scalar sweep) copy it into a working list with ``_packed_entries`` and build
-their result from that list with ``SymMatrix._of_floats``, with no numpy
-round trip; ``SymMatrix(n, packed)`` is the constructor that validates.
+``SymMatrix._dense_entries`` writes out, row by row.  The single-matrix paths
+(``annihilate``, ``off_norm`` and the scalar sweep) copy it into a working list
+with ``_packed_entries`` and build their result from that list with
+``SymMatrix._of_floats``, with no numpy round trip; ``SymMatrix(n, packed)`` is
+the constructor that validates.
 
 The scalar sweep does only the rotation work: it records each step's
 (c, s, t) and tangent and sums S once, at the end of the sweep.  The S

@@ -1,10 +1,11 @@
 """The trimmed single-matrix paths against the expressions they replace, bit for bit.
 
 ``core._scaled_norm`` and ``SymMatrix.frobenius`` compute numpy's 2-norm without
-``np.linalg.norm``, and the kernels build their results without the conversions of the
-public ``SymMatrix`` constructor.  ``oracles.numpy_scaled_norm`` and ``oracles.validated``
-keep the replaced expressions; these tests draw inputs across scales 2**-600 ... 2**600
-and layouts and require equal bits.
+``np.linalg.norm``, ``SymMatrix.to_dense`` reshapes one flat row-order tuple, and the
+kernels build their results without the conversions of the public ``SymMatrix``
+constructor.  ``oracles.numpy_scaled_norm`` and ``oracles.validated`` keep the replaced
+expressions; these tests draw inputs across scales 2**-600 ... 2**600 and layouts and
+require equal bits.
 """
 
 import warnings
@@ -71,9 +72,11 @@ class TestNorms:
     @given(scaled_symmetric())
     def test_frobenius_is_numpys(self, dense):
         m = SymMatrix.from_dense(dense)
+        written = m.to_dense()  # the one dense writer gives back the input, row order and bits
+        assert written.shape == dense.shape and written.tobytes() == dense.tobytes()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert m.frobenius().hex() == numpy_scaled_norm(m.to_dense()).hex()
+            assert m.frobenius().hex() == numpy_scaled_norm(dense).hex()
 
 
 class TestKernelResults:

@@ -22,10 +22,10 @@ with ``_packed_entries`` and build their result from that list with
 the constructor that validates.
 
 The scalar sweep does only the rotation work: it records each step's
-(c, s, t) and tangent and sums S once, at the end of the sweep.  The S
-before and after every step is rebuilt when a report's ``steps`` are read,
-by ``_step_off_norms``, which replays the recorded steps on the input's
-entries; the angles are the arctangents of the recorded tangents.
+(c, s, t) and tangent and sums S once, at the end of the sweep.
+``_step_off_norms`` rebuilds the S before and after every step by replaying
+the recorded steps on the input's entries; ``driver`` describes when a
+report runs that replay.
 
 Everything here is a pure function over immutable values; no locking is
 needed for concurrent use.

@@ -23,14 +23,17 @@ when s = +-0), perform the IEEE operations of the dense row-then-column
 update in its order, and sum S^2 in one order, so ``run_cycles``,
 ``batch_sweep`` and ``core.off_norm`` give the same bits.
 
-A single-matrix run is its input, the raw per-step records of
-``core._sweep`` (pair, pivot value, c, s, t, tangent) and the S at every
-cycle boundary; ``run_parallel_cycle`` is one ``run_cycles`` sweep.  Its
-``SweepReport`` builds ``steps`` (``StepRecord`` objects) when first read,
-and the S^2 checks of any single-matrix report (``_report_checks``) read
-the same replay: ``core._step_off_norms`` gives the S around each step,
-and the angles are the arctangents of the tangents.  Callers that want
-only the matrix or the cycle-boundary off-norms never replay.
+Every single-matrix run (``run_cycles``; ``run_parallel_cycle``, one
+``run_cycles`` sweep; ``jjacobi.run_j_jacobi`` and ``solve_factored``) is
+reported by a ``SweepReport`` (``jjacobi.JJacobiReport`` subclasses it):
+its input, the raw per-step records of ``core._sweep`` (pair, pivot value,
+c, s, t, tangent) and the S at every cycle boundary.  Its ``steps``
+(``StepRecord`` objects) are replayed from those when first read:
+``core._step_off_norms`` gives the S around each step, and the angles are
+the arctangents of the tangents (atanh for a hyperbolic step).  The S^2
+checks (``_report_checks``) read the same replay without building steps.
+Callers that want only the matrix or the cycle-boundary off-norms never
+replay.
 
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
@@ -110,9 +113,11 @@ class NotParallelOrderingError(ValueError):
 class StepRecord:
     """One annihilation step, or one group of commuting steps.
 
-    ``s_before``/``s_after`` bracket the whole group, so
-    s_before^2 - s_after^2 equals the sum of the squared pivot values up to
-    roundoff.
+    ``s_before``/``s_after`` bracket the whole group, so for a trigonometric
+    group s_before^2 - s_after^2 equals the sum of the squared pivot values
+    up to roundoff.  ``kind`` is "hyperbolic" only for a J-Jacobi step across
+    J's sign blocks: its angle is atanh of the tangent, ``tanh`` |tanh(angle)|.
+    Other steps are "trigonometric", their angles arctangents, ``tanh`` 0.0.
     """
 
     pivots: tuple[tuple[int, int], ...]
@@ -120,18 +125,19 @@ class StepRecord:
     angles: tuple[float, ...]
     s_before: float
     s_after: float
+    kind: str
+    tanh: float
 
 
 @dataclass
 class SweepReport:
-    """The cycle-boundary off-norms of a run, and its steps.
+    """The cycle-boundary off-norms of a single-matrix run, and its steps.
 
-    ``steps`` is built from the input matrix and the kernel's raw
-    ``core._sweep`` records the first time it is read, and kept: one
-    ``StepRecord`` per ``_steps_per_group`` records, its S from
-    ``core._step_off_norms``.  Callers that never read it (a timed
-    ``run_cycles`` or ``run_parallel_cycle``, and the S^2 checks) pay
-    nothing for it; ``cjacobi solve`` pays once.
+    ``steps`` is replayed as the module describes, the first time it is
+    read, and kept: one ``StepRecord`` per ``_steps_per_group`` records.
+    A timed run and the S^2 checks never build it; ``cjacobi solve`` and
+    ``jsolve --monitor`` build it once.  ``jjacobi.JJacobiReport`` adds the
+    fields of a J-Jacobi run and marks its hyperbolic steps (``_hyperbolic``).
     """
 
     ordering: PivotOrdering
@@ -142,6 +148,10 @@ class SweepReport:
     _records: list[tuple] = field(repr=False)
     _steps_per_group: int = field(default=1, repr=False)  # 2 for run_parallel_cycle
 
+    def _hyperbolic(self, pair: tuple[int, int]) -> bool:
+        """Whether the step at ``pair`` is hyperbolic: never, in a plain run."""
+        return False
+
     @cached_property
     def steps(self) -> list[StepRecord]:
         norms = _step_off_norms(self._matrix, self._records)
@@ -149,8 +159,13 @@ class SweepReport:
         steps = []
         for k in range(0, len(self._records), size):
             pairs, values, _, _, _, tangents = zip(*self._records[k:k + size])
-            angles = tuple(map(math.atan, tangents))
-            steps.append(StepRecord(pairs, values, angles, norms[k], norms[k + size]))
+            if self._hyperbolic(pairs[0]):  # only a J-Jacobi run, whose groups are single steps
+                angles = (math.atanh(tangents[0]),)
+                kind, tanh = "hyperbolic", abs(math.tanh(angles[0]))
+            else:
+                angles = tuple(map(math.atan, tangents))
+                kind, tanh = "trigonometric", 0.0
+            steps.append(StepRecord(pairs, values, angles, norms[k], norms[k + size], kind, tanh))
         return steps
 
 
@@ -177,8 +192,8 @@ def _s2_checks(identity: float, growth: float) -> tuple[bool, str]:
 def _report_checks(report) -> tuple[float, float]:
     """The decrement-identity error over the steps of a single-matrix run, and its cycle growth.
 
-    Replays the input and ``core._sweep`` records that a ``SweepReport`` or a
-    ``jjacobi.JJacobiReport`` keeps.  A hyperbolic step keeps neither check:
+    Replays the input and ``core._sweep`` records that a ``SweepReport`` keeps (a
+    ``jjacobi.JJacobiReport`` is one).  A hyperbolic step keeps neither check:
     S^2 need not drop by its squared pivot, and S may grow across a cycle.
     """
     s2 = np.square(_step_off_norms(report._matrix, report._records))
@@ -240,9 +255,9 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     other reads, and computing both from the same iterate gives bitwise the
     one sweep of ``run_cycles``.  So it is ``run_cycles(a, ordering, 1)``,
     its steps read in groups of two: no sweep runs when S is 0, and
-    ``ValueError`` when S^2 is not finite.
+    ``ValueError`` when S^2 is not finite or ``a`` is not 4x4.
     """
-    if a.n != ordering.n or ordering.n != 4:
+    if ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
     label = classify(ordering).label
     if not (isinstance(label, Parallel) and label.shift_length == 0):

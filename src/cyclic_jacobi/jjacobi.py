@@ -15,12 +15,11 @@ F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
 The accumulated transform F rides in the same list, row by row after A's
 n(n+1)/2 entries: each step's plan (``_transform_plan``) adds the positions
 of F's columns i and j to A's (a_ki, a_kj) pairs, so the one plane step
-updates A and F and a step makes no numpy call.  The report's
-``JJacobiStep`` records (``steps``) are built the first time they are read,
-from the input and the raw ``core._sweep`` records, whose S around each
-step ``core._step_off_norms`` replays; its angle envelope is built from the
-records' tangents alone, with no replay.  ``solve_factored``, which reads
-neither, builds neither, and ``monitor_proof_bounds`` builds the steps once.
+updates A and F and a step makes no numpy call.  Its ``JJacobiReport`` is
+a ``driver.SweepReport``, whose ``steps`` are replayed as ``driver``
+describes; the angle envelope is built from the records' tangents alone,
+with no replay.  ``solve_factored``, which reads neither, builds neither,
+and ``monitor_proof_bounds`` builds the steps once.
 
 ``solve_factored`` solves H = L J L^T given its factor: it runs the solver
 on A = L^T L and maps the diagonalization back to eigenpairs of H.
@@ -46,14 +45,13 @@ from .core import (
     _pivot_plan,
     _read_dense,
     _rotation_params,
-    _step_off_norms,
     _sweep,
 )
 from .classification import Parallel, classify
+from .driver import SweepReport
 from .orderings import PivotOrdering
 
 __all__ = [
-    "JJacobiStep",
     "JJacobiReport",
     "JJacobiResult",
     "ProofMonitorVerdict",
@@ -149,38 +147,20 @@ def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float
     return ch, th * ch, th
 
 
-@dataclass(frozen=True)
-class JJacobiStep:
-    pivot: tuple[int, int]
-    kind: str
-    value: float       # pivot entry before the step
-    angle: float
-    tanh: float        # 0.0 for trigonometric steps
-    s_before: float
-    s_after: float
+@dataclass(kw_only=True)
+class JJacobiReport(SweepReport):
+    """A ``driver.SweepReport`` of a J-Jacobi run, with the fields only such a run has.
 
-
-@dataclass
-class JJacobiReport:
-    """The cycle-boundary off-norms and angle envelope of a run, and its steps.
-
-    ``steps`` is built from the input matrix and the kernel's raw
-    ``core._sweep`` records when first read, its S from
-    ``core._step_off_norms``; ``angle_envelope`` from the records' tangents
-    alone.  Both are kept.  ``solve_factored`` reads neither; ``cjacobi
-    jsolve`` reads the envelope, and the steps only for ``--monitor``.  The
-    S^2 checks of ``driver`` replay the records; a hyperbolic step keeps neither.
+    A step is hyperbolic where the signs of its pivot's indices differ.
+    ``angle_envelope`` is built from the records' tangents alone, with no
+    replay, when first read, and kept: ``cjacobi jsolve`` reads it, and the
+    steps only for ``--monitor``; ``solve_factored`` reads neither.
     """
 
-    ordering: PivotOrdering
     signs: tuple[int, ...]
-    cycle_off_norms: list[float]
     converged: bool
-    cycles_executed: int
     initial_norm: float
     covered_by_convergence_theory: bool
-    _matrix: SymMatrix = field(repr=False)  # the input, from which the steps are replayed
-    _records: list[tuple] = field(repr=False)
 
     def _hyperbolic(self, pair: tuple[int, int]) -> bool:
         return self.signs[pair[0] - 1] != self.signs[pair[1] - 1]
@@ -194,20 +174,6 @@ class JJacobiReport:
         ]
         per_cycle = len(self.ordering.pairs)
         return [max([0.0] + tanhs[k:k + per_cycle]) for k in range(0, len(tanhs), per_cycle)]
-
-    @cached_property
-    def steps(self) -> list[JJacobiStep]:
-        norms = _step_off_norms(self._matrix, self._records)
-        steps = []
-        for k, (pair, piv, _, _, _, tangent) in enumerate(self._records):
-            if self._hyperbolic(pair):
-                angle = math.atanh(tangent)
-                kind, th = "hyperbolic", abs(math.tanh(angle))
-            else:
-                angle = math.atan(tangent)
-                kind, th = "trigonometric", 0.0
-            steps.append(JJacobiStep(pair, kind, piv, angle, th, norms[k], norms[k + 1]))
-        return steps
 
 
 def _check_converged(report: JJacobiReport) -> None:
@@ -302,8 +268,9 @@ def run_j_jacobi(
         elif s_new <= threshold:
             converged = True
     report = JJacobiReport(
-        ordering, signs, cycle_norms, converged, cycles, initial_norm,
-        _covered(signs), a, records,
+        ordering, MAX_CYCLES, cycles, cycle_norms, a, records, signs=signs,
+        converged=converged, initial_norm=initial_norm,
+        covered_by_convergence_theory=_covered(signs),
     )
     f = np.array(e[size:]).reshape(n, n)
     return JJacobiResult(SymMatrix._of_floats(n, e[:size]), f, report)
@@ -424,7 +391,7 @@ def monitor_proof_bounds(report: JJacobiReport, epsilon: float) -> ProofMonitorV
             st2 = report.steps[base + offset + 1]
             if st1.kind != "hyperbolic" or st2.kind != "hyperbolic":
                 return False
-            if st1.value**2 + st2.value**2 >= epsilon**2 / 2.0:
+            if st1.values[0]**2 + st2.values[0]**2 >= epsilon**2 / 2.0:
                 return False
             if st1.tanh**2 + st2.tanh**2 >= epsilon**2 / 2.0:
                 return False

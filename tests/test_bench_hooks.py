@@ -11,6 +11,8 @@ one fails here rather than in a benchmark run.
 import ast
 import importlib.util
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
 from cyclic_jacobi import classification, cli, driver, jjacobi
@@ -23,6 +25,17 @@ MODULES = (cli, driver, classification, jjacobi)
 
 def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_session(monkeypatch):
+    """``perfbench/session.py`` as a module, with ``perfbench/`` on ``sys.path`` for its
+    ``import tracing``; ``monkeypatch`` undoes the paths it adds and that import."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())
+    spec = importlib.util.spec_from_file_location("perfbench_session", PERFBENCH / "session.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -87,3 +100,28 @@ def test_session_references_existing_names():
         except TypeError as exc:
             unbound.append(f"line {node.lineno}: {name}: {exc}")
     assert unbound == []
+
+
+def test_session_checks_and_counts_what_the_reports_hold(monkeypatch):
+    """The solve-stream checks pass on a few of its problems, and its traced counts are those
+    of the reports' own steps: a step attribute the session reads and a report lost would
+    otherwise fail only inside a traced benchmark run."""
+    session = load_session(monkeypatch)
+    counts, expected = Counter(), Counter()
+    for a, ordering, factor, variant in session._stream_inputs(5)[:6]:
+        outputs = (
+            driver.run_cycles(a, ordering, session.STREAM_CYCLES),
+            jjacobi.solve_factored(factor, jjacobi.STANDARD_SIGNS, ordering),
+            driver.run_parallel_cycle(a, variant),
+        )
+        assert session._check_problem((a, ordering, factor, variant), outputs) == []
+        report, j_report = outputs[0][1], outputs[1][2].report
+        session._count_problem(counts, report, j_report)
+        expected["run_cycles.steps"] += len(report.steps)
+        expected["run_j_jacobi.steps"] += len(j_report.steps)
+        expected["run_j_jacobi.hyperbolic_steps"] += [st.kind for st in j_report.steps].count(
+            "hyperbolic")
+        expected["run_j_jacobi.max_tanh"] = max(
+            [expected["run_j_jacobi.max_tanh"]] + [st.tanh for st in j_report.steps])
+    for key, value in expected.items():
+        assert counts[key] == value > 0, key

@@ -208,6 +208,8 @@ class TestRunCycles:
             batch_sweep(m.to_dense()[None], COLUMN, 1)
         with pytest.raises(ValueError, match="parallel execution is defined for n=4"):
             run_parallel_cycle(m, make_ordering([(1, 2), (1, 3), (2, 3)]))
+        with pytest.raises(ValueError, match="matrix dimension 3 does not match ordering n=4"):
+            run_parallel_cycle(m, PAR_ANCHOR)
 
     @pytest.mark.parametrize("cycles", [2.5, math.nan, -1])
     def test_rejects_a_cycle_count_that_is_not_a_nonnegative_integer(self, cycles):

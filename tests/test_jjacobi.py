@@ -114,8 +114,8 @@ class TestJRotation:
         report = run_capped(1, a, STANDARD_SIGNS, COLUMN, tol=0.0).report
         plain = rotation_for_pivot(a, 1, 2)
         step = report.steps[0]
-        assert step.pivot == (1, 2) and step.kind == "trigonometric"
-        assert step.angle == plain.phi
+        assert step.pivots == ((1, 2),) and step.kind == "trigonometric"
+        assert step.angles == (plain.phi,)
         assert np.array_equal(replayed_transform(4, report._records[:1]), embed(plain, 4))
 
     def test_two_by_two_hyperbolic_oracle(self):
@@ -132,7 +132,7 @@ class TestJRotation:
             step, f = result.report.steps[0], result.transform
             r = math.sqrt((d - x) * (d + x))
             assert step.kind == "hyperbolic"
-            assert math.tanh(step.angle) == pytest.approx((r - d) / x, rel=tanh_rel)
+            assert math.tanh(step.angles[0]) == pytest.approx((r - d) / x, rel=tanh_rel)
             assert result.diagonalized.entry(1, 2) == 0.0
             scale = np.max(np.abs(f)) ** 2
             assert np.max(np.abs(f.T @ j2 @ f - j2)) <= 1e-15 * scale
@@ -176,7 +176,7 @@ class TestTinyHyperbolicPivots:
         assert sh == pytest.approx(-pivot / (aii + ajj), rel=1e-15, abs=SUBNORMAL)
         result = run_capped(1, a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0)
         step = result.report.steps[0]
-        assert step.pivot == (1, 3) and step.value == pivot and step.kind == "hyperbolic"
+        assert step.pivots == ((1, 3),) and step.values == (pivot,) and step.kind == "hyperbolic"
         final = result.diagonalized
         if sh == 0.0:
             # tanh rounds to 0 only for a pivot below the spacing of the diagonal
@@ -290,8 +290,9 @@ class TestRunJJacobi:
         result = run_capped(3, a, STANDARD_SIGNS, ENTRY[13], tol=1e-13)
         dense = a.to_dense()
         for step in result.report.steps[:6]:
-            i0, j0 = step.pivot[0] - 1, step.pivot[1] - 1
-            f = step_transform(dense, STANDARD_SIGNS, *step.pivot)
+            (i, j), = step.pivots
+            i0, j0 = i - 1, j - 1
+            f = step_transform(dense, STANDARD_SIGNS, i, j)
             dense = f.T @ dense @ f
             dense = (dense + dense.T) / 2
             assert abs(dense[i0, j0]) <= 1e-14 * np.linalg.norm(dense)

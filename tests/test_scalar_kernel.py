@@ -46,7 +46,6 @@ from cyclic_jacobi.driver import (
 )
 from cyclic_jacobi.jjacobi import (
     HyperbolicBreakdownError,
-    JJacobiStep,
     _hyperbolic_params,
     run_j_jacobi,
     solve_factored,
@@ -97,8 +96,8 @@ def scalar_path_digest():
     def feed_j(result):
         report = result.report
         for st in report.steps:
-            digest.update(repr((st.pivot, st.kind)).encode())
-            floats([st.value, st.angle, st.tanh, st.s_before, st.s_after])
+            digest.update(repr((st.pivots[0], st.kind)).encode())
+            floats([st.values[0], st.angles[0], st.tanh, st.s_before, st.s_after])
         floats(report.cycle_off_norms)
         floats(report.angle_envelope)
         digest.update(repr((report.converged, report.cycles_executed)).encode())
@@ -427,33 +426,31 @@ class TestLazySteps:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Count the step objects built through ``driver.StepRecord`` and ``jjacobi.JJacobiStep``."""
-        counts = {}
-        for module, cls in ((drivermod, StepRecord), (jjacobimod, JJacobiStep)):
-            counts[cls] = 0
+        """Count the step objects built through ``driver.StepRecord``, the one step type."""
+        counts = {StepRecord: 0}
 
-            def counting(*args, cls=cls):
-                counts[cls] += 1
-                return cls(*args)
+        def counting(*args):
+            counts[StepRecord] += 1
+            return StepRecord(*args)
 
-            monkeypatch.setattr(module, cls.__name__, counting)
+        monkeypatch.setattr(drivermod, "StepRecord", counting)
         return counts
 
-    @pytest.mark.parametrize("run, cls, steps_per_cycle", [
-        (lambda m, f: run_cycles(m, COLUMN, 10)[1], StepRecord, 6),
-        (lambda m, f: run_parallel_cycle(m, PAR_ANCHOR)[1], StepRecord, 3),
-        (lambda m, f: solve_factored(f, (1, 1, -1, -1), PAR_ANCHOR)[2].report, JJacobiStep, 6),
+    @pytest.mark.parametrize("run, steps_per_cycle", [
+        (lambda m, f: run_cycles(m, COLUMN, 10)[1], 6),
+        (lambda m, f: run_parallel_cycle(m, PAR_ANCHOR)[1], 3),
+        (lambda m, f: solve_factored(f, (1, 1, -1, -1), PAR_ANCHOR)[2].report, 6),
     ], ids=["run_cycles", "run_parallel_cycle", "solve_factored"])
-    def test_steps_are_built_once_on_first_read(self, built, run, cls, steps_per_cycle):
+    def test_steps_are_built_once_on_first_read(self, built, run, steps_per_cycle):
         rng = default_rng(71)
         report = run(random_symmetric(rng), random_spd_factor(rng))
         assert set(built.values()) == {0}
         steps = report.steps
         assert len(steps) == steps_per_cycle * report.cycles_executed > 0
-        assert all(type(st) is cls for st in steps)
-        assert built[cls] == len(steps) and sum(built.values()) == len(steps)
+        assert all(type(st) is StepRecord for st in steps)
+        assert built[StepRecord] == len(steps)
         assert report.steps is steps
-        assert built[cls] == len(steps)
+        assert built[StepRecord] == len(steps)
 
     def test_solvers_that_never_read_steps_build_none(self, built):
         rng = default_rng(72)
@@ -500,7 +497,7 @@ class TestLazySteps:
             replays.append(args)
             return _step_off_norms(*args)
 
-        monkeypatch.setattr(jjacobimod, "_step_off_norms", counting_replay)
+        monkeypatch.setattr(drivermod, "_step_off_norms", counting_replay)
         ell = random_spd_factor(default_rng(75))
         factor, report = tmp_path / "factor.txt", tmp_path / "report.json"
         factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
@@ -651,9 +648,10 @@ class TestEagerSweepOracle:
             expected = eager_steps(m, ordering, report.cycles_executed, signs)
             assert len(report.steps) == len(expected) > 0
             for st, (pair, hyperbolic, value, angle, before, after) in zip(report.steps, expected):
-                assert (st.pivot, st.kind) == (pair, "hyperbolic" if hyperbolic else "trigonometric")
+                assert (st.pivots, st.kind) == (
+                    (pair,), "hyperbolic" if hyperbolic else "trigonometric")
                 tanh = abs(math.tanh(angle)) if hyperbolic else 0.0
-                assert _bits([st.value, st.angle, st.tanh, st.s_before, st.s_after]) == _bits(
+                assert _bits([*st.values, *st.angles, st.tanh, st.s_before, st.s_after]) == _bits(
                     [value, angle, tanh, before, after])
             assert _bits(report.cycle_off_norms) == _bits(_boundaries(expected, 6, off_norm(m)))
 

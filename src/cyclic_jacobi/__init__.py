@@ -62,7 +62,6 @@ from .classification import (
 )
 from .driver import (
     CampaignReport,
-    NotParallelOrderingError,
     SweepReport,
     batch_sweep,
     default_rng,

@@ -291,7 +291,8 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     t = copysign(1, tau) / (|tau| + sqrt(1 + tau*tau)) with
     tau = (aii - ajj) / (2*aij), then c = 1/h and s = t/h with
     h = sqrt(1 + t*t).  A zero pivot gives the identity; a diagonal tie
-    (tau = +-0) gives t = +-1, a quarter turn.  Where tau*tau overflows (a
+    gives t = copysign(1, aij), a quarter turn: the + 0.0 turns the -0.0
+    of -0.0 - +0.0 into +0.0, as in every other tie.  Where tau*tau overflows (a
     subnormal pivot, or |tau| above about 1.3e154) t rounds to 0 and would
     leave the pivot in place; t = aij / (aii - ajj), its limit, is used
     instead.  The inputs are Python floats (``SymMatrix.entry`` and the
@@ -300,7 +301,7 @@ def _rotation_params(aii: float, ajj: float, aij: float) -> tuple[float, float, 
     """
     if aij == 0.0:
         return 1.0, 0.0, 0.0
-    diff = aii - ajj
+    diff = aii - ajj + 0.0
     tau = diff / (2.0 * aij)
     t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
     if t == 0.0:

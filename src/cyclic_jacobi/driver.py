@@ -23,17 +23,16 @@ when s = +-0), perform the IEEE operations of the dense row-then-column
 update in its order, and sum S^2 in one order, so ``run_cycles``,
 ``batch_sweep`` and ``core.off_norm`` give the same bits.
 
-Every single-matrix run (``run_cycles``; ``run_parallel_cycle``, one
-``run_cycles`` sweep; ``jjacobi.run_j_jacobi`` and ``solve_factored``) is
+Every single-matrix run (``run_cycles``; ``run_parallel_cycle``, which is
+``run_cycles(a, o, 1)``; ``jjacobi.run_j_jacobi`` and ``solve_factored``) is
 reported by a ``SweepReport`` (``jjacobi.JJacobiReport`` subclasses it):
 its input, the raw per-step records of ``core._sweep`` (pair, pivot value,
-c, s, t, tangent) and the S at every cycle boundary.  Its ``steps``
-(``StepRecord`` objects) are replayed from those when first read:
-``core._step_off_norms`` gives the S around each step, and the angles are
-the arctangents of the tangents (atanh for a hyperbolic step).  The S^2
-checks (``_report_checks``) read the same replay without building steps.
-Callers that want only the matrix or the cycle-boundary off-norms never
-replay.
+c, s, t, tangent) and the S at every cycle boundary.  It replays its run at
+most once, when first asked: ``_step_norms`` (``core._step_off_norms``) is
+the S around every step, which ``steps`` (one ``StepRecord`` per record, its
+angle atan of the tangent, atanh for a hyperbolic step), the S^2 checks
+(``_report_checks``, building no steps) and ``monitor_proof_bounds`` read.
+Callers that want only the matrix or the cycle-boundary S never replay.
 
 A single run is inherently sequential; distinct runs and campaign cells are
 independent and may execute concurrently.
@@ -79,7 +78,6 @@ __all__ = [
     "BatchSweep",
     "CampaignCell",
     "CampaignReport",
-    "NotParallelOrderingError",
     "FP_SLACK",
     "IDENTITY_RTOL",
     "MONOTONICITY_RTOL",
@@ -105,17 +103,13 @@ SPD_FACTOR_MAX_COND = 100.0  # cond(L) cap of random_spd_factor
 RNG_ALGORITHM = "numpy-PCG64"
 
 
-class NotParallelOrderingError(ValueError):
-    """The ordering is not a transposition-variant of a parallel anchor."""
-
-
 @dataclass(frozen=True)
 class StepRecord:
-    """One annihilation step, or one group of commuting steps.
+    """One annihilation step.
 
-    ``s_before``/``s_after`` bracket the whole group, so for a trigonometric
-    group s_before^2 - s_after^2 equals the sum of the squared pivot values
-    up to roundoff.  ``kind`` is "hyperbolic" only for a J-Jacobi step across
+    ``pivots``, ``values`` and ``angles`` are 1-tuples.  For a trigonometric
+    step s_before^2 - s_after^2 equals the squared pivot value up to
+    roundoff.  ``kind`` is "hyperbolic" only for a J-Jacobi step across
     J's sign blocks: its angle is atanh of the tangent, ``tanh`` |tanh(angle)|.
     Other steps are "trigonometric", their angles arctangents, ``tanh`` 0.0.
     """
@@ -133,10 +127,10 @@ class StepRecord:
 class SweepReport:
     """The cycle-boundary off-norms of a single-matrix run, and its steps.
 
-    ``steps`` is replayed as the module describes, the first time it is
-    read, and kept: one ``StepRecord`` per ``_steps_per_group`` records.
-    A timed run and the S^2 checks never build it; ``cjacobi solve`` and
-    ``jsolve --monitor`` build it once.  ``jjacobi.JJacobiReport`` adds the
+    ``_step_norms`` and ``steps`` are replayed as the module describes, the
+    first time each is read, and kept.  A timed run never replays, the S^2
+    checks never build ``steps``, and ``cjacobi solve`` and
+    ``jsolve --monitor`` replay once.  ``jjacobi.JJacobiReport`` adds the
     fields of a J-Jacobi run and marks its hyperbolic steps (``_hyperbolic``).
     """
 
@@ -146,26 +140,28 @@ class SweepReport:
     cycle_off_norms: list[float]  # S at every cycle boundary, starting at t=0
     _matrix: SymMatrix = field(repr=False)  # the input, from which the steps are replayed
     _records: list[tuple] = field(repr=False)
-    _steps_per_group: int = field(default=1, repr=False)  # 2 for run_parallel_cycle
 
     def _hyperbolic(self, pair: tuple[int, int]) -> bool:
         """Whether the step at ``pair`` is hyperbolic: never, in a plain run."""
         return False
 
     @cached_property
+    def _step_norms(self) -> list[float]:
+        """S of the input, then S after each step: the report's one replay."""
+        return _step_off_norms(self._matrix, self._records)
+
+    @cached_property
     def steps(self) -> list[StepRecord]:
-        norms = _step_off_norms(self._matrix, self._records)
-        size = self._steps_per_group
+        norms = self._step_norms
         steps = []
-        for k in range(0, len(self._records), size):
-            pairs, values, _, _, _, tangents = zip(*self._records[k:k + size])
-            if self._hyperbolic(pairs[0]):  # only a J-Jacobi run, whose groups are single steps
-                angles = (math.atanh(tangents[0]),)
-                kind, tanh = "hyperbolic", abs(math.tanh(angles[0]))
+        for k, (pair, value, _, _, _, tangent) in enumerate(self._records):
+            if self._hyperbolic(pair):
+                angle = math.atanh(tangent)
+                kind, tanh = "hyperbolic", abs(math.tanh(angle))
             else:
-                angles = tuple(map(math.atan, tangents))
+                angle = math.atan(tangent)
                 kind, tanh = "trigonometric", 0.0
-            steps.append(StepRecord(pairs, values, angles, norms[k], norms[k + size], kind, tanh))
+            steps.append(StepRecord((pair,), (value,), (angle,), norms[k], norms[k + 1], kind, tanh))
         return steps
 
 
@@ -192,11 +188,11 @@ def _s2_checks(identity: float, growth: float) -> tuple[bool, str]:
 def _report_checks(report) -> tuple[float, float]:
     """The decrement-identity error over the steps of a single-matrix run, and its cycle growth.
 
-    Replays the input and ``core._sweep`` records that a ``SweepReport`` keeps (a
-    ``jjacobi.JJacobiReport`` is one).  A hyperbolic step keeps neither check:
-    S^2 need not drop by its squared pivot, and S may grow across a cycle.
+    Reads a ``SweepReport``'s one replay (``_step_norms``) and records.  A hyperbolic
+    step keeps neither check: S^2 need not drop by its squared pivot, and S may grow
+    across a cycle.
     """
-    s2 = np.square(_step_off_norms(report._matrix, report._records))
+    s2 = np.square(report._step_norms)
     identity = _decrement_error(s2, [pivot * pivot for _, pivot, *_ in report._records])
     return identity, _cycle_growth(np.array(report.cycle_off_norms))
 
@@ -246,25 +242,24 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
 
 
 def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix, SweepReport]:
-    """One sweep executed as three simultaneous-rotation steps.
+    """One sweep of a parallel ordering: three pairs of commuting rotations.
 
     The ordering must be a transposition-variant of one of the two parallel
     anchors: ``classify`` labels it ``Parallel`` with shift length 0, which
-    holds for exactly those 16 orderings.  Then each consecutive pair of its
-    pivots is disjoint: neither rotation of a group touches an entry the
-    other reads, and computing both from the same iterate gives bitwise the
-    one sweep of ``run_cycles``.  So it is ``run_cycles(a, ordering, 1)``,
-    its steps read in groups of two: no sweep runs when S is 0, and
-    ``ValueError`` when S^2 is not finite or ``a`` is not 4x4.
+    holds for exactly those 16 orderings; any other raises ``ValueError``.
+    Then each consecutive pair of its pivots is disjoint: neither rotation
+    of a pair touches an entry the other reads, so applying both to one
+    iterate gives bitwise the one sweep of ``run_cycles``.  So it returns
+    ``run_cycles(a, ordering, 1)``, whose steps 2k and 2k + 1 are the k-th
+    pair.  No sweep runs when S is 0, and ``ValueError`` when S^2 is not
+    finite or ``a`` is not 4x4.
     """
     if ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
     label = classify(ordering).label
     if not (isinstance(label, Parallel) and label.shift_length == 0):
-        raise NotParallelOrderingError(f"not a parallel ordering: {ordering}")
-    final, report = run_cycles(a, ordering, 1)
-    report._steps_per_group = 2
-    return final, report
+        raise ValueError(f"not a parallel ordering: {ordering}")
+    return run_cycles(a, ordering, 1)
 
 
 # --- batch kernel -------------------------------------------------------------
@@ -474,7 +469,7 @@ def _batch_rotations(width: int) -> tuple[Callable[..., None], np.ndarray]:
         return np.sqrt(np.add(np.multiply(x, x, out=h), 1.0, out=h), out=h)
 
     def rotations(aii: np.ndarray, ajj: np.ndarray, aij: np.ndarray) -> None:
-        np.subtract(aii, ajj, out=diff)
+        np.add(np.subtract(aii, ajj, out=diff), 0.0, out=diff)  # +0.0 at a tie, as in the scalar
         np.divide(diff, np.add(aij, aij, out=two_aij), out=tau)  # 2*aij exactly
         np.add(tau, np.copysign(sqrt_1_plus_sq(tau), tau, out=h), out=h)
         np.divide(1.0, h, out=tt)

@@ -16,10 +16,10 @@ The accumulated transform F rides in the same list, row by row after A's
 n(n+1)/2 entries: each step's plan (``_transform_plan``) adds the positions
 of F's columns i and j to A's (a_ki, a_kj) pairs, so the one plane step
 updates A and F and a step makes no numpy call.  Its ``JJacobiReport`` is
-a ``driver.SweepReport``, whose ``steps`` are replayed as ``driver``
-describes; the angle envelope is built from the records' tangents alone,
-with no replay.  ``solve_factored``, which reads neither, builds neither,
-and ``monitor_proof_bounds`` builds the steps once.
+a ``driver.SweepReport``, which replays its run at most once for its
+``steps`` and S around each step, as ``driver`` describes; the angle
+envelope reads the records' tangents alone.  ``solve_factored`` builds
+neither, and ``monitor_proof_bounds`` reads the steps and that replay.
 
 ``solve_factored`` solves H = L J L^T given its factor: it runs the solver
 on A = L^T L and maps the diagonalization back to eigenpairs of H.
@@ -381,7 +381,7 @@ def monitor_proof_bounds(report: JJacobiReport, epsilon: float) -> ProofMonitorV
     (a, b), (c, d) = label.anchor.pairs[:2]
     variant = f"{a}{b}-{c}{d} first"
 
-    norms = [report.cycle_off_norms[0]] + [st.s_after for st in report.steps]
+    norms = report._step_norms
     window_count = max(0, (len(report.steps) - phase - 2) // 6)  # r with phase + 6r + 8 <= steps
 
     def premises(r: int) -> bool:

@@ -21,7 +21,6 @@ from cyclic_jacobi.classification import (
 from cyclic_jacobi.driver import (
     FP_SLACK,
     IDENTITY_RTOL,
-    NotParallelOrderingError,
     UNIVERSAL_BOUND,
     _window_stats,
     batch_sweep,
@@ -580,7 +579,7 @@ class TestParallelCycle:
 
     def test_rejects_serial_ordering(self):
         m = SymMatrix.from_dense(np.eye(4))
-        with pytest.raises(NotParallelOrderingError):
+        with pytest.raises(ValueError, match=f"^not a parallel ordering: {COLUMN}$"):
             run_parallel_cycle(m, COLUMN)
 
     def test_accepts_exactly_the_anchor_variants(self):
@@ -593,7 +592,8 @@ class TestParallelCycle:
             )
             try:
                 run_parallel_cycle(m, o)
-            except NotParallelOrderingError:
+            except ValueError as exc:
+                assert str(exc) == f"not a parallel ordering: {o}"
                 assert not expected, o
             else:
                 assert expected, o

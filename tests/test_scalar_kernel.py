@@ -33,6 +33,7 @@ from cyclic_jacobi.driver import (
     MONOTONICITY_RTOL,
     OFF_NORM_FLOOR,
     StepRecord,
+    SweepReport,
     _batch_rotations,
     batch_sweep,
     default_rng,
@@ -292,7 +293,7 @@ class TestNonFiniteOffNorm:
 
 
 def dense_parallel_cycle(dense, ordering):
-    """Independent oracle: each group as one orthogonal Q, applied as Q^T A Q."""
+    """Independent oracle: each commuting pair as one orthogonal Q, applied as Q^T A Q."""
     a = np.array(dense, dtype=float)
     norms = []
     for k in range(0, 6, 2):
@@ -330,14 +331,15 @@ class TestParallelCycleOracle:
                 oracle, norms = dense_parallel_cycle(dense, ordering)
                 scale = np.linalg.norm(dense)
                 assert np.linalg.norm(par.to_dense() - oracle) <= 1e-13 * scale
-                got = [st.s_after for st in report.steps]
+                got = [st.s_after for st in report.steps[1::2]]  # S after each pair
                 assert got == pytest.approx(norms, rel=1e-12, abs=1e-14 * scale)
                 assert verify_step_identities(report) <= IDENTITY_RTOL
                 seq, _ = run_cycles(m, ordering, 1)
                 assert np.array_equal(par.to_dense(), seq.to_dense())
 
     def test_grouped_steps_are_the_sequential_steps_bitwise(self):
-        """Each step of a parallel cycle is two consecutive steps of one run_cycles sweep."""
+        """Each pair of steps of a parallel cycle commutes and is two consecutive steps of one
+        run_cycles sweep, bit for bit."""
         rng = default_rng(6061)
         mats = np.concatenate([random_symmetric_batch(rng, 12),
                                pin_12_34(random_symmetric_batch(rng, 4))])
@@ -346,18 +348,16 @@ class TestParallelCycleOracle:
                 m = SymMatrix.from_dense(dense)
                 _, par = run_parallel_cycle(m, ordering)
                 _, seq = run_cycles(m, ordering, 1)
-                assert len(par.steps) == 3 and len(seq.steps) == 6
-                for group, first, second in zip(par.steps, seq.steps[::2], seq.steps[1::2]):
-                    assert group.pivots == first.pivots + second.pivots
-                    assert _bits(group.values) == _bits(first.values + second.values)
-                    assert _bits(group.angles) == _bits(first.angles + second.angles)
-                    assert _bits([group.s_before, group.s_after]) == _bits(
-                        [first.s_before, second.s_after])
+                assert len(par.steps) == len(seq.steps) == 6
+                for first, second in zip(par.steps[::2], par.steps[1::2]):
+                    (p,), (q,) = first.pivots, second.pivots
+                    assert not set(p) & set(q)  # disjoint pivots: the rotations commute
+                assert list(map(_step_bits, par.steps)) == list(map(_step_bits, seq.steps))
                 assert _bits(par.cycle_off_norms) == _bits(seq.cycle_off_norms)
 
     def test_is_one_run_cycles_sweep_bitwise(self):
-        """Final matrix and cycle-boundary S are those of ``run_cycles(a, o, 1)``, also where S^2
-        underflows to 0 and ``run_cycles`` runs no sweep."""
+        """For all 16 variants, the matrix and the report of ``run_cycles(a, o, 1)``, field for
+        field and one step per record, also where S^2 underflows to 0 and no sweep runs."""
         tiny = np.diag([1.0, 2.0, 3.0, 4.0])
         for (i, j), x in (((0, 1), 1e-170), ((0, 2), 2e-170), ((2, 3), 3e-170)):
             tiny[i, j] = tiny[j, i] = x
@@ -368,14 +368,29 @@ class TestParallelCycleOracle:
                 par, par_report = run_parallel_cycle(m, ordering)
                 seq, seq_report = run_cycles(m, ordering, 1)
                 assert _bits(par._packed) == _bits(seq._packed)
+                assert type(par_report) is type(seq_report) is SweepReport
+                assert par_report._matrix is seq_report._matrix is m
+                assert (par_report.ordering, par_report.cycles_requested) == (ordering, 1)
+                assert (seq_report.ordering, seq_report.cycles_requested) == (ordering, 1)
                 assert _bits(par_report.cycle_off_norms) == _bits(seq_report.cycle_off_norms)
                 assert par_report.cycles_executed == seq_report.cycles_executed
+                assert [r[0] for r in par_report._records] == [r[0] for r in seq_report._records]
+                assert _bits([x for r in par_report._records for x in r[1:]]) == _bits(
+                    [x for r in seq_report._records for x in r[1:]])
+                assert len(par_report.steps) == len(par_report._records)
+                assert list(map(_step_bits, par_report.steps)) == list(
+                    map(_step_bits, seq_report.steps))
         # the last run is the tiny matrix's: S^2 underflows, and no sweep runs
         assert par == m and par_report.cycle_off_norms == [0.0] and par_report.steps == []
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _step_bits(st):
+    """A ``StepRecord``'s pivots and kind, and the bytes of its numbers."""
+    return st.pivots, st.kind, _bits([*st.values, *st.angles, st.tanh, st.s_before, st.s_after])
 
 
 class TestTransformOracle:
@@ -436,17 +451,29 @@ class TestLazySteps:
         monkeypatch.setattr(drivermod, "StepRecord", counting)
         return counts
 
-    @pytest.mark.parametrize("run, steps_per_cycle", [
-        (lambda m, f: run_cycles(m, COLUMN, 10)[1], 6),
-        (lambda m, f: run_parallel_cycle(m, PAR_ANCHOR)[1], 3),
-        (lambda m, f: solve_factored(f, (1, 1, -1, -1), PAR_ANCHOR)[2].report, 6),
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        """The arguments of every replay, ``core._step_off_norms`` as ``driver`` calls it."""
+        calls = []
+
+        def counting_replay(*args):
+            calls.append(args)
+            return _step_off_norms(*args)
+
+        monkeypatch.setattr(drivermod, "_step_off_norms", counting_replay)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda m, f: run_cycles(m, COLUMN, 10)[1],
+        lambda m, f: run_parallel_cycle(m, PAR_ANCHOR)[1],
+        lambda m, f: solve_factored(f, (1, 1, -1, -1), PAR_ANCHOR)[2].report,
     ], ids=["run_cycles", "run_parallel_cycle", "solve_factored"])
-    def test_steps_are_built_once_on_first_read(self, built, run, steps_per_cycle):
+    def test_steps_are_built_once_on_first_read(self, built, run):
         rng = default_rng(71)
         report = run(random_symmetric(rng), random_spd_factor(rng))
         assert set(built.values()) == {0}
         steps = report.steps
-        assert len(steps) == steps_per_cycle * report.cycles_executed > 0
+        assert len(steps) == 6 * report.cycles_executed > 0
         assert all(type(st) is StepRecord for st in steps)
         assert built[StepRecord] == len(steps)
         assert report.steps is steps
@@ -489,15 +516,8 @@ class TestLazySteps:
         assert counting_math.tanh_calls == hyperbolic
 
     def test_jsolve_reads_the_envelope_without_steps_or_a_replay(
-        self, built, counting_math, monkeypatch, tmp_path
+        self, built, counting_math, replays, tmp_path
     ):
-        replays = []
-
-        def counting_replay(*args):
-            replays.append(args)
-            return _step_off_norms(*args)
-
-        monkeypatch.setattr(drivermod, "_step_off_norms", counting_replay)
         ell = random_spd_factor(default_rng(75))
         factor, report = tmp_path / "factor.txt", tmp_path / "report.json"
         factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
@@ -508,6 +528,47 @@ class TestLazySteps:
         assert len(envelope) > 1 and max(envelope) > 0.0
         assert counting_math.tanh_calls > 0
         assert set(built.values()) == {0} and replays == []
+
+    def test_a_report_replays_at_most_once(self, built, replays):
+        """Steps, the S^2 checks and the monitor read one replay, in any order of reading."""
+        rng = default_rng(76)
+        m, factor = random_symmetric(rng), random_spd_factor(rng)
+        for report in (run_cycles(m, COLUMN, 3)[1], run_parallel_cycle(m, PAR_ANCHOR)[1]):
+            del replays[:]
+            steps = report.steps
+            assert verify_step_identities(report) <= IDENTITY_RTOL
+            assert report.steps is steps and len(replays) == 1
+            assert replays[0][0] is report._matrix and replays[0][1] is report._records
+        report = solve_factored(factor, (1, 1, -1, -1), PAR_ANCHOR)[2].report
+        del replays[:]
+        built[StepRecord] = 0
+        drivermod._report_checks(report)  # hyperbolic steps keep neither check; only read
+        assert built[StepRecord] == 0
+        assert jjacobimod.monitor_proof_bounds(report, 0.05).windows_checked > 0
+        assert built[StepRecord] == len(report.steps) > 0 and len(replays) == 1
+        assert report._step_norms == [report.cycle_off_norms[0]] + [
+            st.s_after for st in report.steps]
+
+    def test_solve_command_replays_once(self, built, replays, tmp_path):
+        matrix, report = tmp_path / "a.txt", tmp_path / "report.json"
+        matrix.write_text(format_matrix(random_symmetric(default_rng(77))))
+        code = main(["solve", "--matrix", str(matrix), "--ordering", str(COLUMN),
+                     "--cycles", "3", "--report", str(report)])
+        assert code == 0
+        assert len(json.loads(report.read_text())["steps"]) == built[StepRecord] == 18
+        assert len(replays) == 1
+
+    @pytest.mark.parametrize("source", ["--A", "--L"])
+    def test_jsolve_monitor_replays_once(self, built, replays, tmp_path, source):
+        ell = random_spd_factor(default_rng(78))
+        path, report = tmp_path / "input.txt", tmp_path / "report.json"
+        dense = ell.T @ ell if source == "--A" else ell
+        path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in dense.tolist()))
+        code = main(["jsolve", source, str(path), "--J", "+1 +1 -1 -1", "--ordering",
+                     str(PAR_ANCHOR), "--monitor", "0.05", "--report", str(report)])
+        assert code == 0
+        assert json.loads(report.read_text())["monitor"]["windows_checked"] > 0
+        assert built[StepRecord] > 0 and len(replays) == 1
 
     def test_solvers_never_compute_the_angle_envelope(self, counting_math):
         rng = default_rng(74)
@@ -590,15 +651,12 @@ class TestDimensions:
 
 
 def _assert_steps_match(steps, expected):
-    """``StepRecord`` groups of a report against the ``eager_steps`` they cover, bit for bit."""
-    size = len(expected) // len(steps)
-    assert len(steps) * size == len(expected) > 0
-    for k, st in enumerate(steps):
-        group = expected[k * size:(k + 1) * size]
-        assert st.pivots == tuple(pair for pair, *_ in group)
-        assert _bits(st.values) == _bits([value for _, _, value, *_ in group])
-        assert _bits(st.angles) == _bits([angle for *_, angle, _, _ in group])
-        assert _bits([st.s_before, st.s_after]) == _bits([group[0][4], group[-1][5]])
+    """The ``StepRecord`` steps of a report against ``eager_steps``, one to one, bit for bit."""
+    assert len(steps) == len(expected) > 0
+    for st, (pair, _, value, angle, before, after) in zip(steps, expected):
+        assert st.pivots == (pair,)
+        assert _bits([*st.values, *st.angles, st.s_before, st.s_after]) == _bits(
+            [value, angle, before, after])
 
 
 def _boundaries(expected, per_cycle, initial):
@@ -633,7 +691,7 @@ class TestEagerSweepOracle:
                 m = SymMatrix.from_dense(dense)
                 _, report = run_parallel_cycle(m, ordering)
                 expected = eager_steps(m, ordering, 1)
-                assert len(report.steps) == 3
+                assert len(report.steps) == 6
                 _assert_steps_match(report.steps, expected)
                 assert _bits(report.cycle_off_norms) == _bits(
                     _boundaries(expected, 6, off_norm(m)))

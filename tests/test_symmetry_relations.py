@@ -7,7 +7,11 @@ relation compares the program with itself and needs no oracle:
   and every entry changes sign exactly, so the run on D A D gives D F D for the
   final F (and the transform of a J-Jacobi run), and bitwise the same S at every
   cycle boundary.  Entries are compared up to the sign of zero: each kernel stores
-  its pivot as +0.0, which D F D turns into -0.0 where d_i d_j = -1.
+  its pivot as +0.0, which D F D turns into -0.0 where d_i d_j = -1.  So the signs
+  of zeros differ between the two runs, and at a tie between diagonal zeros
+  a_ii - a_jj can be -0.0 in one run and +0.0 in the other; ``_rotation_params``
+  and ``batch_sweep`` add +0.0 to it, so every tie turns by copysign(1, a_ij) and
+  the relation holds there too (the pinned ``TIES``).
 * a relabeling P A P^T, run under ``permute(o, q)`` with J relabeled too.  A pivot
   whose indices swap order gets (c, -s), so the finals are bitwise P F P^T, signed
   zeros included.  S is not bitwise: it adds the squares in packed order, which
@@ -21,18 +25,25 @@ relation compares the program with itself and needs no oracle:
   the labels, bitwise, but the eigenvectors L F Lambda^(-1/2) sum over the moved
   index in another order, so they are held to the bound of that reordering.
 
-``batch_sweep`` is checked matrix by matrix of a stack, under the same relations.
+``batch_sweep`` is checked matrix by matrix of a stack, under the same relations, and
+``cjacobi solve`` from matrix files of repr floats to its JSON report and check line.
 
 The scaling relation 2^k A is left out: it fails where entries are subnormal.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cyclic_jacobi.cli import main
 from cyclic_jacobi.core import SymMatrix
 from cyclic_jacobi.classification import PAR_ANCHOR, PAR_ANCHOR_MIRROR, anchor_variants
 from cyclic_jacobi.driver import (
@@ -43,7 +54,7 @@ from cyclic_jacobi.driver import (
     run_parallel_cycle,
 )
 from cyclic_jacobi.jjacobi import run_j_jacobi, solve_factored
-from cyclic_jacobi.orderings import all_pairs, invert, make_ordering, permute
+from cyclic_jacobi.orderings import all_pairs, invert, make_ordering, parse_ordering, permute
 from oracles import eager_steps, relabeled, sign_similar
 
 EPS = np.finfo(float).eps
@@ -64,6 +75,22 @@ ORDERINGS = st.permutations(all_pairs(4)).map(make_ordering)
 PARALLEL = st.sampled_from(anchor_variants(PAR_ANCHOR) + anchor_variants(PAR_ANCHOR_MIRROR))
 SIGNS = st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4)
 RELABELINGS = st.permutations([1, 2, 3, 4])
+
+
+def zeros_but(i, j, x):
+    """The 4x4 matrix of -0.0 entries but a_ij = a_ji = x (1-based)."""
+    dense = np.full((4, 4), -0.0)
+    dense[i - 1, j - 1] = dense[j - 1, i - 1] = x
+    return dense
+
+
+# Ties between diagonal zeros, each with an ordering and d, on which D A D once turned the
+# other way: a_ii - a_jj was +0.0 in one run and -0.0 in the other.  Both with 1 cycle.
+TIES = (
+    (zeros_but(1, 4, 4.63650769e-69), PAR_ANCHOR, [1, 1, 1, -1]),
+    (zeros_but(1, 3, 2.12897992e-109), parse_ordering("1 2, 1 4, 2 3, 1 3, 2 4, 3 4"),
+     [1, 1, 1, -1]),
+)
 
 
 def unsigned(dense) -> bytes:
@@ -120,6 +147,8 @@ def relabeled_signs(signs, q) -> list[int]:
 class TestSignSimilarity:
     @settings(max_examples=60, deadline=None)
     @given(MATRICES, ORDERINGS, SIGNS, st.integers(0, 4))
+    @example(*TIES[0], 1)
+    @example(*TIES[1], 1)
     def test_run_cycles(self, dense, ordering, d, cycles):
         final, report = run_cycles(SymMatrix.from_dense(dense), ordering, cycles)
         similar, similar_report = run_cycles(
@@ -131,6 +160,7 @@ class TestSignSimilarity:
 
     @settings(max_examples=40, deadline=None)
     @given(MATRICES, PARALLEL, SIGNS)
+    @example(*TIES[0])
     def test_run_parallel_cycle(self, dense, ordering, d):
         final, report = run_parallel_cycle(SymMatrix.from_dense(dense), ordering)
         similar, similar_report = run_parallel_cycle(
@@ -219,9 +249,9 @@ class TestRelabeling:
 class TestBatchSweep:
     """The relations through ``batch_sweep``, for each matrix of a stack.
 
-    Matrices with a quarter turn are left out of both: where the tie is between diagonal
-    zeros, the sign similarity can change their signs, and so the sign of a_ii - a_jj and of
-    the turn.  The relabeled finals are compared up to the sign of zero too: unlike
+    Matrices with a quarter turn are left out of the relabeling, as in the scalar tests; the
+    sign similarity holds on every matrix.  The relabeled finals are compared up to the sign
+    of zero too: unlike
     ``run_cycles``, the kernel sweeps on where S is 0 but an entry is -0.0, and a step at a
     -0.0 pivot between -0.0 diagonal entries leaves a_ii at -0.0 and makes a_jj +0.0, so the
     order of the pivot's indices decides which zero keeps its sign.
@@ -229,9 +259,9 @@ class TestBatchSweep:
 
     @settings(max_examples=40, deadline=None)
     @given(STACKS, ORDERINGS, SIGNS, st.integers(0, 4))
+    @example(TIES[0][0][None], *TIES[0][1:], 1)
+    @example(np.array([TIES[1][0], TIES[0][0]]), *TIES[1][1:], 1)
     def test_sign_similarity(self, mats, ordering, d, cycles):
-        mats = without_quarter_turns(mats, ordering, cycles)
-        assume(len(mats) > 0)
         sweep = batch_sweep(mats, ordering, cycles)
         similar = batch_sweep(np.array([sign_similar(m, d) for m in mats]), ordering, cycles)
         assert similar.off_norms.tobytes() == sweep.off_norms.tobytes()
@@ -246,3 +276,64 @@ class TestBatchSweep:
         moved = batch_sweep(np.array([relabeled(m, q) for m in mats]), permute(ordering, q), cycles)
         assert unsigned(moved.finals) == unsigned([relabeled(f, q) for f in sweep.finals])
         assert all(map(reordered_sum_close, moved.off_norms.flat, sweep.off_norms.flat))
+
+
+def solve_file(dense, ordering, cycles):
+    """``cjacobi solve`` on ``dense``, written as a matrix file of repr floats: its exit code,
+    JSON report, final matrix and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix, report = Path(tmp) / "a.txt", Path(tmp) / "report.json"
+        matrix.write_text("".join(" ".join(map(repr, row)) + "\n" for row in dense.tolist()))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["solve", "--matrix", str(matrix), "--ordering", str(ordering),
+                         "--cycles", str(cycles), "--report", str(report)])
+        payload = json.loads(report.read_text())
+    final = np.array([[float(x) for x in row.split()] for row in payload["final_matrix"]])
+    return code, payload, final, stderr.getvalue()
+
+
+class TestSolveCommand:
+    """The relations through ``cjacobi solve``, from matrix file to JSON report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(MATRICES, ORDERINGS, SIGNS, st.integers(0, 4))
+    @example(*TIES[0], 1)
+    @example(*TIES[1], 1)
+    def test_sign_similarity(self, dense, ordering, d, cycles):
+        code, report, final, checks = solve_file(dense, ordering, cycles)
+        similar_code, similar, similar_final, similar_checks = solve_file(
+            sign_similar(dense, d), ordering, cycles)
+        assert (similar_code, similar_checks) == (code, checks)
+        assert bits(similar["cycle_off_norms"]) == bits(report["cycle_off_norms"])
+        assert len(similar["steps"]) == len(report["steps"])
+        for step, similar_step in zip(report["steps"], similar["steps"]):
+            [(i, j)] = similar_step["pivots"]
+            assert similar_step["pivots"] == step["pivots"]
+            sign = d[i - 1] * d[j - 1]
+            assert similar_step["values"] == [sign * v for v in step["values"]]
+            assert similar_step["angles"] == [sign * v for v in step["angles"]]
+            assert bits([similar_step["off_norm_before"], similar_step["off_norm_after"]]) == bits(
+                [step["off_norm_before"], step["off_norm_after"]])
+        assert unsigned(similar_final) == unsigned(sign_similar(final, d))
+        assert unsigned(similar["final_diagonal"]) == unsigned(report["final_diagonal"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(MATRICES, ORDERINGS, RELABELINGS, st.integers(0, 4))
+    def test_relabeling(self, dense, ordering, q, cycles):
+        code, report, final, _ = solve_file(dense, ordering, cycles)
+        assume(all(abs(a) != math.pi / 4 for step in report["steps"] for a in step["angles"]))
+        moved_code, moved, moved_final, _ = solve_file(
+            relabeled(dense, q), permute(ordering, q), cycles)
+        assert moved_code == code
+        assert moved_final.tobytes() == relabeled(final, q).tobytes()
+        assert moved["cycles_executed"] == report["cycles_executed"]
+        assert all(map(reordered_sum_close, moved["cycle_off_norms"], report["cycle_off_norms"]))
+        assert len(moved["steps"]) == len(report["steps"])
+        for step, moved_step in zip(report["steps"], moved["steps"]):
+            [(i, j)] = step["pivots"]
+            assert moved_step["pivots"] == [sorted([q[i - 1], q[j - 1]])]
+            assert moved_step["values"] == step["values"]
+            # swapping the pivot's indices swaps a_ii and a_jj, and turns the other way
+            sign = 1 if q[i - 1] < q[j - 1] else -1
+            assert moved_step["angles"] == [sign * a for a in step["angles"]]

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import _parse_square, _scaled_norm, format_matrix, read_matrix_file
+from .core import _dot, _norm, _parse_square, format_matrix, read_matrix_file
 from .orderings import PivotOrdering, enumerate_orderings, format_certificate, parse_ordering
 from .classification import (
     GeneralizedSerial,
@@ -110,6 +110,8 @@ def _classification_json(ordering: PivotOrdering) -> dict:
 
 def cmd_classify(args) -> int:
     if args.catalog:
+        if args.format is not None:
+            raise ValueError("--format does not apply to --catalog, which writes a text summary")
         report = verify_catalog()
         lines = [f"catalog entries checked: {len(catalog())}"]
         lines += [f"class counts: {json.dumps(report.class_counts, sort_keys=True)}"]
@@ -178,20 +180,19 @@ def cmd_jsolve(args) -> int:
         except ConvergenceError as exc:  # no eigenpairs; the run's fields are written below
             report = exc.report
         else:
-            h = factor @ np.diag(signs).astype(float) @ factor.T
-            residuals = [
-                _scaled_norm(h @ eigenvectors[:, k] - eigenvalues[k] * eigenvectors[:, k])
-                for k in range(len(signs))
-            ]
+            rows = factor.tolist()
+            h = [[_dot([x * s for x, s in zip(u, signs)], v) for v in rows] for u in rows]
             payload["eigenvalues"] = eigenvalues.tolist()
-            payload["residual_norms"] = residuals
-            payload["matrix_norm"] = _scaled_norm(h)
+            payload["residual_norms"] = [  # H v - lambda v, each entry one exact dot
+                _norm([_dot([*h_r, -lam], [*v, v_r]) for h_r, v_r in zip(h, v)])
+                for lam, v in zip(payload["eigenvalues"], eigenvectors.T.tolist())
+            ]
+            payload["matrix_norm"] = _norm([x for h_r in h for x in h_r])
             report = result.report
     else:
-        matrix = read_matrix_file(args.A)
-        result = run_j_jacobi(matrix, signs, ordering, tol=args.tol)
-        lam = result.diagonalized.diagonal()
-        payload["eigenvalues"] = (np.array(signs, dtype=float) * lam).tolist()
+        result = run_j_jacobi(read_matrix_file(args.A), signs, ordering, tol=args.tol)
+        lam = result.diagonalized._diagonal_floats()
+        payload["eigenvalues"] = [s * x for s, x in zip(signs, lam)]
         report = result.report
     payload["converged"] = report.converged
     payload["cycles_executed"] = report.cycles_executed
@@ -270,6 +271,8 @@ def cmd_verify(args) -> int:
     # enumeration order: itertools.permutations of the sorted pairs is lexicographic
     orderings = sorted(_select_orderings(args.orderings), key=lambda o: o.pairs)
     modes = ("classified", "universal") if args.bound == "both" else (args.bound,)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
     jobs = worker_count(args.jobs, len(orderings), os.cpu_count())
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", help="classify all 720 orderings")
     group.add_argument("--ordering", help='one ordering, e.g. "1 2, 1 3, 2 3, 1 4, 2 4, 3 4"')
     group.add_argument("--catalog", action="store_true", help="replay all 120 catalog chains")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), help="default: csv; not with --catalog")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_classify)
 

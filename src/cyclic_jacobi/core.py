@@ -27,6 +27,9 @@ The scalar sweep does only the rotation work: it records each step's
 the recorded steps on the input's entries; ``driver`` describes when a
 report runs that replay.
 
+``_dot`` and ``_norm``, one exactly rounded ``math.fsum`` each, own every dot
+product and 2-norm that a report writes, so no BLAS kernel sets those bits.
+
 Everything here is a pure function over immutable values; no locking is
 needed for concurrent use.
 """
@@ -93,38 +96,26 @@ def _pivot_plan(n: int, i: int, j: int) -> tuple[int, int, int, tuple[tuple[int,
     return pos[i0][i0], pos[j0][j0], pos[i0][j0], others
 
 
-def _scaled_norm(x: np.ndarray) -> float:
-    """2-norm (Frobenius for a matrix) with numpy's bits: ``_rescaled_norm`` of the
-    entries of ``x`` read in memory order, and the largest |entry|.
-
-    ``np.linalg.norm(x)`` computes sqrt(v.dot(v)) with v = ``x.ravel(order="K")``,
-    and so does the common branch of ``_rescaled_norm``, so the two results are
-    equal.  Order "K" matters: for a non-contiguous ``x`` (a transpose, a strided
-    view) a plain ``ravel()`` lists the entries in another order, and the dot
-    product sums their squares in that order.
-    """
-    return _rescaled_norm(x.ravel(order="K"), float(np.abs(x).max()))
+def _dot(u, v) -> float:
+    """The dot product of two sequences of floats, exactly rounded (``math.fsum``), so its
+    bits depend neither on the order of the terms nor on a BLAS kernel."""
+    return math.fsum(map(operator.mul, u, v))
 
 
-def _rescaled_norm(flat: np.ndarray, scale: float) -> float:
-    """sqrt(flat . flat), rescaled by ``scale``, the largest |entry| of ``flat``, when
-    the squares of finite entries overflow, or when that entry is below 2^-511, so
-    its square can underflow.  Only when the sum of squares could overflow does the
-    dot product run under ``np.errstate``."""
-    if 0.0 < scale < 2.0**-511:
-        return scale * _norm_of(flat / scale)
-    if scale * scale * flat.size < 2.0**1023:
-        return _norm_of(flat)
-    with np.errstate(over="ignore"):
-        norm = _norm_of(flat)
-    if math.isinf(norm) and math.isfinite(scale):
-        norm = scale * _norm_of(flat / scale)
-    return norm
-
-
-def _norm_of(flat: np.ndarray) -> float:
-    """The 2-norm of a 1-D array as ``np.linalg.norm`` computes it, without its wrapper."""
-    return math.sqrt(flat.dot(flat))
+def _norm(values) -> float:
+    """The 2-norm of a sequence of floats, from the exactly rounded sum of their squares.
+    Where the largest |x| lies outside (2^-500, 2^500), so squares could overflow or
+    underflow, the entries are first scaled by 2^-e, e its ``frexp`` exponent: exactly, so
+    the bits are the unscaled ones wherever the squares stay normal.  Beyond floats: inf."""
+    big = max(map(abs, values))
+    if 2.0**-500 < big < 2.0**500:
+        return math.sqrt(math.fsum([x * x for x in values]))
+    e = math.frexp(big)[1]
+    scaled = [math.ldexp(x, -e) for x in values]
+    try:
+        return math.ldexp(math.sqrt(math.fsum([x * x for x in scaled])), e)
+    except OverflowError:  # ldexp raises where a float product would round to inf
+        return math.inf
 
 
 def _real_array(arr, what: str) -> np.ndarray:
@@ -246,9 +237,8 @@ class SymMatrix:
         return self._packed[self.n * (self.n - 1) // 2:]
 
     def frobenius(self) -> float:
-        """Frobenius norm with the bits of ``_scaled_norm(self.to_dense())``, taking the
-        largest |entry| from the stored floats rather than through numpy."""
-        return _rescaled_norm(np.array(self._dense_entries()), max(map(abs, self._packed)))
+        """Frobenius norm: ``_norm`` of the dense entries, row by row."""
+        return _norm(self._dense_entries())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):

@@ -22,7 +22,8 @@ envelope reads the records' tangents alone.  ``solve_factored`` builds
 neither, and ``monitor_proof_bounds`` reads the steps and that replay.
 
 ``solve_factored`` solves H = L J L^T given its factor: it runs the solver
-on A = L^T L and maps the diagonalization back to eigenpairs of H.
+on A = L^T L and maps the diagonalization back to eigenpairs of H, forming
+L^T L and L F with ``core._dot``, never a BLAS product.
 ``monitor_proof_bounds`` watches a converged run of a parallel ordering and
 checks the epsilon-cascade of off-norm decay windows.  It holds no pivot
 pattern of its own: ``classification.classify`` names the ordering's anchor
@@ -40,8 +41,10 @@ import numpy as np
 
 from .core import (
     SymMatrix,
+    _dot,
     _off_norm_packed,
     _packed_entries,
+    _packed_layout,
     _pivot_plan,
     _read_dense,
     _rotation_params,
@@ -292,7 +295,7 @@ def solve_factored(
     ``CONDITION_LIMIT``, and ``ValueError`` for a factor ``core._read_dense``
     rejects or a largest singular value of 2**511 or more, before L^T L is formed.
     """
-    ell, _ = _read_dense(factor, "factor")
+    ell, rows = _read_dense(factor, "factor")
     sv = np.linalg.svd(ell, compute_uv=False).tolist()  # the one SVD of np.linalg.cond
     cond = sv[0] / sv[-1] if sv[-1] else math.inf
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -301,15 +304,16 @@ def solve_factored(
         )
     if sv[0] >= FACTOR_SV_LIMIT:
         raise ValueError(f"factor too large: singular value {sv[0]:.3e} >= 2**511 overflows L^T L")
-    a = SymMatrix.from_dense(ell.T @ ell)
+    cols, n = list(zip(*rows)), len(rows)  # L^T L from its upper entries, so exactly symmetric
+    a = SymMatrix._of_floats(n, [_dot(cols[r], cols[c]) for r, c in _packed_layout(n)[0]])
     result = run_j_jacobi(a, signs, ordering, tol=tol)
     _check_converged(result.report)
     diagonal = result.diagonalized._diagonal_floats()
     if min(diagonal) <= 0.0:
         raise HyperbolicBreakdownError("diagonalized A is not positive; pair not definite")
-    lam = np.array(diagonal)
-    eigenvalues = np.array(result.report.signs, dtype=float) * lam
-    eigenvectors = ell @ result.transform / np.sqrt(lam)[None, :]
+    eigenvalues = np.array([s * lam for s, lam in zip(result.report.signs, diagonal)])
+    f_cols, roots = result.transform.T.tolist(), list(map(math.sqrt, diagonal))
+    eigenvectors = np.array([[_dot(r, f) / x for f, x in zip(f_cols, roots)] for r in rows])
     return eigenvalues, eigenvectors, result
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -101,20 +102,18 @@ def numpy_to_dense(n, packed):
     return out
 
 
-def numpy_scaled_norm(x):
-    """``core._scaled_norm`` written with ``np.linalg.norm``: the 2-norm of ``x``, rescaled by
-    its largest |entry| when the squares of finite entries overflow or that entry is below
-    2**-511.  ``_scaled_norm`` and ``SymMatrix.frobenius`` must give these bits."""
-    scale = float(np.abs(x).max())
-    if 0.0 < scale < 2.0**-511:
-        return scale * float(np.linalg.norm(x / scale))
-    if scale * scale * x.size < 2.0**1023:
-        return float(np.linalg.norm(x))
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
-    if math.isinf(norm) and math.isfinite(scale):
-        norm = scale * float(np.linalg.norm(x / scale))
-    return norm
+def exact_dot(u, v):
+    """The float nearest the exact sum of the rounded products u_k * v_k, summed as
+    ``fractions.Fraction``: the bits ``core._dot`` must give."""
+    return float(sum(Fraction(x * y) for x, y in zip(u, v)))
+
+
+def gram(factor):
+    """L^T L of the square array ``factor``, every entry one ``math.fsum`` of exact-rounded
+    products: exactly symmetric, independent of any BLAS kernel, and the matrix that
+    ``solve_factored`` sweeps for that factor."""
+    columns = np.asarray(factor, dtype=float).T.tolist()
+    return np.array([[math.fsum(x * y for x, y in zip(u, v)) for v in columns] for u in columns])
 
 
 def validated(m):

@@ -16,10 +16,23 @@ import cyclic_jacobi.driver as drivermod
 import cyclic_jacobi.jjacobi as jjacobimod
 from cyclic_jacobi.classification import Bound, c0_orderings, classify, parallel_orderings
 from cyclic_jacobi.cli import CSV_HEADER, _cell_rows, main, worker_count
-from cyclic_jacobi.core import SymMatrix, format_matrix
+from cyclic_jacobi.core import SymMatrix, _norm, format_matrix
 from cyclic_jacobi.driver import FP_SLACK, verification_campaign
 from cyclic_jacobi.jjacobi import ProofMonitorVerdict
-from cyclic_jacobi.orderings import enumerate_orderings
+from cyclic_jacobi.orderings import enumerate_orderings, parse_ordering
+from oracles import exact_dot, gram
+
+
+def write_rows(path, dense):
+    """Write the rows of the 2-D array ``dense`` to ``path`` as repr floats, one row a line."""
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in dense.tolist()))
+
+
+@pytest.fixture
+def spd_factor_file(tmp_path):
+    path = tmp_path / "factor.txt"
+    write_rows(path, drivermod.random_spd_factor(drivermod.default_rng(3)))
+    return str(path)
 
 
 @pytest.fixture
@@ -34,7 +47,7 @@ def spd_matrix_file(tmp_path):
     rng = np.random.default_rng(8)
     factor = rng.uniform(-1, 1, (4, 4))
     path = tmp_path / "spd.txt"
-    path.write_text(format_matrix(SymMatrix.from_dense(factor.T @ factor)))
+    path.write_text(format_matrix(SymMatrix.from_dense(gram(factor))))
     return str(path)
 
 
@@ -78,19 +91,22 @@ SOLVE_STDERR = (
 JSOLVE_MONITOR_ARGS = [
     "--J", "+1 +1 -1 -1", "--ordering", "1 3, 2 4, 1 4, 2 3, 1 2, 3 4", "--monitor", "0.05",
 ]
-JSOLVE_MONITOR_REPORT_SHA256 = "3d8aa18674d7abe93cedbe7885e86aee05262755539f70eebee6f01d1c91c09c"
+JSOLVE_MONITOR_REPORT_SHA256 = "b05ab34b535a737bd4ddfba1f628f4eb81fbb564d9e140371f3af6f1041552ca"
 # sha256 of the report of `cjacobi jsolve --A spd_matrix_file --J "+1 +1 -1 -1"` with
 # jjacobi.MAX_CYCLES = 1: one sweep, not converged
-JSOLVE_UNCONVERGED_SHA256 = "e29844c50a974cec870ff46ff157449b637a6342cf299d85fdf8ae72563ba9e9"
+JSOLVE_UNCONVERGED_SHA256 = "669c9f916e92423704454311004bfe0dff504fb3a116a836466b93c5889f49ea"
 # the same run through --L: the run fields of that report, and no eigenvalues
-JSOLVE_L_UNCONVERGED_SHA256 = "aad290a68624c751d2ed9e3d9654d102e8b0a5031eb4e0da8ba3a4ac1a2c72b2"
+JSOLVE_L_UNCONVERGED_SHA256 = "d51797de372567d9860ef4fa8261e1db8485b802b2251816b18a582c2417b21f"
 # and both runs on JSOLVE_MONITOR_ARGS, which add the monitor block
 JSOLVE_MONITOR_UNCONVERGED_SHA256 = (
-    "a22bcc77205c2dcc530ef2bf86680f9fb6254973cfcbaadaee2756ced0b386d7"
+    "f84a02ab42594365d819fde31e1f2e46c08d9e2a97a1f50c68b52be4fe207adf"
 )
 JSOLVE_L_MONITOR_UNCONVERGED_SHA256 = (
     "1b3697c8b7c1613436373a9afe3884495ba3de9e6102961c1b10842be031ddf6"
 )
+# sha256 of the report of `cjacobi jsolve --L spd_factor_file --J "+1 +1 -1 -1"`: a
+# converged run, with the eigenvalues, residual_norms and matrix_norm of H = L J L^T
+JSOLVE_L_REPORT_SHA256 = "27ff6f7e664cb833dad334c5bda2e5ed01dbd716213ea14c87bf6f81e3b24603"
 
 
 @pytest.fixture
@@ -150,6 +166,15 @@ class TestClassifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "120" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_beside_catalog_is_input_error(self, capsys, fmt):
+        assert main(["classify", "--catalog", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: --format does not apply to --catalog, which writes a text summary\n"
+        )
 
     def test_json_includes_certificate(self, capsys):
         code = main(
@@ -309,7 +334,7 @@ class TestJsolveCommand:
     def test_factor_whose_square_overflows_is_input_error(self, tmp_path, capsys):
         ell = drivermod.random_spd_factor(drivermod.default_rng(3)) * 1e160
         factor = tmp_path / "factor.txt"
-        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        write_rows(factor, ell)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1"])
@@ -341,22 +366,42 @@ class TestJsolveCommand:
         assert payload["matrix_norm"] == 2.0**1021
         assert payload["residual_norms"] == [0.0] * 4
 
-    def test_factor_report_keeps_numpy_norms(self, tmp_path):
-        ell = drivermod.random_spd_factor(drivermod.default_rng(3))
-        factor = tmp_path / "factor.txt"
-        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+    def test_factor_report_matches_recorded_digest(self, spd_factor_file, tmp_path):
         report = tmp_path / "j.json"
-        assert main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1",
+        assert main(["jsolve", "--L", spd_factor_file, "--J", "+1 +1 -1 -1",
                      "--report", str(report)]) == 0
-        h = ell @ np.diag([1.0, 1.0, -1.0, -1.0]) @ ell.T
-        assert json.loads(report.read_text())["matrix_norm"] == float(np.linalg.norm(h))
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == JSOLVE_L_REPORT_SHA256
+        payload = json.loads(report.read_text())
+        assert payload["converged"] is True
+        assert all(r < 1e-12 * payload["matrix_norm"] for r in payload["residual_norms"])
+
+    def test_factor_report_norms_are_exact(self, spd_factor_file, tmp_path):
+        """Every entry of H = L J L^T and of H v - lambda v is the exactly rounded sum of its
+        rounded products, and the report's norms are ``core._norm`` of those entries."""
+        report = tmp_path / "j.json"
+        assert main(["jsolve", "--L", spd_factor_file, "--J", "+1 +1 -1 -1",
+                     "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        ell = np.loadtxt(spd_factor_file)
+        eigenvalues, eigenvectors, _ = jjacobimod.solve_factored(
+            ell, (1, 1, -1, -1), parse_ordering(COLUMN)
+        )
+        assert payload["eigenvalues"] == eigenvalues.tolist()
+        rows = ell.tolist()
+        h = [[exact_dot([x * s for x, s in zip(u, (1, 1, -1, -1))], v) for v in rows] for u in rows]
+        assert payload["matrix_norm"] == _norm([x for h_r in h for x in h_r])
+        residuals = [
+            _norm([exact_dot([*h_r, -lam], [*v, v_r]) for h_r, v_r in zip(h, v)])
+            for lam, v in zip(eigenvalues.tolist(), eigenvectors.T.tolist())
+        ]
+        assert payload["residual_norms"] == residuals
 
     def test_tiny_factor_reports_nonzero_residuals(self, tmp_path):
         # H = L J L^T has entries near 1e-150; its residuals, near 1e-166,
         # have squares that underflow in an unscaled norm
         ell = drivermod.random_spd_factor(drivermod.default_rng(5)) * 1e-75
         factor = tmp_path / "factor.txt"
-        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        write_rows(factor, ell)
         report = tmp_path / "j.json"
         assert main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1",
                      "--report", str(report)]) == 0
@@ -367,7 +412,7 @@ class TestJsolveCommand:
         # A = L^T L has off-diagonal entries near 1e-200, whose squares underflow
         ell = drivermod.random_spd_factor(drivermod.default_rng(3)) * 1e-100
         factor = tmp_path / "factor.txt"
-        factor.write_text("".join(" ".join(map(repr, row)) + "\n" for row in ell.tolist()))
+        write_rows(factor, ell)
         report = tmp_path / "j.json"
         code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1", "--ordering", PAR,
                      "--report", str(report)])
@@ -416,7 +461,7 @@ class TestJsolveCommand:
         else:  # the factor of spd_matrix_file, so both paths sweep the same A
             factor = np.random.default_rng(8).uniform(-1, 1, (4, 4))
             path = tmp_path / "factor.txt"
-            path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in factor.tolist()))
+            write_rows(path, factor)
         report = tmp_path / "j.json"
         assert main(["jsolve", source, str(path), *args, "--report", str(report)]) == 3
         assert capsys.readouterr().err == (
@@ -634,6 +679,15 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: ")
         assert "--jobs" in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("seed", ["-1", "-201"])
+    def test_negative_seed_is_input_error(self, capsys, seed):
+        args = ["verify", "--seed", seed, "--samples", "2", "--orderings", "serial"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: --seed must be an integer >= 0, got {seed}\n"
         assert captured.out == ""
 
 

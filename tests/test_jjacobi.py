@@ -32,7 +32,7 @@ from cyclic_jacobi.jjacobi import (
     sign_diagonal,
 )
 from cyclic_jacobi.orderings import make_ordering
-from oracles import embed, replayed_transform
+from oracles import embed, exact_dot, gram, replayed_transform, same_matrix
 
 ENTRY = {e.index: e.ordering for e in catalog()}
 COLUMN = ENTRY[1]
@@ -362,6 +362,23 @@ class TestEigenFromFactored:
                 resid = np.linalg.norm(h @ vecs[:, k] - vals[k] * vecs[:, k])
                 assert resid <= 1e-9 * np.linalg.norm(h)
 
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_products_are_exactly_rounded(self, n):
+        """L^T L (the swept input) and L F are exactly rounded dot products of rounded
+        products, as ``oracles.gram`` and ``oracles.exact_dot`` compute them; each
+        eigenvector column is (L F)_k / sqrt(lambda_k), one division per entry."""
+        factor = random_spd_factor(default_rng(35), n=n)
+        signs = (1, -1) * (n // 2) + (1,) * (n % 2)
+        ordering = make_ordering([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        eigenvalues, eigenvectors, result = solve_factored(factor, signs, ordering)
+        assert same_matrix(result.report._matrix, SymMatrix.from_dense(gram(factor)))
+        lam = result.diagonalized._diagonal_floats()
+        assert eigenvalues.tolist() == [s * x for s, x in zip(signs, lam)]
+        f_columns = result.transform.T.tolist()
+        expected = [[exact_dot(row, f) / math.sqrt(x) for f, x in zip(f_columns, lam)]
+                    for row in factor.tolist()]
+        assert eigenvectors.tobytes() == np.array(expected).tobytes()
+
     def test_eigenvectors_orthonormal(self):
         rng = default_rng(32)
         factor = random_spd_factor(rng)
@@ -423,7 +440,7 @@ class TestEigenFromFactored:
         with pytest.raises(ConvergenceError, match="within MAX_CYCLES = 1 cycles") as info:
             solve_factored(factor, STANDARD_SIGNS, COLUMN)
         report = info.value.report  # the run's, for the caller to write out
-        expected = run_j_jacobi(SymMatrix.from_dense(factor.T @ factor), STANDARD_SIGNS, COLUMN)
+        expected = run_j_jacobi(SymMatrix.from_dense(gram(factor)), STANDARD_SIGNS, COLUMN)
         assert (report.converged, report.cycles_executed) == (False, 1)
         assert report.cycle_off_norms == expected.report.cycle_off_norms
 

@@ -21,9 +21,9 @@ relation compares the program with itself and needs no oracle:
   copysign(1, +0.0) whichever index comes first, so a relabeling that swaps the
   pivot's indices turns the other way there (found on 0/1 matrices, e.g. a_22 =
   a_33 under q = (1, 3, 2, 4)).  Through ``solve_factored`` the relabeling moves
-  the columns of L, which leaves H = L J L^T as it is: the eigenvalues move with
-  the labels, bitwise, but the eigenvectors L F Lambda^(-1/2) sum over the moved
-  index in another order, so they are held to the bound of that reordering.
+  the columns of L, which leaves H = L J L^T as it is: the eigenvalues and the
+  eigenvector columns L F Lambda^(-1/2) move with the labels, bitwise, since every
+  entry of L^T L and L F is one exactly rounded sum, whatever the order of its terms.
 
 ``batch_sweep`` is checked matrix by matrix of a stack, under the same relations, and
 ``cjacobi solve`` from matrix files of repr floats to its JSON report and check line.
@@ -59,7 +59,6 @@ from oracles import eager_steps, relabeled, sign_similar
 
 EPS = np.finfo(float).eps
 N_OFF = 6  # strictly upper entries of a 4x4, the squares S^2 adds
-N = 4  # terms of an entry of L F, each a product
 
 MATRICES = st.builds(
     lambda a, k: np.ldexp(np.triu(a) + np.triu(a, 1).T, k),
@@ -107,17 +106,6 @@ def reordered_sum_close(s, t) -> bool:
     reordering's bound: each sum is within (N_OFF - 1) units of roundoff of the exact one,
     relative, and N_OFF squares below the normal range lose at most 2**-1074 each."""
     return math.isclose(s, t, rel_tol=N_OFF * EPS, abs_tol=math.sqrt(2 * N_OFF) * 2.0**-537)
-
-
-def reordered_products_close(got, expected, magnitudes, divisors) -> bool:
-    """Whether sums of N products, each divided by its column's divisor, agree elementwise
-    after summing in two orders: each sum is within gamma_N = N u / (1 - N u) of the exact
-    one, relative to the sum of the products' magnitudes, and each correctly rounded
-    quotient moves it by u more, u = EPS / 2.  Entries stay far from the subnormal range."""
-    u = EPS / 2
-    gamma = N * u / (1 - N * u)
-    bound = (2 * gamma + 2 * u * (1 + gamma)) * magnitudes / divisors
-    return bool(np.all(np.abs(np.asarray(got) - expected) <= bound))
 
 
 def quarter_turn(report) -> bool:
@@ -229,7 +217,8 @@ class TestRelabeling:
     @given(FACTORS, ORDERINGS, SIGNS, RELABELINGS)
     def test_solve_factored(self, factor, ordering, signs, q):
         """L with its column r moved to q(r) gives A' = P A P^T and, with J relabeled, the
-        same H = L J L^T: the eigenvalues move with the labels, bitwise."""
+        same H = L J L^T: the eigenvalues and eigenvector columns move with the labels,
+        bitwise."""
         eigenvalues, eigenvectors, result = solve_factored(factor, signs, ordering)
         assume(not quarter_turn(result.report))
         inv = np.array(invert(q)) - 1
@@ -238,12 +227,7 @@ class TestRelabeling:
         )
         assert moved.report.cycles_executed == result.report.cycles_executed
         assert bits(moved_values) == bits(eigenvalues[inv])
-        # column c of L F sums l_rk f_kc over k, which the relabeling visits in another order
-        magnitudes = np.abs(factor) @ np.abs(result.transform)
-        divisors = np.sqrt(np.abs(eigenvalues))
-        assert reordered_products_close(
-            moved_vectors, eigenvectors[:, inv], magnitudes[:, inv], divisors[inv]
-        )
+        assert moved_vectors.tobytes() == eigenvectors[:, inv].tobytes()
 
 
 class TestBatchSweep:

@@ -25,7 +25,9 @@ The scalar sweep does only the rotation work: it records each step's
 (c, s, t) and tangent and sums S once, at the end of the sweep.
 ``_step_off_norms`` rebuilds the S before and after every step by replaying
 the recorded steps on the input's entries; ``driver`` describes when a
-report runs that replay.
+report runs that replay.  Both stop rules live beside ``_sweep`` and read
+entries, never S or a norm: ``_settled`` (of ``run_cycles``, twin of
+``driver.batch_sweep``'s) and ``_converged`` (of ``run_j_jacobi``).
 
 ``_dot`` and ``_norm``, one exactly rounded ``math.fsum`` each, own every dot
 product and 2-norm that a report writes, so no BLAS kernel sets those bits.
@@ -236,10 +238,6 @@ class SymMatrix:
         """The diagonal as the stored Python floats, for checks that need no array."""
         return self._packed[self.n * (self.n - 1) // 2:]
 
-    def frobenius(self) -> float:
-        """Frobenius norm: ``_norm`` of the dense entries, row by row."""
-        return _norm(self._dense_entries())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented
@@ -405,6 +403,19 @@ def _sweep(a: SymMatrix, e: list[float], plan: list, s: float, records: list[tup
     if not s * growth < SWEEP_GROWTH_LIMIT:  # also when the product is inf or NaN
         _step_off_norms(a, records)
     return _off_norm_packed(e, a.n * (a.n - 1) // 2)
+
+
+def _settled(e: list[float], n_off: int) -> bool:
+    """Whether a sweep would keep every bit of the packed entries ``e``: the first ``n_off``
+    (off-diagonal) are zeros, so every step has c = 1 and s = +-0, and every zero is +0.0."""
+    return not any(e[:n_off]) and all(math.copysign(1.0, x) > 0.0 for x in e if x == 0.0)
+
+
+def _converged(e: list[float], plan: list, tol: float) -> bool:
+    """Whether |a_ij| <= tol sqrt|a_ii| sqrt|a_jj| in ``e`` at every pivot of ``plan`` (see
+    ``_sweep``); two roots, so no product a_ii a_jj overflows or underflows."""
+    return all(abs(e[ij]) <= tol * math.sqrt(abs(e[ii])) * math.sqrt(abs(e[jj]))
+               for _, (ii, jj, ij, _), _, _ in plan)
 
 
 def _check_pivot(n: int, i: int, j: int) -> None:

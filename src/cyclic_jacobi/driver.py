@@ -10,10 +10,9 @@ over a seeded batch of random matrices, every window of every matrix
 its ``--jobs`` must be at least 1, and above 1 it passes a process pool's
 ``map``.
 
-Both kernels keep the n(n+1)/2 upper-triangle entries packed in the layout
-of ``core._packed_layout``: the strictly upper entries row by row, then the
-diagonal.  ``batch_sweep`` holds them entry-major as numpy arrays, one row
-per entry; the single-matrix paths (``run_cycles`` and
+Both kernels keep the upper-triangle entries in the packed layout of
+``core._packed_layout``.  ``batch_sweep`` holds them entry-major as numpy
+arrays, one row per entry; the single-matrix paths (``run_cycles`` and
 ``jjacobi.run_j_jacobi``) hold them as a list of Python floats and share
 one sweep routine, ``core._sweep``, which steps them with
 ``core._plane_step`` and sums S^2 with ``core._off_norm_packed`` once per
@@ -21,7 +20,8 @@ sweep, so a step makes no numpy call.  Both take the rotation of
 ``core._rotation_params``, apply every step (storing the pivot as +0.0 even
 when s = +-0), perform the IEEE operations of the dense row-then-column
 update in its order, and sum S^2 in one order, so ``run_cycles``,
-``batch_sweep`` and ``core.off_norm`` give the same bits.
+``batch_sweep`` and ``core.off_norm`` give the same bits.  Both stop a
+matrix where its bits settle (``core._settled``), never on S.
 
 Every single-matrix run (``run_cycles``; ``run_parallel_cycle``, which is
 ``run_cycles(a, o, 1)``; ``jjacobi.run_j_jacobi`` and ``solve_factored``) is
@@ -57,6 +57,7 @@ from .core import (
     _pivot_plan,
     _real_array,
     _rotation_params,
+    _settled,
     _step_off_norms,
     _sweep,
 )
@@ -218,10 +219,10 @@ def verify_cycle_monotonicity(report) -> None:
 def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymMatrix, SweepReport]:
     """Apply ``cycles`` full sweeps of ``ordering`` to ``a``.
 
-    Stops early (reporting the executed count) once S is 0, which is when
-    S^2 underflows: the smallest nonzero S is sqrt(2^-1074), about 2.2e-162.
-    Raises ``ValueError`` unless ``cycles`` is an integer >= 0, and when
-    S^2 is not finite, before or after any step (entries beyond about 1e154
+    Stops early (reporting the executed count) where ``core._settled``
+    holds, so it sweeps on where S^2 has underflowed to 0.  Raises
+    ``ValueError`` unless ``cycles`` is an integer >= 0, and when S^2 is
+    not finite, before or after any step (entries beyond about 1e154
     overflow it).
     """
     if a.n != ordering.n:
@@ -234,7 +235,7 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
     cycle_norms = [_off_norm_packed(e, n_off)]
     records: list[tuple] = []
     for _ in range(cycles):
-        if cycle_norms[-1] == 0.0:
+        if _settled(e, n_off):
             break
         cycle_norms.append(_sweep(a, e, plan, cycle_norms[-1], records))
     report = SweepReport(ordering, cycles, len(cycle_norms) - 1, cycle_norms, a, records)
@@ -251,8 +252,8 @@ def run_parallel_cycle(a: SymMatrix, ordering: PivotOrdering) -> tuple[SymMatrix
     of a pair touches an entry the other reads, so applying both to one
     iterate gives bitwise the one sweep of ``run_cycles``.  So it returns
     ``run_cycles(a, ordering, 1)``, whose steps 2k and 2k + 1 are the k-th
-    pair.  No sweep runs when S is 0, and ``ValueError`` when S^2 is not
-    finite or ``a`` is not 4x4.
+    pair.  No sweep runs when ``a`` is settled (``core._settled``), and
+    ``ValueError`` when S^2 is not finite or ``a`` is not 4x4.
     """
     if ordering.n != 4:
         raise ValueError("parallel execution is defined for n=4")
@@ -392,10 +393,10 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     Every column is stepped in every sweep that runs; the work arrays are
     made once per call.  A matrix is done at a cycle boundary when its
     off-diagonal entries are all +0.0 (bit pattern 0) and no diagonal entry
-    is -0.0: every later step leaves its bits as they are (a_ij = +0 gives
-    t = 0, c = 1, s = +-0), and its S and both checks stay 0.  Once every
-    matrix is done, the remaining cycles are skipped, their S left 0.  The
-    dense ``finals`` are built only when read.
+    is -0.0, the vectorized twin of ``core._settled`` (as ``_batch_rotations``
+    is of ``core._rotation_params``): later steps keep its bits, and its S and
+    both checks stay 0.  Once every matrix is done, the remaining cycles are
+    skipped, their S left 0.  The dense ``finals`` are built only when read.
 
     Raises ``ValueError`` unless ``cycles`` is an integer >= 0, for
     complex, text or non-finite entries, and when S^2 after some step is

@@ -15,11 +15,12 @@ F = [[c, -s], [s, c]], a hyperbolic transformation as [[ch, sh], [sh, ch]].
 The accumulated transform F rides in the same list, row by row after A's
 n(n+1)/2 entries: each step's plan (``_transform_plan``) adds the positions
 of F's columns i and j to A's (a_ki, a_kj) pairs, so the one plane step
-updates A and F and a step makes no numpy call.  Its ``JJacobiReport`` is
-a ``driver.SweepReport``, which replays its run at most once for its
-``steps`` and S around each step, as ``driver`` describes; the angle
-envelope reads the records' tangents alone.  ``solve_factored`` builds
-neither, and ``monitor_proof_bounds`` reads the steps and that replay.
+updates A and F and a step makes no numpy call.  It stops on the relative
+rule of Demmel and Veselic (``core._converged``), never on S.  Its report,
+a ``driver.SweepReport``, replays its run at most once for its ``steps``
+and S around each step, as ``driver`` describes; the angle envelope reads
+the records' tangents alone.  ``solve_factored`` builds neither, and
+``monitor_proof_bounds`` reads the steps and that replay.
 
 ``solve_factored`` solves H = L J L^T given its factor: it runs the solver
 on A = L^T L and maps the diagonalization back to eigenpairs of H, forming
@@ -41,6 +42,7 @@ import numpy as np
 
 from .core import (
     SymMatrix,
+    _converged,
     _dot,
     _off_norm_packed,
     _packed_entries,
@@ -162,7 +164,6 @@ class JJacobiReport(SweepReport):
 
     signs: tuple[int, ...]
     converged: bool
-    initial_norm: float
     covered_by_convergence_theory: bool
 
     def _hyperbolic(self, pair: tuple[int, int]) -> bool:
@@ -227,15 +228,13 @@ def run_j_jacobi(
 ) -> JJacobiResult:
     """Diagonalize ``a`` with J-orthogonal sweeps under ``ordering``.
 
-    Sweeps until the off-norm falls to ``tol`` times the initial Frobenius
-    norm, then performs one extra certifying sweep from the converged state
-    (so the final cycle's angle envelope measures the converged matrix), or
+    Sweeps until every |a_ij| <= tol sqrt|a_ii| sqrt|a_jj| (``core._converged``),
+    then performs one extra certifying sweep from the converged state (so
+    the final cycle's angle envelope measures the converged matrix), or
     stops after ``MAX_CYCLES`` sweeps.  Hyperbolic steps may raise
     ``HyperbolicBreakdownError`` when the pair is not definite.  Raises
-    ``ValueError`` unless 0 <= tol < inf, when S^2 is not finite, before or
-    after any step, and when the initial S^2 underflows to 0 while
-    sqrt(n(n-1)/2) max |a_ij| over the off-diagonal entries, a bound on S,
-    exceeds the threshold.
+    ``ValueError`` unless 0 <= tol < inf, and when S^2 is not finite, before
+    or after any step.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
@@ -243,13 +242,8 @@ def run_j_jacobi(
     if len(signs) != a.n or a.n != ordering.n:
         raise ValueError("matrix, signs, and ordering dimensions must agree")
     n = a.n
-    n_off = n * (n - 1) // 2
     e = _packed_entries(a)
-    cycle_norms = [_off_norm_packed(e, n_off)]  # raises before the norm below can overflow
-    initial_norm = a.frobenius()
-    threshold = tol * initial_norm
-    if cycle_norms[0] == 0.0 and math.sqrt(n_off) * max(map(abs, e[:n_off])) > threshold:
-        raise ValueError("S^2 underflows to 0: off-diagonal entries too small for float64 squares")
+    cycle_norms = [_off_norm_packed(e, n * (n - 1) // 2)]
     size = len(e)
     e += _identity_entries(n)  # F, row by row, after A
     plan = [
@@ -259,21 +253,14 @@ def run_j_jacobi(
         for pair in ordering.pairs
     ]
     records: list[tuple] = []
-    converged = cycle_norms[0] <= threshold
-    certified = converged
-    cycles = 0
-    while cycles < MAX_CYCLES and not certified:
-        s_new = _sweep(a, e, plan, cycle_norms[-1], records)
-        cycles += 1
-        cycle_norms.append(s_new)
-        if converged:
-            certified = True  # the extra sweep from the converged state ran
-        elif s_new <= threshold:
-            converged = True
+    converged = certified = _converged(e, plan, tol)
+    while len(cycle_norms) <= MAX_CYCLES and not certified:
+        cycle_norms.append(_sweep(a, e, plan, cycle_norms[-1], records))
+        certified = converged  # the extra sweep from the converged state ran
+        converged = converged or _converged(e, plan, tol)
     report = JJacobiReport(
-        ordering, MAX_CYCLES, cycles, cycle_norms, a, records, signs=signs,
-        converged=converged, initial_norm=initial_norm,
-        covered_by_convergence_theory=_covered(signs),
+        ordering, MAX_CYCLES, len(cycle_norms) - 1, cycle_norms, a, records, signs=signs,
+        converged=converged, covered_by_convergence_theory=_covered(signs),
     )
     f = np.array(e[size:]).reshape(n, n)
     return JJacobiResult(SymMatrix._of_floats(n, e[:size]), f, report)

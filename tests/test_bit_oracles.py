@@ -1,7 +1,7 @@
 """The single-matrix paths against exact or replaced expressions, bit for bit.
 
 ``core._dot`` and ``core._norm`` own every dot product and 2-norm that a report
-writes (``SymMatrix.frobenius``, ``solve_factored``, ``cjacobi jsolve``); they are
+writes (``solve_factored``, ``cjacobi jsolve``); they are
 checked against exact ``fractions.Fraction`` sums over inputs at scales 2**-600 ...
 2**600 and subnormal scales.  ``SymMatrix.to_dense`` reshapes one flat row-order
 tuple, and the kernels build their results without the conversions of the public
@@ -92,7 +92,7 @@ class TestNorms:
         assert written.shape == dense.shape and written.tobytes() == dense.tobytes()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert m.frobenius().hex() == _norm(dense.ravel().tolist()).hex()
+            assert _norm(m._dense_entries()).hex() == _norm(dense.ravel().tolist()).hex()
 
 
 class TestKernelResults:

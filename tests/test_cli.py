@@ -304,7 +304,8 @@ class TestJsolveCommand:
         assert code == 0
         payload = json.loads(report.read_text())
         assert payload["monitor"]["cascade_ok"] is True
-        assert payload["residual_norms"] if "residual_norms" in payload else True
+        assert len(payload["eigenvalues"]) == 4 and np.isfinite(payload["eigenvalues"]).all()
+        assert "residual_norms" not in payload  # only --L writes residuals
 
     def test_monitor_report_matches_recorded_digest(self, spd_matrix_file, tmp_path):
         report = tmp_path / "j.json"
@@ -408,17 +409,22 @@ class TestJsolveCommand:
         payload = json.loads(report.read_text())
         assert all(0.0 < r < 1e-10 * payload["matrix_norm"] for r in payload["residual_norms"])
 
-    def test_underflowed_off_norm_is_input_error(self, tmp_path, capsys):
-        # A = L^T L has off-diagonal entries near 1e-200, whose squares underflow
-        ell = drivermod.random_spd_factor(drivermod.default_rng(3)) * 1e-100
+    def test_underflowed_off_norm_is_solved(self, tmp_path):
+        # A = L^T L has off-diagonal entries near 1e-200, whose squares underflow;
+        # L scaled by 2^-332 scales H = L J L^T by exactly 2^-664
+        unscaled = drivermod.random_spd_factor(drivermod.default_rng(3))
         factor = tmp_path / "factor.txt"
-        write_rows(factor, ell)
+        write_rows(factor, unscaled * 2.0**-332)
         report = tmp_path / "j.json"
         code = main(["jsolve", "--L", str(factor), "--J", "+1 +1 -1 -1", "--ordering", PAR,
                      "--report", str(report)])
-        assert code == 2
-        assert "input error: S^2 underflows to 0" in capsys.readouterr().err
-        assert not report.exists()
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert payload["converged"] is True and payload["cycles_executed"] > 0
+        j = np.diag([1.0, 1.0, -1.0, -1.0])
+        oracle = np.sort(np.linalg.eigvalsh(unscaled @ j @ unscaled.T)) * 2.0**-664
+        eigenvalues = np.sort(payload["eigenvalues"])
+        assert np.max(np.abs(eigenvalues - oracle) / np.abs(oracle)) <= 1e-13
 
     @pytest.mark.parametrize("source", [["--L", "identity"], ["--A", None]])
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

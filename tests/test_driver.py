@@ -139,17 +139,18 @@ class TestRunCycles:
         out, report = run_cycles(m, COLUMN, 1)
         assert out == m
         assert report.cycle_off_norms == [0.0]
-        assert report.cycles_executed == 0  # early stop: S is 0
+        assert report.cycles_executed == 0  # early stop: no bit would change
 
-    @pytest.mark.parametrize("a12, cycles", [(1.6e-162, 1), (1.5e-162, 0)])
-    def test_stops_only_where_s_is_zero(self, a12, cycles):
+    @pytest.mark.parametrize("a12", [1.6e-162, 1.5e-162])
+    def test_sweeps_whatever_s_reads(self, a12):
         # a12^2 rounds to the smallest subnormal 2^-1074 at 1.6e-162 and to 0
-        # at 1.5e-162; S = 2.2e-162 is far above OFF_NORM_FLOOR = 1e-300
+        # at 1.5e-162; the stop rule reads the entries, so both runs sweep
         dense = np.diag([1.0, 2.0, 3.0, 4.0])
         dense[0, 1] = dense[1, 0] = a12
-        _, report = run_cycles(SymMatrix.from_dense(dense), COLUMN, 1)
-        assert report.cycles_executed == cycles
-        assert (report.cycle_off_norms[0] > 0.0) == (cycles == 1)
+        out, report = run_cycles(SymMatrix.from_dense(dense), COLUMN, 3)
+        assert report.cycles_executed == 1  # the sweep settles the bits
+        assert (report.cycle_off_norms[0] > 0.0) == (a12 == 1.6e-162)
+        assert out.to_dense().tobytes() == np.diag([1.0, 2.0, 3.0, 4.0]).tobytes()
 
     def test_n2_single_step_diagonalizes(self):
         m = SymMatrix.from_dense([[0.3, -0.7], [-0.7, 1.9]])

@@ -212,7 +212,7 @@ class TestTinyHyperbolicPivots:
             _, sweeps = run_cycles(random_symmetric(default_rng(5)), COLUMN, 10)
         assert result.report.converged
         assert result.report.cycle_off_norms[-1] == 0.0
-        assert sweeps.cycles_executed < 10  # stopped at the off-norm floor
+        assert sweeps.cycles_executed < 10  # stopped once its bits settled
 
 
 class TestRunJJacobi:
@@ -231,15 +231,21 @@ class TestRunJJacobi:
             )
 
     def test_underflowed_off_norm_is_not_taken_as_converged(self):
-        # S^2 underflows to 0.0 while max |a_ij| is 6.3e-201: the diagonal
-        # is not the spectrum, so the run refuses rather than reporting it
-        factor = random_spd_factor(default_rng(3)) * 1e-100
-        a = SymMatrix.from_dense(factor.T @ factor)
+        # S^2 underflows to 0.0 while max |a_ij| is 8.3e-201: the diagonal is
+        # not the spectrum, and the entrywise rule sweeps on.  Scaling L by
+        # 2^-332 scales H = L J L^T by exactly 2^-664, so eigvalsh gives the oracle.
+        unscaled = random_spd_factor(default_rng(3))
+        factor = unscaled * 2.0**-332
+        a = SymMatrix.from_dense(gram(factor))
         assert off_norm(a) == 0.0 and np.max(np.abs(a.to_dense() - np.diag(a.diagonal()))) > 0.0
-        with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
-            run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR)
-        with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
-            solve_factored(factor, STANDARD_SIGNS, PAR_ANCHOR)
+        oracle = np.sort(np.linalg.eigvalsh(unscaled @ J4 @ unscaled.T)) * 2.0**-664
+        result = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR)
+        assert result.report.converged and result.report.cycles_executed > 0
+        eigenvalues = np.sort(np.array(STANDARD_SIGNS) * result.diagonalized.diagonal())
+        assert np.max(np.abs(eigenvalues - oracle) / np.abs(oracle)) <= 1e-13
+        eigenvalues, _, solved = solve_factored(factor, STANDARD_SIGNS, PAR_ANCHOR)
+        assert solved.report.cycles_executed > 0
+        assert np.max(np.abs(np.sort(eigenvalues) - oracle) / np.abs(oracle)) <= 1e-13
 
     def test_underflowed_off_norm_below_the_threshold_stays_converged(self):
         dense = np.full((4, 4), 1e-170)
@@ -249,9 +255,33 @@ class TestRunJJacobi:
         result = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR)
         assert result.report.converged and result.report.cycles_executed == 0
         assert result.diagonalized == a and np.array_equal(result.transform, np.eye(4))
-        # tol = 0 leaves no room for a nonzero off-diagonal entry
-        with pytest.raises(ValueError, match="S\\^2 underflows to 0"):
-            run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0)
+        # tol = 0 leaves no room for a nonzero off-diagonal entry: the run sweeps to zeros
+        result = run_j_jacobi(a, STANDARD_SIGNS, PAR_ANCHOR, tol=0.0)
+        assert result.report.converged and result.report.cycles_executed > 0
+        assert result.diagonalized.to_dense()[np.triu_indices(4, k=1)].tolist() == [0.0] * 6
+
+    def test_tiny_diagonal_converges_entrywise(self):
+        # a_ii a_jj underflows to 0 near 1e-200, so the rule's two square roots are
+        # taken apart: every |a_ij| = 1e-14 sqrt(a_ii a_jj) is within tol = 1e-13
+        diagonal = [1e-200, 2e-200, 3e-200, 4e-200]
+        roots = np.sqrt(diagonal)
+        dense = 1e-14 * np.outer(roots, roots)
+        np.fill_diagonal(dense, diagonal)
+        assert diagonal[0] * diagonal[1] == 0.0 and np.all(dense > 1e-215)
+        a = SymMatrix.from_dense(dense)
+        result = run_j_jacobi(a, STANDARD_SIGNS, COLUMN)
+        assert result.report.converged and result.report.cycles_executed == 0
+        assert result.diagonalized == a
+        assert run_j_jacobi(a, STANDARD_SIGNS, COLUMN, tol=1e-15).report.cycles_executed > 0
+
+    def test_overflowing_norm_does_not_stop_the_run(self):
+        # ||A||_F overflows here; a stop rule on S <= tol ||A||_F took the run as
+        # converged after 0 cycles with a_34 = 0.5 in place
+        dense = np.diag([1.5e308, 1.5e308, 1.0, 2.0])
+        dense[2, 3] = dense[3, 2] = 0.5
+        result = run_j_jacobi(SymMatrix.from_dense(dense), (1, 1, 1, 1), COLUMN)
+        assert result.report.converged and result.report.cycles_executed >= 1
+        assert result.diagonalized.entry(3, 4) == 0.0
 
     def test_zero_tol_sweeps_to_an_exact_zero_off_norm(self):
         a, _ = spd_matrix(default_rng(21))
@@ -332,11 +362,10 @@ class TestRunJJacobi:
             warnings.simplefilter("error")
             result = run_j_jacobi(SymMatrix.from_dense(dense), (1, 1, 1, 1), COLUMN)
         report = result.report
-        assert report.initial_norm == pytest.approx(np.linalg.norm(dense / 1e155) * 1e155)
         assert report.converged and report.cycles_executed > 0
         eigenvalues = np.sort(result.diagonalized.diagonal())
         error = np.max(np.abs(eigenvalues - np.linalg.eigvalsh(dense)))
-        assert error <= 1e-15 * report.initial_norm
+        assert error <= 1e-15 * np.linalg.norm(dense / 1e155) * 1e155
 
 
 class TestEigenFromFactored:

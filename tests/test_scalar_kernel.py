@@ -60,10 +60,10 @@ SUBNORMAL = 2.0**-1074
 SIGN_PATTERNS = ((1, 1, -1, -1), (1, -1, 1, -1), (1, 1, 1, 1), (1, -1, -1, -1))
 
 # sha256 of every output of run_cycles, run_j_jacobi and solve_factored on the
-# inputs of scalar_path_digest(), recorded when every norm and dot product of
-# those paths (frobenius, L^T L, L F) and of the fixtures' L^T L became one
-# exactly rounded sum, so that no BLAS kernel sets a bit of it.
-SCALAR_PATH_DIGEST = "b4fab6af20c543831bfa6c85e041d2b2e6012550301670de865cb1446b744f68"
+# inputs of scalar_path_digest(), recorded when every stop rule came to read the
+# entries rather than S or ||A||_F: run_cycles sweeps on where S^2 underflows
+# until its bits settle, and a J-Jacobi report no longer carries initial_norm.
+SCALAR_PATH_DIGEST = "420833ea29ef931b57d6e4836623ba818c833eaa357ce9f89dd0d9b4a1d9bff6"
 
 
 def _row_major(n):
@@ -102,7 +102,6 @@ def scalar_path_digest():
         floats(report.cycle_off_norms)
         floats(report.angle_envelope)
         digest.update(repr((report.converged, report.cycles_executed)).encode())
-        floats([report.initial_norm])
         floats(result.transform)
         floats(result.diagonalized.to_dense())
 
@@ -234,6 +233,13 @@ class TestScalarEqualsBatch:
         special[3, 3, 0] = special[3, 0, 3]
         special[4] *= 1e-150
         special[5] *= 1e150
+        # where S^2 underflows or every entry is a zero, the bits decide when a run stops
+        signed_zeros = np.diag([-0.0, 1.0, 2.0, -0.0])
+        tiny = np.full((4, 4), 1e-170)
+        np.fill_diagonal(tiny, [1.0, 2.0, 3.0, 4.0])
+        lone = np.diag([1.0, 2.0, 3.0, 4.0])
+        lone[0, 1] = lone[1, 0] = 1.5e-162
+        special = np.concatenate([special, [np.full((4, 4), -0.0), signed_zeros, tiny, lone]])
         mats = np.concatenate([plain, special])
         complete = stopped = 0
         for ordering in enumerate_orderings(4):
@@ -242,10 +248,11 @@ class TestScalarEqualsBatch:
                 final, report = run_cycles(SymMatrix.from_dense(dense), ordering, 6)
                 norms = np.array(report.cycle_off_norms)
                 assert norms.tobytes() == sweep.off_norms[:norms.size, k].tobytes(), (ordering, k)
+                assert not sweep.off_norms[norms.size:, k].any(), (ordering, k)
+                assert final.to_dense().tobytes() == sweep.finals[k].tobytes(), (ordering, k)
                 if report.cycles_executed == 6:
                     complete += 1
-                    assert final.to_dense().tobytes() == sweep.finals[k].tobytes(), (ordering, k)
-                else:  # stopped once S was 0; the batch kernel sweeps on
+                else:  # settled; the batch kernel's later sweeps leave its bits as they are
                     stopped += 1
         assert complete > 0 and stopped > 0
 
@@ -357,7 +364,7 @@ class TestParallelCycleOracle:
 
     def test_is_one_run_cycles_sweep_bitwise(self):
         """For all 16 variants, the matrix and the report of ``run_cycles(a, o, 1)``, field for
-        field and one step per record, also where S^2 underflows to 0 and no sweep runs."""
+        field and one step per record, also where S^2 underflows to 0 and the sweep runs."""
         tiny = np.diag([1.0, 2.0, 3.0, 4.0])
         for (i, j), x in (((0, 1), 1e-170), ((0, 2), 2e-170), ((2, 3), 3e-170)):
             tiny[i, j] = tiny[j, i] = x
@@ -380,8 +387,10 @@ class TestParallelCycleOracle:
                 assert len(par_report.steps) == len(par_report._records)
                 assert list(map(_step_bits, par_report.steps)) == list(
                     map(_step_bits, seq_report.steps))
-        # the last run is the tiny matrix's: S^2 underflows, and no sweep runs
-        assert par == m and par_report.cycle_off_norms == [0.0] and par_report.steps == []
+        # the last run is the tiny matrix's: S^2 underflows, and the sweep runs to zeros
+        assert par_report.cycle_off_norms == [0.0, 0.0] and len(par_report.steps) == 6
+        assert par._diagonal_floats() == m._diagonal_floats()
+        assert _bits(par._packed[:6]) == _bits([0.0] * 6)
 
 
 def _bits(values):

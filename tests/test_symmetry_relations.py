@@ -13,9 +13,10 @@ relation compares the program with itself and needs no oracle:
   and ``batch_sweep`` add +0.0 to it, so every tie turns by copysign(1, a_ij) and
   the relation holds there too (the pinned ``TIES``).
 * a relabeling P A P^T, run under ``permute(o, q)`` with J relabeled too.  A pivot
-  whose indices swap order gets (c, -s), so the finals are bitwise P F P^T, signed
-  zeros included.  S is not bitwise: it adds the squares in packed order, which
-  the relabeling permutes, so it is held to the bound of that reordering.  A run
+  whose indices swap order gets (c, -s), so the finals are bitwise P F P^T: the
+  J-Jacobi runs' signed zeros included, those of ``run_cycles`` and ``batch_sweep``
+  up to the sign of zero (below).  S is not bitwise: it adds the squares in packed
+  order, which the relabeling permutes, so it is held to the bound of that reordering.  A run
   with a quarter turn (|t| = 1) is left out.  At an exact diagonal tie a_ii = a_jj
   both quarter turns annihilate the pivot, and ``_rotation_params`` takes
   copysign(1, +0.0) whichever index comes first, so a relabeling that swaps the
@@ -27,6 +28,13 @@ relation compares the program with itself and needs no oracle:
 
 ``batch_sweep`` is checked matrix by matrix of a stack, under the same relations, and
 ``cjacobi solve`` from matrix files of repr floats to its JSON report and check line.
+
+Both kernels stop a matrix where its bits are settled (``core._settled``), which reads
+the signs of zeros that either relation may change.  So once every off-diagonal entry is
+a zero, one run can stop while its partner sweeps on, changing nothing but the sign of a
+zero (``agree_but_zero_sweeps``), and the relabeled finals are compared up to the sign of
+zero too: a step at a -0.0 pivot between -0.0 diagonal entries leaves a_ii at -0.0 and
+makes a_jj +0.0, so the order of the pivot's indices decides which zero keeps its sign.
 
 The scaling relation 2^k A is left out: it fails where entries are subnormal.
 """
@@ -108,6 +116,24 @@ def reordered_sum_close(s, t) -> bool:
     return math.isclose(s, t, rel_tol=N_OFF * EPS, abs_tol=math.sqrt(2 * N_OFF) * 2.0**-537)
 
 
+def same_bits(s, t) -> bool:
+    return float(s).hex() == float(t).hex()
+
+
+def agree_but_zero_sweeps(norms, other, agree) -> bool:
+    """Whether two runs' cycle-boundary S agree (``agree``, pair by pair) over the cycles both
+    ran, and every cycle that only one of them ran starts at S = 0 and stays there.
+
+    A run stops where its bits are settled (``core._settled``: every off-diagonal entry +0.0
+    and no diagonal entry -0.0), and the relations change the signs of zeros.  So once every
+    off-diagonal entry is a zero, one run can stop while the other sweeps on; its steps have
+    a zero pivot, so c = 1 and s = +-0, and change nothing but the sign of a zero.
+    """
+    k = min(len(norms), len(other))
+    tail = (norms if len(norms) > k else other)[k - 1:]
+    return all(map(agree, norms[:k], other[:k])) and (len(norms) == len(other) or not any(tail))
+
+
 def quarter_turn(report) -> bool:
     """Whether a step of the run took |t| = 1: a diagonal tie, or |tau| below 2**-53."""
     return any(abs(tangent) == 1.0 for *_, tangent in report._records)
@@ -143,8 +169,8 @@ class TestSignSimilarity:
             SymMatrix.from_dense(sign_similar(dense, d)), ordering, cycles
         )
         assert unsigned(similar.to_dense()) == unsigned(sign_similar(final.to_dense(), d))
-        assert similar_report.cycles_executed == report.cycles_executed
-        assert bits(similar_report.cycle_off_norms) == bits(report.cycle_off_norms)
+        assert agree_but_zero_sweeps(
+            similar_report.cycle_off_norms, report.cycle_off_norms, same_bits)
 
     @settings(max_examples=40, deadline=None)
     @given(MATRICES, PARALLEL, SIGNS)
@@ -155,7 +181,8 @@ class TestSignSimilarity:
             SymMatrix.from_dense(sign_similar(dense, d)), ordering
         )
         assert unsigned(similar.to_dense()) == unsigned(sign_similar(final.to_dense(), d))
-        assert bits(similar_report.cycle_off_norms) == bits(report.cycle_off_norms)
+        assert agree_but_zero_sweeps(
+            similar_report.cycle_off_norms, report.cycle_off_norms, same_bits)
 
     @settings(max_examples=40, deadline=None)
     @given(FACTORS, ORDERINGS, SIGNS, SIGNS)
@@ -193,9 +220,9 @@ class TestRelabeling:
         moved, moved_report = run_cycles(
             SymMatrix.from_dense(relabeled(dense, q)), permute(ordering, q), cycles
         )
-        assert moved.to_dense().tobytes() == relabeled(final.to_dense(), q).tobytes()
-        assert moved_report.cycles_executed == report.cycles_executed
-        assert all(map(reordered_sum_close, moved_report.cycle_off_norms, report.cycle_off_norms))
+        assert unsigned(moved.to_dense()) == unsigned(relabeled(final.to_dense(), q))
+        assert agree_but_zero_sweeps(
+            moved_report.cycle_off_norms, report.cycle_off_norms, reordered_sum_close)
 
     @settings(max_examples=40, deadline=None)
     @given(FACTORS, ORDERINGS, SIGNS, RELABELINGS)
@@ -235,10 +262,7 @@ class TestBatchSweep:
 
     Matrices with a quarter turn are left out of the relabeling, as in the scalar tests; the
     sign similarity holds on every matrix.  The relabeled finals are compared up to the sign
-    of zero too: unlike
-    ``run_cycles``, the kernel sweeps on where S is 0 but an entry is -0.0, and a step at a
-    -0.0 pivot between -0.0 diagonal entries leaves a_ii at -0.0 and makes a_jj +0.0, so the
-    order of the pivot's indices decides which zero keeps its sign.
+    of zero, as the module describes.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -288,10 +312,13 @@ class TestSolveCommand:
         code, report, final, checks = solve_file(dense, ordering, cycles)
         similar_code, similar, similar_final, similar_checks = solve_file(
             sign_similar(dense, d), ordering, cycles)
-        assert (similar_code, similar_checks) == (code, checks)
-        assert bits(similar["cycle_off_norms"]) == bits(report["cycle_off_norms"])
-        assert len(similar["steps"]) == len(report["steps"])
-        for step, similar_step in zip(report["steps"], similar["steps"]):
+        assert similar_code == code
+        assert agree_but_zero_sweeps(
+            similar["cycle_off_norms"], report["cycle_off_norms"], same_bits)
+        if similar["cycles_executed"] == report["cycles_executed"]:
+            # a sweep of zeros adds a cycle growth of 0, which can change the maximum
+            assert similar_checks == checks
+        for step, similar_step in zip(report["steps"], similar["steps"]):  # the steps both took
             [(i, j)] = similar_step["pivots"]
             assert similar_step["pivots"] == step["pivots"]
             sign = d[i - 1] * d[j - 1]
@@ -310,11 +337,10 @@ class TestSolveCommand:
         moved_code, moved, moved_final, _ = solve_file(
             relabeled(dense, q), permute(ordering, q), cycles)
         assert moved_code == code
-        assert moved_final.tobytes() == relabeled(final, q).tobytes()
-        assert moved["cycles_executed"] == report["cycles_executed"]
-        assert all(map(reordered_sum_close, moved["cycle_off_norms"], report["cycle_off_norms"]))
-        assert len(moved["steps"]) == len(report["steps"])
-        for step, moved_step in zip(report["steps"], moved["steps"]):
+        assert unsigned(moved_final) == unsigned(relabeled(final, q))
+        assert agree_but_zero_sweeps(
+            moved["cycle_off_norms"], report["cycle_off_norms"], reordered_sum_close)
+        for step, moved_step in zip(report["steps"], moved["steps"]):  # the steps both took
             [(i, j)] = step["pivots"]
             assert moved_step["pivots"] == [sorted([q[i - 1], q[j - 1]])]
             assert moved_step["values"] == step["values"]

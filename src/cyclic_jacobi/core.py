@@ -407,8 +407,9 @@ def _sweep(a: SymMatrix, e: list[float], plan: list, s: float, records: list[tup
 
 def _settled(e: list[float], n_off: int) -> bool:
     """Whether a sweep would keep every bit of the packed entries ``e``: the first ``n_off``
-    (off-diagonal) are zeros, so every step has c = 1 and s = +-0, and every zero is +0.0."""
-    return not any(e[:n_off]) and all(math.copysign(1.0, x) > 0.0 for x in e if x == 0.0)
+    (off-diagonal) are zeros, so every step has c = 1 and s = +-0, and every zero but a_nn
+    is +0.0.  Such a step turns a -0.0 a_ii into +0.0 and keeps a_jj; n is never i."""
+    return not any(e[:n_off]) and all(math.copysign(1.0, x) > 0.0 for x in e[:-1] if x == 0.0)
 
 
 def _converged(e: list[float], plan: list, tol: float) -> bool:

@@ -393,7 +393,7 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
     Every column is stepped in every sweep that runs; the work arrays are
     made once per call.  A matrix is done at a cycle boundary when its
     off-diagonal entries are all +0.0 (bit pattern 0) and no diagonal entry
-    is -0.0, the vectorized twin of ``core._settled`` (as ``_batch_rotations``
+    but a_nn is -0.0, the vectorized twin of ``core._settled`` (as ``_batch_rotations``
     is of ``core._rotation_params``): later steps keep its bits, and its S and
     both checks stay 0.  Once every matrix is done, the remaining cycles are
     skipped, their S left 0.  The dense ``finals`` are built only when read.
@@ -428,7 +428,7 @@ def batch_sweep(mats: np.ndarray, ordering: PivotOrdering, cycles: int) -> Batch
         off[0] = s2[:m]
         sweep, s2 = _batch_sweeper(n, [_pivot_gather(n, *pair) for pair in ordering.pairs], e)
         bits = e.view(np.uint64)  # +0.0 is the bit pattern 0, -0.0 is 1 << 63
-        off_bits, diag_bits = bits[:n_off], bits[n_off:]
+        off_bits, diag_bits = bits[:n_off], bits[n_off:-1]  # a_nn is never a step's a_ii
         for t in range(cycles):
             if not np.count_nonzero(off_bits) and not np.count_nonzero(diag_bits == 1 << 63):
                 break

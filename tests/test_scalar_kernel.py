@@ -239,13 +239,17 @@ class TestScalarEqualsBatch:
         np.fill_diagonal(tiny, [1.0, 2.0, 3.0, 4.0])
         lone = np.diag([1.0, 2.0, 3.0, 4.0])
         lone[0, 1] = lone[1, 0] = 1.5e-162
-        special = np.concatenate([special, [np.full((4, 4), -0.0), signed_zeros, tiny, lone]])
+        last_zero = np.diag([1.0, 2.0, 3.0, -0.0])  # a sweep keeps a -0.0 a_nn: settled
+        special = np.concatenate(
+            [special, [np.full((4, 4), -0.0), signed_zeros, tiny, lone, last_zero]])
         mats = np.concatenate([plain, special])
         complete = stopped = 0
         for ordering in enumerate_orderings(4):
             sweep = batch_sweep(mats, ordering, 6)
             for k, dense in enumerate(mats):
                 final, report = run_cycles(SymMatrix.from_dense(dense), ordering, 6)
+                if k == len(mats) - 1:
+                    assert report.cycles_executed == 0, ordering
                 norms = np.array(report.cycle_off_norms)
                 assert norms.tobytes() == sweep.off_norms[:norms.size, k].tobytes(), (ordering, k)
                 assert not sweep.off_norms[norms.size:, k].any(), (ordering, k)

@@ -13,18 +13,19 @@ relation compares the program with itself and needs no oracle:
   and ``batch_sweep`` add +0.0 to it, so every tie turns by copysign(1, a_ij) and
   the relation holds there too (the pinned ``TIES``).
 * a relabeling P A P^T, run under ``permute(o, q)`` with J relabeled too.  A pivot
-  whose indices swap order gets (c, -s), so the finals are bitwise P F P^T: the
-  J-Jacobi runs' signed zeros included, those of ``run_cycles`` and ``batch_sweep``
-  up to the sign of zero (below).  S is not bitwise: it adds the squares in packed
-  order, which the relabeling permutes, so it is held to the bound of that reordering.  A run
-  with a quarter turn (|t| = 1) is left out.  At an exact diagonal tie a_ii = a_jj
-  both quarter turns annihilate the pivot, and ``_rotation_params`` takes
-  copysign(1, +0.0) whichever index comes first, so a relabeling that swaps the
-  pivot's indices turns the other way there (found on 0/1 matrices, e.g. a_22 =
-  a_33 under q = (1, 3, 2, 4)).  Through ``solve_factored`` the relabeling moves
-  the columns of L, which leaves H = L J L^T as it is: the eigenvalues and the
-  eigenvector columns L F Lambda^(-1/2) move with the labels, bitwise, since every
-  entry of L^T L and L F is one exactly rounded sum, whatever the order of its terms.
+  whose indices swap order gets (c, -s), so the finals are bitwise P F P^T, signed
+  zeros included; runs of ``run_cycles`` and ``cjacobi solve`` where S reads 0, and
+  those of ``batch_sweep``, are compared up to the sign of zero (below).  S is not
+  bitwise: it adds the squares in packed order, which the relabeling permutes, so it
+  is held to the bound of that reordering.  A run with a quarter turn (|t| = 1) is
+  left out.  At an exact diagonal tie a_ii = a_jj both quarter turns annihilate the
+  pivot, and ``_rotation_params`` takes copysign(1, +0.0) whichever index comes
+  first, so a relabeling that swaps the pivot's indices turns the other way there
+  (found on 0/1 matrices, e.g. a_22 = a_33 under q = (1, 3, 2, 4)).  Through
+  ``solve_factored`` the relabeling moves the columns of L, which leaves
+  H = L J L^T as it is: the eigenvalues and the eigenvector columns
+  L F Lambda^(-1/2) move with the labels, bitwise, since every entry of L^T L and
+  L F is one exactly rounded sum, whatever the order of its terms.
 
 ``batch_sweep`` is checked matrix by matrix of a stack, under the same relations, and
 ``cjacobi solve`` from matrix files of repr floats to its JSON report and check line.
@@ -35,6 +36,14 @@ a zero, one run can stop while its partner sweeps on, changing nothing but the s
 zero (``agree_but_zero_sweeps``), and the relabeled finals are compared up to the sign of
 zero too: a step at a -0.0 pivot between -0.0 diagonal entries leaves a_ii at -0.0 and
 makes a_jj +0.0, so the order of the pivot's indices decides which zero keeps its sign.
+A run is settled only where S reads 0, so on a draw where S is nonzero at every cycle
+boundary of both runs (``some_s_is_zero`` false) both sweep every cycle, and the scalar
+and ``cjacobi solve`` relations are checked bitwise as stated above.  That check can
+still fail in the sign of a diagonal zero at a zero pivot, whose step has s = +0.0
+whichever index comes first: at a +0.0 pivot it turns a -0.0 a_ii into +0.0 and keeps
+a -0.0 a_jj, so a relabeling that swaps the pivot's indices keeps the other one (found
+with entries drawn from signed zeros and small integers, e.g. a_11 = a_44 = -0.0 under
+q = (3, 4, 1, 2); the random floats drawn here have not hit it).
 
 The scaling relation 2^k A is left out: it fails where entries are subnormal.
 """
@@ -125,13 +134,19 @@ def agree_but_zero_sweeps(norms, other, agree) -> bool:
     ran, and every cycle that only one of them ran starts at S = 0 and stays there.
 
     A run stops where its bits are settled (``core._settled``: every off-diagonal entry +0.0
-    and no diagonal entry -0.0), and the relations change the signs of zeros.  So once every
-    off-diagonal entry is a zero, one run can stop while the other sweeps on; its steps have
-    a zero pivot, so c = 1 and s = +-0, and change nothing but the sign of a zero.
+    and no diagonal entry but a_nn -0.0), and the relations change the signs of zeros.  So
+    once every off-diagonal entry is a zero, one run can stop while the other sweeps on; its
+    steps have a zero pivot, so c = 1 and s = +-0, and change nothing but the sign of a zero.
     """
     k = min(len(norms), len(other))
     tail = (norms if len(norms) > k else other)[k - 1:]
     return all(map(agree, norms[:k], other[:k])) and (len(norms) == len(other) or not any(tail))
+
+
+def some_s_is_zero(*runs) -> bool:
+    """Whether S reads 0 at a cycle boundary of one of the runs' ``cycle_off_norms``.  Only
+    then can a run be settled, so where it is false both runs sweep every cycle."""
+    return not all(s for norms in runs for s in norms)
 
 
 def quarter_turn(report) -> bool:
@@ -220,9 +235,15 @@ class TestRelabeling:
         moved, moved_report = run_cycles(
             SymMatrix.from_dense(relabeled(dense, q)), permute(ordering, q), cycles
         )
-        assert unsigned(moved.to_dense()) == unsigned(relabeled(final.to_dense(), q))
-        assert agree_but_zero_sweeps(
-            moved_report.cycle_off_norms, report.cycle_off_norms, reordered_sum_close)
+        if some_s_is_zero(report.cycle_off_norms, moved_report.cycle_off_norms):
+            assert unsigned(moved.to_dense()) == unsigned(relabeled(final.to_dense(), q))
+            assert agree_but_zero_sweeps(
+                moved_report.cycle_off_norms, report.cycle_off_norms, reordered_sum_close)
+        else:
+            assert moved.to_dense().tobytes() == relabeled(final.to_dense(), q).tobytes()
+            assert moved_report.cycles_executed == report.cycles_executed
+            assert all(map(
+                reordered_sum_close, moved_report.cycle_off_norms, report.cycle_off_norms))
 
     @settings(max_examples=40, deadline=None)
     @given(FACTORS, ORDERINGS, SIGNS, RELABELINGS)
@@ -313,11 +334,16 @@ class TestSolveCommand:
         similar_code, similar, similar_final, similar_checks = solve_file(
             sign_similar(dense, d), ordering, cycles)
         assert similar_code == code
-        assert agree_but_zero_sweeps(
-            similar["cycle_off_norms"], report["cycle_off_norms"], same_bits)
-        if similar["cycles_executed"] == report["cycles_executed"]:
-            # a sweep of zeros adds a cycle growth of 0, which can change the maximum
+        if some_s_is_zero(report["cycle_off_norms"], similar["cycle_off_norms"]):
+            assert agree_but_zero_sweeps(
+                similar["cycle_off_norms"], report["cycle_off_norms"], same_bits)
+            if similar["cycles_executed"] == report["cycles_executed"]:
+                # a sweep of zeros adds a cycle growth of 0, which can change the maximum
+                assert similar_checks == checks
+        else:
             assert similar_checks == checks
+            assert bits(similar["cycle_off_norms"]) == bits(report["cycle_off_norms"])
+            assert len(similar["steps"]) == len(report["steps"])
         for step, similar_step in zip(report["steps"], similar["steps"]):  # the steps both took
             [(i, j)] = similar_step["pivots"]
             assert similar_step["pivots"] == step["pivots"]
@@ -337,9 +363,16 @@ class TestSolveCommand:
         moved_code, moved, moved_final, _ = solve_file(
             relabeled(dense, q), permute(ordering, q), cycles)
         assert moved_code == code
-        assert unsigned(moved_final) == unsigned(relabeled(final, q))
-        assert agree_but_zero_sweeps(
-            moved["cycle_off_norms"], report["cycle_off_norms"], reordered_sum_close)
+        if some_s_is_zero(report["cycle_off_norms"], moved["cycle_off_norms"]):
+            assert unsigned(moved_final) == unsigned(relabeled(final, q))
+            assert agree_but_zero_sweeps(
+                moved["cycle_off_norms"], report["cycle_off_norms"], reordered_sum_close)
+        else:
+            assert moved_final.tobytes() == relabeled(final, q).tobytes()
+            assert moved["cycles_executed"] == report["cycles_executed"]
+            assert all(map(
+                reordered_sum_close, moved["cycle_off_norms"], report["cycle_off_norms"]))
+            assert len(moved["steps"]) == len(report["steps"])
         for step, moved_step in zip(report["steps"], moved["steps"]):  # the steps both took
             [(i, j)] = step["pivots"]
             assert moved_step["pivots"] == [sorted([q[i - 1], q[j - 1]])]

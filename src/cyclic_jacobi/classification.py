@@ -186,12 +186,21 @@ class ClassificationRecord:
         return _certificate(self.ordering, self.label)
 
 
-def label_text(label: Label) -> str:
+def _label_parts(label: Label) -> tuple[str, int]:
+    """A label's text and its d or shift length (0 for a serial template): the one
+    ``isinstance`` chain over the label types."""
     if isinstance(label, SerialPerm):
-        return f"SerialPerm({label.variant})"
+        return f"SerialPerm({label.variant})", 0
     if isinstance(label, GeneralizedSerial):
-        return f"GeneralizedSerial(d={label.d})"
-    return f"Parallel({_ANCHOR_NAMES[label.anchor]}, shift={label.shift_length})"
+        return f"GeneralizedSerial(d={label.d})", label.d
+    if isinstance(label, Parallel):
+        name = _ANCHOR_NAMES[label.anchor]
+        return f"Parallel({name}, shift={label.shift_length})", label.shift_length
+    raise TypeError(f"unknown label {label!r}")
+
+
+def label_text(label: Label) -> str:
+    return _label_parts(label)[0]
 
 
 # --- classifier ---------------------------------------------------------------
@@ -538,6 +547,10 @@ def c0_orderings() -> tuple[PivotOrdering, ...]:
 
 # serial terminal tag -> the family ``member_serial_perm`` names
 _TERMINAL_FAMILIES = dict(zip(("Cc", "Cr", "rCc", "rCr"), _FAMILIES))
+# the catalog's classes: no row or reverse-column template starts at (1, 2)
+_CATALOG_COUNTS = {"column": 12, "row": 0, "reverse-column": 0, "reverse-row": 4,
+                   "generalized-serial": 88, "parallel": 16}
+_CLASS_NAMES = {SerialPerm: "serial", GeneralizedSerial: "generalized-serial", Parallel: "parallel"}
 
 
 @dataclass
@@ -551,7 +564,9 @@ class CatalogReport:
 
 
 def verify_catalog() -> CatalogReport:
-    """Check where all 120 chains land and cross-check the classifier against them."""
+    """Check where all 120 chains land and cross-check the classifier against them: an entry
+    without a chain is a serial template, one at a ``par*`` terminal parallel, and any other
+    generalized serial with d at most its chain's shifts.  Class counts: ``_CATALOG_COUNTS``."""
     failures: list[str] = []
     entries = catalog()
     by_index = {e.index: e for e in entries}
@@ -562,7 +577,7 @@ def verify_catalog() -> CatalogReport:
     if any(e.ordering.pairs[0] != (1, 2) for e in entries):
         failures.append("catalog contains an ordering not starting at (1, 2)")
 
-    counts = dict.fromkeys(_FAMILIES + ("generalized-serial", "parallel"), 0)
+    counts = dict.fromkeys(_CATALOG_COUNTS, 0)
     for entry in entries:
         endpoint = entry.chain.target
         if entry.terminal.startswith("O"):
@@ -580,39 +595,15 @@ def verify_catalog() -> CatalogReport:
                     f"entry {entry.index}: endpoint {endpoint} not in family {entry.terminal}"
                 )
 
-        record = classify(entry.ordering)
-        if entry.index <= 16:
-            if not isinstance(record.label, SerialPerm):
-                failures.append(f"entry {entry.index}: expected a serial label")
-            else:
-                counts[record.label.variant] += 1
-        elif entry.index <= 104:
-            if not isinstance(record.label, GeneralizedSerial):
-                failures.append(f"entry {entry.index}: expected a generalized-serial label")
-            else:
-                counts["generalized-serial"] += 1
-                if record.label.d > entry.chain.shift_count:
-                    failures.append(
-                        f"entry {entry.index}: minimal d exceeds the recorded chain's"
-                    )
-        else:
-            if not isinstance(record.label, Parallel):
-                failures.append(f"entry {entry.index}: expected a parallel label")
-            else:
-                counts["parallel"] += 1
+        label = classify(entry.ordering).label
+        expected = (SerialPerm if not entry.chain.steps
+                    else Parallel if entry.terminal.startswith("par") else GeneralizedSerial)
+        if not isinstance(label, expected):
+            failures.append(f"entry {entry.index}: expected a {_CLASS_NAMES[expected]} label")
+        elif expected is GeneralizedSerial and label.d > entry.chain.shift_count:
+            failures.append(f"entry {entry.index}: minimal d exceeds the recorded chain's")
+        counts[label.variant if isinstance(label, SerialPerm) else _CLASS_NAMES[type(label)]] += 1
 
-    if counts["column"] != 12:
-        failures.append(f"expected 12 column orderings, found {counts['column']}")
-    if counts["row"] != 0:
-        failures.append("the row template cannot start at (1, 2)")
-    if counts["reverse-column"] != 0:
-        failures.append("the reverse-column template cannot start at (1, 2)")
-    if counts["reverse-row"] != 4:
-        failures.append(f"expected 4 reverse-row orderings, found {counts['reverse-row']}")
-    if counts["generalized-serial"] != 88:
-        failures.append(
-            f"expected 88 generalized-serial orderings, found {counts['generalized-serial']}"
-        )
-    if counts["parallel"] != 16:
-        failures.append(f"expected 16 parallel orderings, found {counts['parallel']}")
+    failures += [f"expected {want} {name} orderings, found {counts[name]}"
+                 for name, want in _CATALOG_COUNTS.items() if counts[name] != want]
     return CatalogReport(failures, counts)

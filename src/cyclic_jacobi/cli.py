@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -26,13 +27,10 @@ from . import __version__
 from .core import _dot, _norm, _parse_square, format_matrix, read_matrix_file
 from .orderings import PivotOrdering, enumerate_orderings, format_certificate, parse_ordering
 from .classification import (
-    GeneralizedSerial,
-    Parallel,
-    SerialPerm,
+    _label_parts,
     c0_orderings,
     catalog,
     classify,
-    label_text,
     parallel_orderings,
     serial_perm_orderings,
     verify_catalog,
@@ -75,31 +73,28 @@ def _write_json(path: Optional[str], payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _label_fields(label) -> tuple[str, str]:
-    if isinstance(label, SerialPerm):
-        return label_text(label), "0"
-    if isinstance(label, GeneralizedSerial):
-        return label_text(label), str(label.d)
-    if isinstance(label, Parallel):
-        return label_text(label), str(label.shift_length)
-    raise TypeError(f"unknown label {label!r}")
+def _csv_text(rows) -> str:
+    """``rows`` as CSV lines; csv.writer quotes the orderings and the Parallel labels, which
+    hold commas."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
-def _classification_row(ordering: PivotOrdering) -> list[str]:
+def _classification_row(ordering: PivotOrdering) -> list:
     record = classify(ordering)
-    text, dval = _label_fields(record.label)
     b = record.bound
-    return [str(ordering), text, dval, repr(b.gamma), str(b.tau), str(b.t0)]
+    return [str(ordering), *_label_parts(record.label), repr(b.gamma), b.tau, b.t0]
 
 
 def _classification_json(ordering: PivotOrdering) -> dict:
     record = classify(ordering)
-    text, dval = _label_fields(record.label)
+    text, d_or_shift = _label_parts(record.label)
     b = record.bound
     payload = {
         "ordering": str(ordering),
         "label": text,
-        "d_or_shift": int(dval),
+        "d_or_shift": d_or_shift,
         "bound": {"gamma": b.gamma, "tau": b.tau, "t0": b.t0},
         "certificate": format_certificate(record.certificate).splitlines(),
     }
@@ -123,12 +118,8 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         _write_json(args.out, [_classification_json(o) for o in orderings])
     else:
-        # csv.writer quotes the orderings and the Parallel labels, which hold commas
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["ordering", "label", "d_or_shift", "gamma", "tau", "t0"])
-        writer.writerows(_classification_row(o) for o in orderings)
-        _write_text(args.out, buf.getvalue())
+        header = ["ordering", "label", "d_or_shift", "gamma", "tau", "t0"]
+        _write_text(args.out, _csv_text([header, *map(_classification_row, orderings)]))
     return EXIT_OK
 
 
@@ -201,16 +192,7 @@ def cmd_jsolve(args) -> int:
     payload["covered_by_convergence_theory"] = report.covered_by_convergence_theory
     if args.monitor is not None:
         verdict = monitor_proof_bounds(report, args.monitor)
-        payload["monitor"] = {
-            "epsilon": verdict.epsilon,
-            "phase": verdict.phase,
-            "variant": verdict.variant,
-            "r0": verdict.r0,
-            "windows_checked": verdict.windows_checked,
-            "attained": verdict.attained,
-            "cascade_ok": verdict.cascade_ok,
-            "failures": verdict.failures,
-        }
+        payload["monitor"] = dataclasses.asdict(verdict)
     _write_json(args.report, payload)
     _check_converged(report)  # main prints why and exits 3
     if args.monitor is not None and verdict.attained and not verdict.cascade_ok:
@@ -249,22 +231,11 @@ def worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
 
 
 def _cell_rows(cells: Sequence[CampaignCell]) -> str:
-    """CSV rows; labels such as ``Parallel(par, shift=1)`` hold a comma and are quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for cell in cells:
-        writer.writerow(
-            [
-                str(cell.ordering),
-                cell.label,
-                repr(cell.gamma),
-                cell.tau,
-                cell.t0,
-                repr(cell.worst_ratio),
-                cell.violations,
-            ]
-        )
-    return buf.getvalue()
+    """The campaign's CSV rows, one per cell, under ``CSV_HEADER``."""
+    return _csv_text(
+        [str(c.ordering), c.label, repr(c.gamma), c.tau, c.t0, repr(c.worst_ratio), c.violations]
+        for c in cells
+    )
 
 
 def cmd_verify(args) -> int:

@@ -22,7 +22,8 @@ with ``_packed_entries`` and build their result from that list with
 the constructor that validates.
 
 The scalar sweep does only the rotation work: it records each step's
-(c, s, t) and tangent and sums S once, at the end of the sweep.
+(c, s), the sign ``t_sign`` of its kind (t = t_sign * s) and its tangent, and
+sums S once, at the end of the sweep.
 ``_step_off_norms`` rebuilds the S before and after every step by replaying
 the recorded steps on the input's entries; ``driver`` describes when a
 report runs that replay.  Both stop rules live beside ``_sweep`` and read
@@ -351,7 +352,7 @@ def _off_norm_packed(e: list[float], n_off: int) -> float:
 def _step_off_norms(a: SymMatrix, records: list[tuple]) -> list[float]:
     """S of ``a``, then S after each step of ``records``, replayed on a's packed entries.
 
-    Each record's (c, s, t) is applied with ``_plane_step`` at ``_pivot_plan``
+    Each record's (c, s, t_sign * s) is applied with ``_plane_step`` at ``_pivot_plan``
     (a transform that the run kept beside A is left out), and S is summed
     after each step: the sweep's operations on the same entries, so the
     sweep's bits.  Raises ``ValueError`` at the first S^2 that is not finite.
@@ -360,8 +361,8 @@ def _step_off_norms(a: SymMatrix, records: list[tuple]) -> list[float]:
     n_off = n * (n - 1) // 2
     e = _packed_entries(a)
     norms = [_off_norm_packed(e, n_off)]
-    for (i, j), _, c, s, t, _ in records:
-        _plane_step(e, _pivot_plan(n, i, j), c, s, t)
+    for (i, j), _, c, s, t_sign, _ in records:
+        _plane_step(e, _pivot_plan(n, i, j), c, s, t_sign * s)
         norms.append(_off_norm_packed(e, n_off))
     return norms
 
@@ -375,16 +376,17 @@ def _sweep(a: SymMatrix, e: list[float], plan: list, s: float, records: list[tup
     t = -s (a rotation) or t = s (a hyperbolic step) in F = [[c, t], [s, c]].
     Every step is applied and its pivot stored as +0.0, even when s = +-0,
     as in ``driver.batch_sweep``, and appended to ``records`` as
-    (pair, a_ij before, c, s, t, tangent).  S is summed once, after the
-    last step; ``_step_off_norms`` rebuilds the S around every step.
+    (pair, a_ij before, c, s, t_sign, tangent), so a record owns its step's
+    kind: hyperbolic where t_sign > 0.  S is summed once, after the last
+    step; ``_step_off_norms`` rebuilds the S around every step.
 
     Raises ``ValueError`` when S^2 is not finite after any step.  A step
     maps each (a_ki, a_kj) by a matrix of 2-norm at most c + |s| and zeroes
     the pivot, so it raises S by at most that factor.  While S times the
     product of those factors stays below ``SWEEP_GROWTH_LIMIT``, no S^2 of
-    the sweep can overflow; otherwise, and when a step raises
-    ``ArithmeticError`` (a hyperbolic breakdown), the run is replayed by
-    ``_step_off_norms``, which raises at the first S^2 that is not finite.
+    the sweep can overflow; otherwise the run is replayed by ``_step_off_norms``,
+    which raises at the first S^2 that is not finite, in precedence over a
+    step's ``ArithmeticError`` (a hyperbolic breakdown).
     """
     growth = 1.0
     try:
@@ -392,16 +394,12 @@ def _sweep(a: SymMatrix, e: list[float], plan: list, s: float, records: list[tup
             ii, jj, ij, _ = pivot
             piv = e[ij]
             c, sn, tangent = params(e[ii], e[jj], piv)
-            t = t_sign * sn
-            _plane_step(e, pivot, c, sn, t)
+            _plane_step(e, pivot, c, sn, t_sign * sn)
             growth *= c + abs(sn)
-            records.append((pair, piv, c, sn, t, tangent))
-    except ArithmeticError:  # a hyperbolic breakdown, which an earlier overflow takes precedence over
-        if not s * growth < SWEEP_GROWTH_LIMIT:
+            records.append((pair, piv, c, sn, t_sign, tangent))
+    finally:
+        if not s * growth < SWEEP_GROWTH_LIMIT:  # also when the product is inf or NaN
             _step_off_norms(a, records)
-        raise
-    if not s * growth < SWEEP_GROWTH_LIMIT:  # also when the product is inf or NaN
-        _step_off_norms(a, records)
     return _off_norm_packed(e, a.n * (a.n - 1) // 2)
 
 

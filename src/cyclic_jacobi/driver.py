@@ -27,11 +27,13 @@ Every single-matrix run (``run_cycles``; ``run_parallel_cycle``, which is
 ``run_cycles(a, o, 1)``; ``jjacobi.run_j_jacobi`` and ``solve_factored``) is
 reported by a ``SweepReport`` (``jjacobi.JJacobiReport`` subclasses it):
 its input, the raw per-step records of ``core._sweep`` (pair, pivot value,
-c, s, t, tangent) and the S at every cycle boundary.  It replays its run at
-most once, when first asked: ``_step_norms`` (``core._step_off_norms``) is
-the S around every step, which ``steps`` (one ``StepRecord`` per record, its
-angle atan of the tangent, atanh for a hyperbolic step), the S^2 checks
-(``_report_checks``, building no steps) and ``monitor_proof_bounds`` read.
+c, s, t_sign, tangent) and the S at every cycle boundary.  A record owns its
+step's kind: hyperbolic where t_sign > 0, as the run's plan set it.  A report
+replays its run at most once, when first asked: ``_step_norms``
+(``core._step_off_norms``) is the S around every step, which ``steps`` (one
+``StepRecord`` per record, its angle atan of the tangent, atanh for a
+hyperbolic step), the S^2 checks (``_report_checks``, building no steps) and
+``monitor_proof_bounds`` read.
 Callers that want only the matrix or the cycle-boundary S never replay.
 
 A single run is inherently sequential; distinct runs and campaign cells are
@@ -132,19 +134,19 @@ class SweepReport:
     first time each is read, and kept.  A timed run never replays, the S^2
     checks never build ``steps``, and ``cjacobi solve`` and
     ``jsolve --monitor`` replay once.  ``jjacobi.JJacobiReport`` adds the
-    fields of a J-Jacobi run and marks its hyperbolic steps (``_hyperbolic``).
+    fields of a J-Jacobi run.
     """
 
     ordering: PivotOrdering
     cycles_requested: int
-    cycles_executed: int
     cycle_off_norms: list[float]  # S at every cycle boundary, starting at t=0
     _matrix: SymMatrix = field(repr=False)  # the input, from which the steps are replayed
     _records: list[tuple] = field(repr=False)
 
-    def _hyperbolic(self, pair: tuple[int, int]) -> bool:
-        """Whether the step at ``pair`` is hyperbolic: never, in a plain run."""
-        return False
+    @property
+    def cycles_executed(self) -> int:
+        """The sweeps that ran: one per cycle boundary after the first."""
+        return len(self.cycle_off_norms) - 1
 
     @cached_property
     def _step_norms(self) -> list[float]:
@@ -155,8 +157,8 @@ class SweepReport:
     def steps(self) -> list[StepRecord]:
         norms = self._step_norms
         steps = []
-        for k, (pair, value, _, _, _, tangent) in enumerate(self._records):
-            if self._hyperbolic(pair):
+        for k, (pair, value, _, _, t_sign, tangent) in enumerate(self._records):
+            if t_sign > 0:
                 angle = math.atanh(tangent)
                 kind, tanh = "hyperbolic", abs(math.tanh(angle))
             else:
@@ -238,7 +240,7 @@ def run_cycles(a: SymMatrix, ordering: PivotOrdering, cycles: int) -> tuple[SymM
         if _settled(e, n_off):
             break
         cycle_norms.append(_sweep(a, e, plan, cycle_norms[-1], records))
-    report = SweepReport(ordering, cycles, len(cycle_norms) - 1, cycle_norms, a, records)
+    report = SweepReport(ordering, cycles, cycle_norms, a, records)
     return SymMatrix._of_floats(a.n, e), report
 
 
@@ -569,14 +571,14 @@ class CampaignReport:
 def campaign_cells_for_ordering(
     ordering: PivotOrdering, mats: np.ndarray, modes: tuple[str, ...]
 ) -> tuple[list[CampaignCell], float, float]:
-    """Evaluate the selected bound modes for one ordering over a matrix batch."""
+    """Evaluate the selected bound modes, "classified" or "universal" or both, for one ordering
+    over a matrix batch; ``ValueError`` for no mode or another one."""
     record = classify(ordering)
+    every = {"classified": record.bound, "universal": UNIVERSAL_BOUND}
+    if not modes or not {*modes} <= every.keys():
+        raise ValueError(f"modes must be one or both of {[*every]}, got {modes!r}")
+    bounds = [(mode, bound) for mode, bound in every.items() if mode in modes]
     label = label_text(record.label)
-    bounds = []
-    if "classified" in modes:
-        bounds.append(("classified", record.bound))
-    if "universal" in modes:
-        bounds.append(("universal", UNIVERSAL_BOUND))
     cycles = max(b.t0 + b.tau + 4 for _, b in bounds)
     sweep = batch_sweep(mats, ordering, cycles)
     cells = [

@@ -19,7 +19,9 @@ updates A and F and a step makes no numpy call.  It stops on the relative
 rule of Demmel and Veselic (``core._converged``), never on S.  Its report,
 a ``driver.SweepReport``, replays its run at most once for its ``steps``
 and S around each step, as ``driver`` describes; the angle envelope reads
-the records' tangents alone.  ``solve_factored`` builds neither, and
+the records' kinds and tangents alone.  Each record holds its plan's sign,
++1 for a hyperbolic step across J's sign blocks, so the kind is decided
+once, by the plan.  ``solve_factored`` builds neither, and
 ``monitor_proof_bounds`` reads the steps and that replay.
 
 ``solve_factored`` solves H = L J L^T given its factor: it runs the solver
@@ -156,25 +158,28 @@ def _hyperbolic_params(aii: float, ajj: float, aij: float) -> tuple[float, float
 class JJacobiReport(SweepReport):
     """A ``driver.SweepReport`` of a J-Jacobi run, with the fields only such a run has.
 
-    A step is hyperbolic where the signs of its pivot's indices differ.
-    ``angle_envelope`` is built from the records' tangents alone, with no
-    replay, when first read, and kept: ``cjacobi jsolve`` reads it, and the
-    steps only for ``--monitor``; ``solve_factored`` reads neither.
+    A step is hyperbolic where its record's t_sign is +1, which the run's
+    plan set where the signs of its pivot's indices differ.
+    ``angle_envelope`` is built from the records alone, with no replay, when
+    first read, and kept: ``cjacobi jsolve`` reads it, and the steps only
+    for ``--monitor``; ``solve_factored`` reads neither.
     """
 
     signs: tuple[int, ...]
     converged: bool
-    covered_by_convergence_theory: bool
 
-    def _hyperbolic(self, pair: tuple[int, int]) -> bool:
-        return self.signs[pair[0] - 1] != self.signs[pair[1] - 1]
+    @property
+    def covered_by_convergence_theory(self) -> bool:
+        # the convergence guarantee covers diag(1,1,-1,-1) and the all-equal
+        # cases (which reduce to the plain symmetric method)
+        return self.signs == STANDARD_SIGNS or len(set(self.signs)) == 1
 
     @cached_property
     def angle_envelope(self) -> list[float]:
         """Per cycle: max |tanh theta| over its hyperbolic steps, 0.0 if none."""
         tanhs = [
-            abs(math.tanh(math.atanh(th))) if self._hyperbolic(pair) else 0.0
-            for pair, *_, th in self._records
+            abs(math.tanh(math.atanh(th))) if t_sign > 0 else 0.0
+            for *_, t_sign, th in self._records
         ]
         per_cycle = len(self.ordering.pairs)
         return [max([0.0] + tanhs[k:k + per_cycle]) for k in range(0, len(tanhs), per_cycle)]
@@ -194,12 +199,6 @@ class JJacobiResult(NamedTuple):
     diagonalized: SymMatrix       # the (near-)diagonal final iterate
     transform: np.ndarray         # accumulated F with F^T J F = J
     report: JJacobiReport
-
-
-def _covered(signs: tuple[int, ...]) -> bool:
-    # the convergence guarantee covers diag(1,1,-1,-1) and the all-equal
-    # cases (which reduce to the plain symmetric method)
-    return signs == STANDARD_SIGNS or len(set(signs)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -258,10 +257,8 @@ def run_j_jacobi(
         cycle_norms.append(_sweep(a, e, plan, cycle_norms[-1], records))
         certified = converged  # the extra sweep from the converged state ran
         converged = converged or _converged(e, plan, tol)
-    report = JJacobiReport(
-        ordering, MAX_CYCLES, len(cycle_norms) - 1, cycle_norms, a, records, signs=signs,
-        converged=converged, covered_by_convergence_theory=_covered(signs),
-    )
+    report = JJacobiReport(ordering, MAX_CYCLES, cycle_norms, a, records, signs=signs,
+                           converged=converged)
     f = np.array(e[size:]).reshape(n, n)
     return JJacobiResult(SymMatrix._of_floats(n, e[:size]), f, report)
 

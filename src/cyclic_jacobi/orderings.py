@@ -485,7 +485,6 @@ def parse_certificate(text: str) -> Certificate:
             steps.append(Permute(tuple(int(tok) for tok in rest.split())))
         else:
             raise ValueError(f"unknown certificate step {ln!r}")
-    cert = make_certificate(source, steps)
-    if cert.target != target:
-        raise BrokenCertificateError("broken certificate: replay does not reach the target")
+    cert = Certificate(source, tuple(steps), target, sum(isinstance(s, Shift) for s in steps))
+    replay(cert)  # BrokenCertificateError for a step out of range or a chain missing the target
     return cert

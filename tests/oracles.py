@@ -173,12 +173,14 @@ def two_sided(m, rot):
 def replayed_transform(n, records):
     """F of a J-Jacobi run, replayed column by column from its step records.
 
-    Each record of ``report._records`` carries the step's (c, s, t); F starts
-    as the identity and each step sets F <- F [[c, t], [s, c]] on its pivot
-    columns i and j: column i becomes c*f_i + s*f_j and column j c*f_j + t*f_i.
+    Each record of ``report._records`` carries the step's c, s and t_sign, so
+    t = t_sign * s; F starts as the identity and each step sets
+    F <- F [[c, t], [s, c]] on its pivot columns i and j: column i becomes
+    c*f_i + s*f_j and column j c*f_j + t*f_i.
     """
     columns = [[float(r == k) for r in range(n)] for k in range(n)]
-    for (i, j), _, c, s, t, *_ in records:
+    for (i, j), _, c, s, t_sign, *_ in records:
+        t = t_sign * s
         fi, fj = columns[i - 1], columns[j - 1]
         columns[i - 1] = [c * x + s * y for x, y in zip(fi, fj)]
         columns[j - 1] = [c * y + t * x for x, y in zip(fi, fj)]

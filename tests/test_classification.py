@@ -398,6 +398,16 @@ class TestHelpers:
         assert label_text(Parallel(PAR_ANCHOR_MIRROR, 2)) == "Parallel(par2, shift=2)"
 
 
+CATALOG_COUNTS = {
+    "column": 12,
+    "row": 0,
+    "reverse-column": 0,
+    "reverse-row": 4,
+    "generalized-serial": 88,
+    "parallel": 16,
+}
+
+
 class TestCatalog:
     def test_covers_c0_exactly(self):
         from_catalog = {o.pairs for o in c0_orderings()}
@@ -446,14 +456,38 @@ class TestCatalog:
         report = verify_catalog()
         assert f"entry {index}: minimal d exceeds the recorded chain's" in report.failures
 
+    @pytest.mark.parametrize("index, label, failures, counts", [
+        (1, GeneralizedSerial(0), [
+            "entry 1: expected a serial label",
+            "expected 12 column orderings, found 11",
+            "expected 88 generalized-serial orderings, found 89",
+        ], {"column": 11, "generalized-serial": 89}),
+        (50, Parallel(PAR_ANCHOR, 0), [
+            "entry 50: expected a generalized-serial label",
+            "expected 88 generalized-serial orderings, found 87",
+            "expected 16 parallel orderings, found 17",
+        ], {"generalized-serial": 87, "parallel": 17}),
+        (105, SerialPerm("row"), [
+            "entry 105: expected a parallel label",
+            "expected 0 row orderings, found 1",
+            "expected 16 parallel orderings, found 15",
+        ], {"row": 1, "parallel": 15}),
+    ], ids=["template", "generalized serial", "parallel"])
+    def test_a_wrong_class_is_named_and_counted(self, monkeypatch, index, label, failures, counts):
+        # the entry's expected class comes from its own chain and terminal, not its index
+        entry = ENTRY[index]
+        real = classification.classify
+
+        def classify_wrongly(o):
+            record = real(o)
+            return dataclasses.replace(record, label=label) if o == entry.ordering else record
+
+        monkeypatch.setattr(classification, "classify", classify_wrongly)
+        report = verify_catalog()
+        assert report.failures == failures
+        assert report.class_counts == {**CATALOG_COUNTS, **counts}
+
     def test_verify_catalog_clean(self):
         report = verify_catalog()
         assert report.ok, report.failures
-        assert report.class_counts == {
-            "column": 12,
-            "row": 0,
-            "reverse-column": 0,
-            "reverse-row": 4,
-            "generalized-serial": 88,
-            "parallel": 16,
-        }
+        assert report.class_counts == CATALOG_COUNTS

@@ -1,7 +1,9 @@
-"""No module of the package imports a name at module level that it never uses.
+"""No module of the package imports a name at module level that it never uses, and no
+module-level private name of the package goes unread.
 
 A static check over the source, standing in for a linter.  ``__init__`` is
-left out: its imports are re-exports, which ``test_api_surface`` covers.
+left out of the import check: its imports are re-exports, which
+``test_api_surface`` covers.
 """
 
 import ast
@@ -54,3 +56,34 @@ def test_the_rebound_names_are_imported_and_unused():
     for module, name in REBOUND:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in set(_imported_names(tree)) - _used_names(tree), (module, name)
+
+
+def _private_definitions(tree):
+    """The module-level private functions, classes and constants that ``tree`` defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_module_level_private_name_is_read():
+    # read means loaded as a bare name, or imported by another module, whose own import
+    # check above then asks that it be used; a leftover of a deletion is read nowhere
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    defined = [(stem, name) for stem, tree in trees.items() for name in _private_definitions(tree)]
+    assert len(defined) > 50  # the walk finds the package's private names
+    unread = [f"{stem}.{name}" for stem, name in defined if name not in read]
+    assert unread == [], f"module-level private names that nothing reads: {unread}"

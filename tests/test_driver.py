@@ -705,3 +705,16 @@ class TestCampaign:
     def test_rejects_empty_ordering_list(self):
         with pytest.raises(ValueError, match="at least one ordering"):
             verification_campaign(1, 5, [])
+
+    @pytest.mark.parametrize("modes, named", [
+        (("classified", "univrsal"), "univrsal"),
+        ((), r"\(\)"),
+        (("classfied",), "classfied"),
+    ], ids=["one misspelt", "none", "only misspelt"])
+    def test_rejects_bad_modes_naming_them(self, modes, named):
+        # a misspelt mode must fail, not leave a good one beside it to run alone
+        mats = random_symmetric_batch(default_rng(1), 3)
+        with pytest.raises(ValueError, match=f"modes must be .*got .*{named}"):
+            campaign_cells_for_ordering(COLUMN, mats, modes)
+        with pytest.raises(ValueError, match=f"modes must be .*got .*{named}"):
+            verification_campaign(1, 3, [COLUMN, ENTRY[105]], modes)

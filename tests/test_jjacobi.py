@@ -64,11 +64,11 @@ def step_transform(dense, signs, i, j):
     aii, ajj, aij = (float(dense[p, q]) for p, q in ((i0, i0), (j0, j0), (i0, j0)))
     if signs[i0] != signs[j0]:
         c, s, tangent = _hyperbolic_params(aii, ajj, aij)
-        t = s
+        t_sign = 1.0
     else:
         c, s, tangent = _rotation_params(aii, ajj, aij)
-        t = -s
-    return replayed_transform(len(signs), [((i, j), aij, c, s, t, tangent)])
+        t_sign = -1.0
+    return replayed_transform(len(signs), [((i, j), aij, c, s, t_sign, tangent)])
 
 
 class TestSignDiagonal:

@@ -419,13 +419,23 @@ class TestTextFormats:
         tags = {line.split()[0] for c in chains for line in format_certificate(c).splitlines()}
         assert tags == {"source:", "target:", "T", "S", "P"}
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda lines: lines[1:], "needs 'source:' and 'target:' lines"),
-        (lambda lines: lines[:1] + ["X 1"] + lines[1:], "unknown certificate step 'X 1'"),
-    ], ids=["no source", "unknown tag"])
-    def test_parse_certificate_rejects_malformed_text(self, edit, message):
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda lines: lines[1:], ValueError, "needs 'source:' and 'target:' lines"),
+        (lambda lines: lines[:1] + ["X 1"] + lines[1:], ValueError,
+         "unknown certificate step 'X 1'"),
+        # a step out of range fails its replay, which names it
+        (lambda lines: lines[:1] + ["T 9"] + lines[2:], BrokenCertificateError,
+         r"invalid step Transpose\(pos=9\): transpose position 9 out of range"),
+        (lambda lines: lines[:1] + ["S 99"] + lines[2:], BrokenCertificateError,
+         r"invalid step Shift\(length=99\): shift length 99 out of range"),
+        (lambda lines: lines[:1] + ["S -1"] + lines[2:], BrokenCertificateError,
+         r"invalid step Shift\(length=-1\): shift length -1 out of range"),
+        (lambda lines: lines[:1] + ["T -1"] + lines[2:], BrokenCertificateError,
+         r"invalid step Transpose\(pos=-1\): transpose position -1 out of range"),
+    ], ids=["no source", "unknown tag", "T 9", "S 99", "S -1", "T -1"])
+    def test_parse_certificate_rejects_malformed_text(self, edit, error, message):
         lines = format_certificate(make_certificate(ENTRY[105], (Shift(2),))).splitlines()
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             parse_certificate("\n".join(edit(lines)))
 
     def test_parse_certificate_checks_target(self):
